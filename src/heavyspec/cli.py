@@ -10,9 +10,9 @@ import sys
 
 import numpy as np
 
-from . import experiment
 from .experiment import (
     ExperimentConfig,
+    TrialBatch,
     ValidationError,
     batch_from_records,
     emit_report,
@@ -21,6 +21,7 @@ from .experiment import (
     run_batch,
     run_checks,
     validate,
+    write_checks,
 )
 
 
@@ -52,6 +53,17 @@ def _load(args) -> ExperimentConfig:
     if args.z is not None:
         updates["z"] = args.z
     return dataclasses.replace(config, **updates) if updates else config
+
+
+def _load_batch(config: ExperimentConfig, out_dir: str) -> TrialBatch | None:
+    """The batch stored in out_dir/trials.csv, or None (reason on stderr)
+    when it does not match the config."""
+    trials_path = os.path.join(out_dir, "trials.csv")
+    try:
+        return batch_from_records(config, read_trials_csv(trials_path))
+    except ValueError as err:
+        print(f"{trials_path}: {err}", file=sys.stderr)
+        return None
 
 
 def _cmd_validate(args) -> int:
@@ -94,32 +106,25 @@ def _cmd_run(args) -> int:
 
 def _cmd_check(args) -> int:
     config = _load(args)
-    trials_path = os.path.join(args.out, "trials.csv")
-    records = read_trials_csv(trials_path)
-    if not records:
-        print(f"no records in {trials_path}", file=sys.stderr)
+    batch = _load_batch(config, args.out)
+    if batch is None:
         return 1
-    batch = batch_from_records(config, records)
     checks = run_checks(batch, config)
-    checks_path = os.path.join(args.out, "checks.json")
-    with open(checks_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(experiment._jsonify(checks), indent=2) + "\n")
-    print(f"wrote {checks_path}")
+    print(f"wrote {write_checks(checks, args.out)}")
     print(f"overall: {'pass' if checks['overall_passed'] else 'FAIL'}")
     return 0 if checks["overall_passed"] else 2
 
 
 def _cmd_report(args) -> int:
     config = _load(args)
-    records = read_trials_csv(os.path.join(args.out, "trials.csv"))
-    batch = batch_from_records(config, records)
+    batch = _load_batch(config, args.out)
+    if batch is None:
+        return 1
     print(f"model: {config.model.family} alpha={config.model.alpha} scale={config.model.scale}")
     print(f"filter: c={list(config.filter.c.values)} theta={list(config.filter.theta.values)}")
     print(f"{'n':>6} {'p':>5} {'count':>6} {'median scaled_norm':>20} {'median offdiag':>15}")
     for n in sorted(batch.n_values):
         recs = batch.records_at(n)
-        if not recs:
-            continue
         sn = float(np.median([r.scaled_norm for r in recs]))
         od = float(np.median([r.offdiag_dev for r in recs]))
         print(f"{n:>6} {recs[0].p:>5} {len(recs):>6} {sn:>20.6g} {od:>15.6g}")

@@ -1,10 +1,12 @@
-"""Centering algebra and matrix-free spectral-norm computation.
+"""Centering algebra and spectral norms.
 
 The centering matrix H is banded (every row carries the same short window),
-so H, H Hᵀ and H diag(d) Hᵀ are stored and applied with O(p * window) work.
-Spectral norms of symmetric matrices are computed by Lanczos iteration with
-full reorthogonalization, converging both extreme eigenvalues; a dense
-eigensolve is used only as a cross-check oracle in the tests.
+so H Hᵀ and H diag(d) Hᵀ are assembled band by band.  The centered
+covariance S and the off-diagonal deviation are both built from one Gram
+matrix of the time-filtered rows.  Spectral norms of the resulting dense
+symmetric matrices come from one ARPACK call (``scipy.sparse.linalg.eigsh``)
+with a deterministic start vector; a dense eigensolve is used only as a
+cross-check oracle in the tests.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .linear_filter import CoefficientSequence
 from .rv_noise import TailModel, index_uniforms, second_moment, truncated_second_moment
@@ -38,7 +40,7 @@ _SPECTRAL_TAG = 0x51
 
 
 class SpectralNormError(RuntimeError):
-    """Iterative eigensolver failed to converge within the iteration cap."""
+    """The eigensolver failed to converge within its restart cap."""
 
 
 @dataclass(frozen=True)
@@ -65,19 +67,12 @@ class BandedH:
                 f"shift={self.shift} window={len(self.weights)}"
             )
 
-    @property
-    def window(self) -> int:
-        return len(self.weights)
-
     def dense(self) -> np.ndarray:
         h = np.zeros((self.nrows, self.ncols))
         for l, w in enumerate(self.weights):
             idx = np.arange(self.nrows)
             h[idx, idx + self.shift + l] = w
         return h
-
-    def row_abs_sum(self) -> float:
-        return float(sum(abs(w) for w in self.weights))
 
 
 def build_H(theta: CoefficientSequence, p: int) -> BandedH:
@@ -119,34 +114,6 @@ class SymBanded:
             if b > 0:
                 a[idx + b, idx] = self.bands[b, :m]
         return a
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        y = self.bands[0] * v
-        nb = self.bands.shape[0]
-        for b in range(1, nb):
-            m = self.dim - b
-            if m <= 0:
-                break
-            band = self.bands[b, :m]
-            y[:m] += band * v[b:]
-            y[b:] += band * v[:m]
-        return y
-
-    def inf_norm(self) -> float:
-        """Maximum absolute row sum."""
-        r = np.abs(self.bands[0]).astype(float)
-        nb = self.bands.shape[0]
-        for b in range(1, nb):
-            m = self.dim - b
-            if m <= 0:
-                break
-            band = np.abs(self.bands[b, :m])
-            r[:m] += band
-            r[b:] += band
-        return float(r.max())
-
-    def max_abs(self) -> float:
-        return float(np.abs(self.bands).max())
 
 
 def hdh_matrix(H: BandedH, d: np.ndarray) -> SymBanded:
@@ -197,19 +164,30 @@ def mu_x_alpha(model: TailModel, c: CoefficientSequence, a_np: float) -> float:
     return ez2 * c.sq_sum
 
 
-def centered_covariance(xhat: np.ndarray, centering: CenteringSpec) -> np.ndarray:
-    """S = X Xᵀ - n * mu * H Hᵀ, symmetrized after assembly."""
-    xhat = np.asarray(xhat, dtype=float)
-    if xhat.ndim != 2:
-        raise ValueError("xhat must be a 2-d array")
-    p, n = xhat.shape
-    if centering.H.nrows != p:
-        raise ValueError(f"H has {centering.H.nrows} rows, xhat has {p}")
-    if centering.n != n:
-        raise ValueError(f"centering.n = {centering.n} but xhat has {n} columns")
-    s = xhat @ xhat.T
+def centered_covariance(
+    gram: np.ndarray, theta: CoefficientSequence, centering: CenteringSpec
+) -> np.ndarray:
+    """S = T G Tᵀ - n * mu * H Hᵀ, symmetrized after assembly.
+
+    G is the Gram matrix of the time-filtered rows 1 - theta.max_lag through
+    p - theta.min_lag, and T applies the full theta window across them, so
+    T G Tᵀ equals Xhat Xhatᵀ for the filtered p x n panel.  H keeps only the
+    theta lags inside [-p, p]; the two differ when a lag lies outside.
+    """
+    g = np.asarray(gram, dtype=float)
+    p = centering.H.nrows
+    m = p + len(theta.values) - 1
+    if g.shape != (m, m):
+        raise ValueError(f"gram must be {m} x {m} for p = {p}, got shape {g.shape}")
+    offsets = [(theta.max_lag - k, w) for k, w in zip(theta.lags, theta.values)]
+    tg = np.zeros((p, m))
+    for o, w in offsets:
+        tg += w * g[o : o + p]
+    s = np.zeros((p, p))
+    for o, w in offsets:
+        s += w * tg[:, o : o + p]
     if centering.mu != 0.0:
-        s -= (n * centering.mu) * hht_matrix(centering.H).dense()
+        s -= (centering.n * centering.mu) * hht_matrix(centering.H).dense()
     asym = float(np.abs(s - s.T).max())
     scale = float(np.abs(s).max())
     if asym > 1e-12 * scale:
@@ -229,122 +207,26 @@ def centered_gram_diag(x: np.ndarray, mu: float) -> np.ndarray:
     return gram_diag(x) - x.shape[1] * mu
 
 
-def offdiag_deviation(x: np.ndarray, a_np: float) -> float:
-    """a_np^-2 times the spectral norm of X Xᵀ with its diagonal zeroed."""
+def offdiag_deviation(gram: np.ndarray, a_np: float) -> float:
+    """a_np^-2 times the spectral norm of the Gram matrix X Xᵀ with its
+    diagonal zeroed."""
     if not a_np > 0.0:
         raise ValueError(f"a_np must be positive, got {a_np}")
-    x = np.asarray(x, dtype=float)
-    g = x @ x.T
+    g = np.asarray(gram, dtype=float)
     g = 0.5 * (g + g.T)
     np.fill_diagonal(g, 0.0)
     return spectral_norm(g) / (a_np * a_np)
 
 
-# ---------------------------------------------------------------------------
-# Lanczos spectral norm.
+def spectral_norm(m, rel_tol: float = 1e-8, max_iter: int = 10_000) -> float:
+    """Largest absolute eigenvalue of a dense symmetric matrix, by ARPACK.
 
-
-def _tridiag_extremes(alphas: np.ndarray, betas: np.ndarray):
-    """Extreme eigenvalues of the tridiagonal T and the last components of
-    their eigenvectors (which bound the Lanczos residuals)."""
-    k = alphas.shape[0]
-    if k == 1:
-        return float(alphas[0]), float(alphas[0]), 1.0, 1.0
-    try:
-        w_lo, v_lo = eigh_tridiagonal(alphas, betas, select="i", select_range=(0, 0))
-        w_hi, v_hi = eigh_tridiagonal(alphas, betas, select="i", select_range=(k - 1, k - 1))
-        return float(w_lo[0]), float(w_hi[0]), float(v_lo[-1, 0]), float(v_hi[-1, 0])
-    except Exception:
-        w, v = eigh_tridiagonal(alphas, betas)
-        return float(w[0]), float(w[-1]), float(v[-1, 0]), float(v[-1, -1])
-
-
-def _start_vector(dim: int, seed: int, attempt: int) -> np.ndarray:
-    u = index_uniforms(seed, np.arange(dim), lane=attempt, tag=_SPECTRAL_TAG)
-    return u - 0.5
-
-
-def _lanczos_norm(matvec, dim: int, rel_tol: float, max_iter: int, seed: int) -> float:
-    kmax = min(dim, max_iter)
-    Q = np.empty((kmax, dim))
-    alphas = np.empty(kmax)
-    betas = np.empty(kmax)
-    attempt = 0
-    q = _start_vector(dim, seed, attempt)
-    q /= np.linalg.norm(q)
-    scale_est = 0.0
-    tiny = np.finfo(float).tiny
-    last_resid = math.inf
-    for k in range(kmax):
-        Q[k] = q
-        u = matvec(q)
-        a = float(q @ u)
-        alphas[k] = a
-        r = u - a * q
-        if k > 0:
-            r -= betas[k - 1] * Q[k - 1]
-        # Full reorthogonalization keeps the Ritz residual estimate honest.
-        r -= Q[: k + 1].T @ (Q[: k + 1] @ r)
-        b = float(np.linalg.norm(r))
-        betas[k] = b
-        scale_est = max(scale_est, abs(a), b)
-
-        lo, hi, s_lo, s_hi = _tridiag_extremes(alphas[: k + 1], betas[:k])
-        norm_est = max(abs(lo), abs(hi))
-        last_resid = b * max(abs(s_lo), abs(s_hi))
-        if norm_est == 0.0:
-            if k + 1 == dim or scale_est == 0.0:
-                return 0.0
-        elif last_resid <= rel_tol * norm_est:
-            # Confirm with explicit residuals on the Ritz vectors.
-            if k == 0:
-                return norm_est
-            w, v = eigh_tridiagonal(alphas[: k + 1], betas[:k])
-            ok = True
-            for col in (0, k):
-                y = Q[: k + 1].T @ v[:, col]
-                ny = np.linalg.norm(y)
-                if ny <= tiny:
-                    continue
-                res = np.linalg.norm(matvec(y) - w[col] * y) / ny
-                if res > rel_tol * norm_est:
-                    ok = False
-                    break
-            if ok:
-                return norm_est
-        if k + 1 == dim:
-            # Krylov space is the whole space; T is similar to A.
-            return norm_est
-        if b <= 64.0 * np.finfo(float).eps * max(scale_est, tiny):
-            # Invariant subspace found; continue with a fresh direction.
-            betas[k] = 0.0
-            attempt += 1
-            q = _start_vector(dim, seed, attempt)
-            q -= Q[: k + 1].T @ (Q[: k + 1] @ q)
-            nq = np.linalg.norm(q)
-            if nq <= tiny:
-                return norm_est
-            q /= nq
-        else:
-            q = r / b
-    raise SpectralNormError(
-        f"no convergence after {kmax} iterations (last residual estimate {last_resid:g})"
-    )
-
-
-def spectral_norm(m, rel_tol: float = 1e-8, max_iter: int = 10_000, seed: int = 0) -> float:
-    """Largest absolute eigenvalue of a symmetric matrix.
-
-    Accepts a dense ndarray or a SymBanded; both are pre-scaled by their
-    largest absolute entry, which makes the result exactly homogeneous under
-    power-of-two scaling of the input.
+    The matrix is pre-scaled by its largest absolute entry, which makes the
+    result exactly homogeneous under power-of-two scaling of the input, and
+    the start vector is counter-based, so the result is deterministic.
+    ``rel_tol`` is ARPACK's relative residual tolerance and ``max_iter`` its
+    cap on restarts.
     """
-    if isinstance(m, SymBanded):
-        f = m.max_abs()
-        if f == 0.0:
-            return 0.0
-        scaled = SymBanded(dim=m.dim, bands=m.bands / f)
-        return f * _lanczos_norm(scaled.matvec, m.dim, rel_tol, max_iter, seed)
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -356,7 +238,17 @@ def spectral_norm(m, rel_tol: float = 1e-8, max_iter: int = 10_000, seed: int = 
         raise ValueError(f"matrix is not symmetric: |A - Aᵀ| = {asym:g} vs scale {scale:g}")
     if scale == 0.0:
         return 0.0
-    if a.shape[0] == 1:
+    dim = a.shape[0]
+    if dim == 1:
         return abs(float(a[0, 0]))
-    an = a / scale
-    return scale * _lanczos_norm(lambda v: an @ v, a.shape[0], rel_tol, max_iter, seed)
+    v0 = index_uniforms(0, np.arange(dim), tag=_SPECTRAL_TAG) - 0.5
+    try:
+        w = eigsh(
+            a / scale, k=1, which="LM", v0=v0, tol=rel_tol, maxiter=max_iter,
+            return_eigenvectors=False,
+        )
+    except ArpackNoConvergence as err:
+        raise SpectralNormError(
+            f"ARPACK did not converge within {max_iter} restarts at tolerance {rel_tol:g}"
+        ) from err
+    return scale * abs(float(w[0]))

@@ -106,3 +106,24 @@ def test_n_override(config_path, tmp_path):
     with open(os.path.join(out_dir, "trials.csv"), encoding="utf-8") as fh:
         rows = fh.read().splitlines()[1:]
     assert all(row.startswith("64,") for row in rows)
+
+
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize(
+    "run_override, problem",
+    [
+        (["--n", "64"], "10 missing [(40, 0)], 5 extra [(64, 0)], 0 duplicates"),
+        (["--replicates", "2"], "6 missing [(40, 2)], 0 extra [], 0 duplicates"),
+    ],
+)
+def test_refuses_trials_from_other_config(config_path, tmp_path, capsys, command, run_override, problem):
+    out_dir = str(tmp_path / "other")
+    assert main(["run", "--config", config_path, "--out", out_dir, *run_override]) == 0
+    os.remove(os.path.join(out_dir, "checks.json"))
+    capsys.readouterr()
+    assert main([command, "--config", config_path, "--out", out_dir]) == 1
+    captured = capsys.readouterr()
+    assert "records do not match the config's (n, replicate) grid" in captured.err
+    assert problem in captured.err
+    assert captured.out == ""
+    assert not os.path.exists(os.path.join(out_dir, "checks.json"))

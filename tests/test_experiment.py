@@ -3,6 +3,7 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -534,3 +535,38 @@ class TestConfig:
         batch = batch_from_records(config, [rec])
         assert batch.records == (rec,)
         assert batch.largest_n == 40
+
+    def test_batch_from_records_rejects_other_grid(self):
+        config = ExperimentConfig(
+            model=MODEL15,
+            filter=SPIKE,
+            rule=DimensionRule(beta=0.5),
+            n_values=(40,),
+            replicates=2,
+            seed=0,
+        )
+        rec = TrialRecord(
+            n=40, p=6, replicate=0, seed=1, a_np=2.0, scaled_norm=1.0,
+            offdiag_dev=0.1, top_diag=(1.0, 0.5, 0.2), diag_sq_max=math.nan,
+        )
+        with pytest.raises(ValueError, match=r"1 missing \[\(40, 1\)\], 0 extra \[\], 0 duplicates"):
+            batch_from_records(config, [rec])
+        with pytest.raises(ValueError, match=r"0 missing \[\], 0 extra \[\], 1 duplicates"):
+            batch_from_records(config, [rec, rec, replace(rec, replicate=1)])
+        with pytest.raises(ValueError, match="p = 7 at n = 40, the config gives p = 6"):
+            batch_from_records(config, [replace(rec, p=7), replace(rec, replicate=1)])
+        with pytest.raises(ValueError, match=r"0 missing \[\], 1 extra \[\(80, 0\)\]"):
+            batch_from_records(config, [rec, replace(rec, replicate=1), replace(rec, n=80, p=9)])
+
+    def test_unknown_checks_key_rejected(self):
+        d = {
+            "model": {"family": "pareto_symmetric", "alpha": 1.2},
+            "filter": {"c": {"values": [1.0]}, "theta": {"values": [1.0]}},
+            "dimension_rule": {"beta": 0.9},
+            "n_values": [100],
+            "replicates": 2,
+            "seed": 3,
+            "checks": {"order_stat": False},
+        }
+        with pytest.raises(ValueError, match=r"unknown checks \['order_stat'\]"):
+            ExperimentConfig.from_dict(d)

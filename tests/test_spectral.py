@@ -1,17 +1,21 @@
-"""Tests for centering algebra and the iterative spectral norm."""
+"""Tests for centering algebra and the ARPACK spectral norm."""
 
 import math
 
 import numpy as np
 import pytest
 
-from heavyspec.linear_filter import CoefficientSequence
-from heavyspec.rv_noise import TailModel
+from heavyspec.linear_filter import (
+    CoefficientSequence,
+    FilterSpec,
+    build_row_process,
+    build_xhat,
+)
+from heavyspec.rv_noise import TailModel, norming_constant, sample_noise
 from heavyspec.spectral import (
     BandedH,
     CenteringSpec,
     SpectralNormError,
-    SymBanded,
     build_H,
     centered_covariance,
     centered_gram_diag,
@@ -113,20 +117,6 @@ class TestHdhMatrix:
             hdh_matrix(h, np.ones(5))
 
 
-class TestSymBanded:
-    def test_matvec_and_infnorm_match_dense(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            dim = int(rng.integers(1, 12))
-            nb = int(rng.integers(1, min(dim, 4) + 1))
-            bands = rng.normal(size=(nb, dim))
-            sb = SymBanded(dim=dim, bands=bands)
-            dense = sb.dense()
-            v = rng.normal(size=dim)
-            assert np.allclose(sb.matvec(v), dense @ v, rtol=1e-13, atol=1e-13)
-            assert sb.inf_norm() == pytest.approx(np.abs(dense).sum(axis=1).max(), rel=1e-13)
-
-
 class TestMuXAlpha:
     def test_zero_below_two(self):
         model = TailModel("pareto_symmetric", alpha=1.2)
@@ -143,37 +133,66 @@ class TestMuXAlpha:
 
 
 class TestCenteredCovariance:
+    SPIKE = CoefficientSequence((1.0,))
+
     def test_zero_mu_is_gram(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 9))
-        spec = CenteringSpec(mu=0.0, H=build_H(CoefficientSequence((1.0,)), 4), n=9)
-        s = centered_covariance(x, spec)
+        spec = CenteringSpec(mu=0.0, H=build_H(self.SPIKE, 4), n=9)
+        s = centered_covariance(x @ x.T, self.SPIKE, spec)
         assert np.allclose(s, x @ x.T, rtol=1e-15)
         # Gram matrix is positive semidefinite.
         assert np.linalg.eigvalsh(s).min() >= -1e-10
 
     def test_scalar_hand_case(self):
-        xhat = np.array([[1.0, 2.0]])
-        spec = CenteringSpec(mu=1.0, H=build_H(CoefficientSequence((1.0,)), 1), n=2)
-        s = centered_covariance(xhat, spec)
+        gram = np.array([[5.0]])  # Gram of the 1 x 2 panel (1, 2)
+        spec = CenteringSpec(mu=1.0, H=build_H(self.SPIKE, 1), n=2)
+        s = centered_covariance(gram, self.SPIKE, spec)
         assert s.shape == (1, 1)
         assert s[0, 0] == 5.0 - 2.0 * 1.0 * 1.0
 
     def test_dimension_mismatch(self):
-        x = np.zeros((3, 5))
-        spec = CenteringSpec(mu=0.0, H=build_H(CoefficientSequence((1.0,)), 4), n=5)
-        with pytest.raises(ValueError, match="rows"):
-            centered_covariance(x, spec)
-        spec2 = CenteringSpec(mu=0.0, H=build_H(CoefficientSequence((1.0,)), 3), n=6)
-        with pytest.raises(ValueError, match="columns"):
-            centered_covariance(x, spec2)
+        theta = CoefficientSequence((1.0, 0.5))
+        spec = CenteringSpec(mu=0.0, H=build_H(theta, 4), n=5)
+        with pytest.raises(ValueError, match="gram must be 5 x 5"):
+            centered_covariance(np.zeros((4, 4)), theta, spec)
+        with pytest.raises(ValueError, match="gram must be"):
+            centered_covariance(np.zeros((5, 6)), theta, spec)
 
     def test_output_exactly_symmetric(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(6, 11))
-        spec = CenteringSpec(mu=0.5, H=build_H(CoefficientSequence((1.0, 0.5)), 6), n=11)
-        s = centered_covariance(x, spec)
+        x = rng.normal(size=(7, 11))
+        theta = CoefficientSequence((1.0, 0.5))
+        spec = CenteringSpec(mu=0.5, H=build_H(theta, 6), n=11)
+        s = centered_covariance(x @ x.T, theta, spec)
         assert np.array_equal(s, s.T)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])  # mu = 0, truncated, exact
+    @pytest.mark.parametrize(
+        "theta_vals, min_lag, p",
+        [
+            ((1.0, 0.5), 0, 9),
+            ((0.3, 1.0, -0.2), -1, 6),
+            ((1.0, 0.5, 0.25), 1, 2),  # lag 3 lies beyond p, outside H
+        ],
+    )
+    def test_gram_route_matches_filtered_panel(self, alpha, theta_vals, min_lag, p):
+        model = TailModel("pareto_symmetric", alpha=alpha)
+        c = CoefficientSequence((1.0, -0.4, 0.3), min_lag=-1)
+        theta = CoefficientSequence(theta_vals, min_lag=min_lag)
+        fspec = FilterSpec(c=c, theta=theta)
+        n = 40
+        rows = (1 - theta.max_lag, p - theta.min_lag + 1)
+        noise = sample_noise(model, rows, (1 - c.max_lag, n - c.min_lag + 1), seed=17)
+        x_rows = build_row_process(noise, c, rows, n)
+        xhat = build_xhat(noise, fspec, p, n)
+        a_np = norming_constant(model, n * p)
+        mu = mu_x_alpha(model, c, a_np)
+        assert (mu == 0.0) == (alpha < 2.0)
+        H = build_H(theta, p)
+        got = centered_covariance(x_rows @ x_rows.T, theta, CenteringSpec(mu=mu, H=H, n=n))
+        ref = xhat @ xhat.T - n * mu * hht_matrix(H).dense()
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestGramDiagonals:
@@ -203,16 +222,16 @@ class TestOffdiagDeviation:
         assert offdiag_deviation(np.eye(3), 2.0) == 0.0
 
     def test_single_row_vanishes(self):
-        assert offdiag_deviation(np.array([[1.0, 2.0, 3.0]]), 1.5) == 0.0
+        assert offdiag_deviation(np.array([[14.0]]), 1.5) == 0.0  # Gram of the row (1, 2, 3)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.integers(-4, 5, size=(5, 8)).astype(float)
         g = x @ x.T
+        got = offdiag_deviation(g, 2.5)
         np.fill_diagonal(g, 0.0)
         ref = np.abs(np.linalg.eigvalsh(g)).max()
-        a_np = 2.5
-        assert offdiag_deviation(x, a_np) == pytest.approx(ref / a_np**2, rel=1e-10)
+        assert got == pytest.approx(ref / 2.5**2, rel=1e-10)
 
 
 class TestSpectralNorm:
@@ -242,14 +261,8 @@ class TestSpectralNorm:
         ref = np.abs(np.linalg.eigvalsh(a)).max()
         assert spectral_norm(a, rel_tol=1e-10) == pytest.approx(ref, rel=1e-9)
 
-    def test_sym_banded_input(self):
-        rng = np.random.default_rng(7)
-        sb = SymBanded(dim=9, bands=rng.normal(size=(3, 9)))
-        ref = np.abs(np.linalg.eigvalsh(sb.dense())).max()
-        assert spectral_norm(sb) == pytest.approx(ref, rel=1e-8)
-
     def test_clustered_extremes(self):
-        # Nearly degenerate top pair; Lanczos must still resolve the norm.
+        # Nearly degenerate top pair; the solver must still resolve the norm.
         d = np.concatenate([[1.0, 1.0 - 1e-6], np.linspace(0.0, 0.9, 48)])
         rng = np.random.default_rng(8)
         q, _ = np.linalg.qr(rng.normal(size=(50, 50)))
@@ -274,8 +287,8 @@ class TestSpectralNorm:
         rng = np.random.default_rng(9)
         a = rng.normal(size=(40, 40))
         a = 0.5 * (a + a.T)
-        with pytest.raises(SpectralNormError, match="residual"):
-            spectral_norm(a, rel_tol=1e-14, max_iter=2)
+        with pytest.raises(SpectralNormError, match="did not converge within 1 restarts"):
+            spectral_norm(a, rel_tol=1e-14, max_iter=1)
 
     def test_power_of_two_homogeneity_exact(self):
         rng = np.random.default_rng(10)
@@ -288,8 +301,8 @@ class TestSpectralNorm:
         h = build_H(theta, 12)
         rng = np.random.default_rng(11)
         d = rng.pareto(0.75, size=36) ** 2
-        hdh = hdh_matrix(h, d)
-        assert spectral_norm(hdh) <= hdh.inf_norm() * (1.0 + 1e-8)
+        hdh = hdh_matrix(h, d).dense()
+        assert spectral_norm(hdh) <= np.abs(hdh).sum(axis=1).max() * (1.0 + 1e-8)
 
     def test_weyl_inequality(self):
         rng = np.random.default_rng(12)
