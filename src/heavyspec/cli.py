@@ -13,7 +13,6 @@ import numpy as np
 from .experiment import (
     ExperimentConfig,
     TrialBatch,
-    ValidationError,
     batch_from_records,
     emit_report,
     load_config,
@@ -93,7 +92,7 @@ def _cmd_run(args) -> int:
             workers=args.workers,
             top_k=config.top_k,
         )
-    except ValidationError as err:
+    except ValueError as err:  # includes ValidationError
         print(str(err), file=sys.stderr)
         return 1
     checks = run_checks(batch, config)

@@ -9,6 +9,8 @@ regardless of worker scheduling.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import json
 import math
 import os
@@ -324,6 +326,52 @@ def _trial_job(args: tuple[EnsembleSpec, int, int]) -> TrialRecord:
     return replace(run_trial(spec, top_k=top_k), replicate=replicate)
 
 
+# Thread-count calls of the OpenBLAS builds numpy and scipy bundle (the 64-bit
+# integer one numpy ships, then scipy's), then of a plain OpenBLAS.
+_OPENBLAS_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _set_blas_threads(count: int) -> list[tuple[object, int]]:
+    """Set every OpenBLAS library loaded in this process to ``count`` threads.
+
+    Returns ``(set_num_threads, previous count)`` per library, so the caller
+    can restore them. Does nothing where no OpenBLAS is loaded, or where the
+    process has no ``/proc/self/maps`` to find one in.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+    except FileNotFoundError:
+        return []
+    previous = []
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p)):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREAD_CALLS:
+            if hasattr(lib, set_name):
+                get_threads, set_threads = getattr(lib, get_name), getattr(lib, set_name)
+                get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+                set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+                previous.append((set_threads, get_threads()))
+                set_threads(count)
+                break
+    return previous
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with one BLAS thread, then restore the caller's counts."""
+    previous = _set_blas_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in previous:
+            set_threads(count)
+
+
 def run_batch(
     template: EnsembleTemplate,
     rule: DimensionRule,
@@ -337,12 +385,21 @@ def run_batch(
 
     Replicate seeds depend only on (base_seed, n, replicate); records are
     sorted afterwards so the batch is independent of scheduling.
+
+    Every trial runs with one BLAS thread, in pool workers and in the serial
+    loop alike; the serial loop restores the caller's thread count when it
+    ends. The bits of the Gram product depend on the BLAS thread count, and
+    OpenBLAS's default count follows the core count, so this keeps records
+    equal across worker counts and machines. It also stops each pool worker
+    from spinning extra BLAS threads that take the CPU from the others.
     """
     n_values = tuple(int(n) for n in n_values)
     if not n_values:
         raise ValueError("n_values must be nonempty")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     jobs = []
     for n in n_values:
         p = rule.p_for(n)
@@ -352,10 +409,11 @@ def run_batch(
         for r in range(replicates):
             jobs.append((template.spec(p, n, derive_seed(base_seed, n, r)), r, top_k))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads, initargs=(1,)) as pool:
             records = list(pool.map(_trial_job, jobs, chunksize=8))
     else:
-        records = [_trial_job(job) for job in jobs]
+        with _one_blas_thread():
+            records = [_trial_job(job) for job in jobs]
     records.sort(key=lambda rec: (rec.n, rec.replicate))
     return TrialBatch(
         model=template.model,

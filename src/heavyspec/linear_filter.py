@@ -69,9 +69,6 @@ class CoefficientSequence:
     def max_abs(self) -> float:
         return float(max(abs(v) for v in self.values))
 
-    def scaled(self, s: float) -> "CoefficientSequence":
-        return CoefficientSequence(tuple(s * v for v in self.values), self.min_lag, self.name)
-
     def to_dict(self) -> dict:
         return {"min_lag": self.min_lag, "values": list(self.values)}
 

@@ -69,6 +69,24 @@ def test_run_aborts_on_inadmissible_spec(config_path, tmp_path, capsys):
     assert not os.path.exists(os.path.join(out_dir, "trials.csv"))
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        (["--workers", "0"], "workers must be >= 1, got 0"),
+        (["--workers", "-2"], "workers must be >= 1, got -2"),
+        (["--replicates", "0"], "replicates must be >= 1, got 0"),
+        (["--n", "0"], "p and n must be >= 1, got p=1, n=0"),
+    ],
+)
+def test_run_rejects_bad_run_size(config_path, tmp_path, capsys, override, message):
+    out_dir = str(tmp_path / "bad")
+    assert main(["run", "--config", config_path, "--out", out_dir, *override]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert not os.path.exists(os.path.join(out_dir, "trials.csv"))
+
+
 def test_check_recomputes_from_csv(config_path, tmp_path):
     out_dir = str(tmp_path / "out")
     assert main(["run", "--config", config_path, "--out", out_dir]) == 0

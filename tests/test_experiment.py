@@ -32,6 +32,7 @@ from heavyspec.experiment import (
     run_trial,
     validate,
 )
+from heavyspec.experiment import _set_blas_threads
 from heavyspec.limit_law import bound_constants, frechet_cdf, frechet_quantile
 from heavyspec.linear_filter import CoefficientSequence, FilterSpec
 from heavyspec.rv_noise import TailModel, sample_noise
@@ -180,7 +181,7 @@ class TestRunTrial:
     def test_monotone_coupling_exact(self):
         # Doubling c multiplies every scaled statistic by exactly four when mu = 0.
         base = _fs((1.0, 0.5), (1.0,))
-        scaled = FilterSpec(c=base.c.scaled(2.0), theta=base.theta, delta=base.delta)
+        scaled = _fs((2.0, 1.0), (1.0,))
         s1 = EnsembleSpec(model=MODEL15, filter=base, p=15, n=40, seed=11)
         s2 = EnsembleSpec(model=MODEL15, filter=scaled, p=15, n=40, seed=11)
         r1, r2 = run_trial(s1), run_trial(s2)
@@ -267,6 +268,28 @@ class TestRunBatch:
         a = run_batch(template, rule, [40, 80], 4, base_seed=9, workers=1)
         b = run_batch(template, rule, [40, 80], 4, base_seed=9, workers=2)
         assert a.records == b.records
+
+    def test_records_independent_of_caller_blas_threads(self):
+        # At p = 100 OpenBLAS threads the Gram product, and its bits follow the
+        # thread count; at p <= 64 it runs single-threaded and nothing differs.
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("needs two cores for a two-thread BLAS")
+        saved = _set_blas_threads(2)
+        if not saved:
+            pytest.skip("no OpenBLAS thread control in this process")
+        model = TailModel("pareto_symmetric", alpha=3.0)
+        template = EnsembleTemplate(model=model, filter=_fs((1.0, 0.5), (1.0, 0.5)))
+        rule = DimensionRule(beta=0.1, const=100.0, p_max=100)
+        try:
+            two = run_batch(template, rule, [300], 6, base_seed=5, workers=1)
+            assert [count for _, count in _set_blas_threads(1)] == [2] * len(saved)
+            one = run_batch(template, rule, [300], 6, base_seed=5, workers=1)
+            assert [count for _, count in _set_blas_threads(1)] == [1] * len(saved)
+        finally:
+            for set_threads, count in saved:
+                set_threads(count)
+        assert two.records[0].p == 100
+        assert two.records == one.records
 
     def test_seed_derivation_injective_within_batch(self):
         seeds = {derive_seed(7, n, r) for n in (100, 200, 400) for r in range(500)}

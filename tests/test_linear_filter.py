@@ -213,7 +213,7 @@ class TestBuildXhat:
 
     def test_linearity_power_of_two_exact(self):
         fs = FilterSpec(c=CoefficientSequence((1.0, 0.5)), theta=CoefficientSequence((1.0, 0.5)))
-        fs2 = FilterSpec(c=fs.c.scaled(2.0), theta=fs.theta)
+        fs2 = FilterSpec(c=CoefficientSequence((2.0, 1.0)), theta=fs.theta)
         model = TailModel("pareto_symmetric", alpha=1.5)
         panel = sample_noise(model, (-1, 8), (-1, 12), seed=4)
         a = build_xhat(panel, fs, 6, 10)
@@ -222,7 +222,7 @@ class TestBuildXhat:
 
     def test_linearity_general_scale(self):
         fs = FilterSpec(c=CoefficientSequence((1.0, 0.5)), theta=CoefficientSequence((1.0, 0.5)))
-        fs3 = FilterSpec(c=fs.c.scaled(3.0), theta=fs.theta)
+        fs3 = FilterSpec(c=CoefficientSequence((3.0, 1.5)), theta=fs.theta)
         model = TailModel("pareto_symmetric", alpha=1.5)
         panel = sample_noise(model, (-1, 8), (-1, 12), seed=4)
         a = build_xhat(panel, fs, 6, 10)
