@@ -19,16 +19,12 @@ from .limit_law import (
     bound_constants,
     limit_order_statistics,
     ma1_constants,
-    sample_gamma,
 )
 from .linear_filter import (
     CoefficientSequence,
     FilterSpec,
     build_row_process,
     build_xhat,
-    build_xi,
-    delta_norm,
-    truncate_family,
 )
 from .rv_noise import (
     NoisePanel,
@@ -39,11 +35,9 @@ from .rv_noise import (
     truncated_second_moment,
 )
 from .spectral import (
-    build_H,
     centered_covariance,
     centered_gram_diag,
     gram_diag,
-    hdh_matrix,
     mu_x_alpha,
     offdiag_deviation,
     spectral_norm,

@@ -54,15 +54,10 @@ def _load(args) -> ExperimentConfig:
     return dataclasses.replace(config, **updates) if updates else config
 
 
-def _load_batch(config: ExperimentConfig, out_dir: str) -> TrialBatch | None:
-    """The batch stored in out_dir/trials.csv, or None (reason on stderr)
-    when it does not match the config."""
-    trials_path = os.path.join(out_dir, "trials.csv")
-    try:
-        return batch_from_records(config, read_trials_csv(trials_path))
-    except ValueError as err:
-        print(f"{trials_path}: {err}", file=sys.stderr)
-        return None
+def _load_batch(config: ExperimentConfig, out_dir: str) -> TrialBatch:
+    """The batch stored in out_dir/trials.csv; raises when it does not match
+    the config."""
+    return batch_from_records(config, read_trials_csv(os.path.join(out_dir, "trials.csv")))
 
 
 def _cmd_validate(args) -> int:
@@ -82,19 +77,15 @@ def _cmd_validate(args) -> int:
 
 def _cmd_run(args) -> int:
     config = _load(args)
-    try:
-        batch = run_batch(
-            config.template,
-            config.rule,
-            config.n_values,
-            config.replicates,
-            config.seed,
-            workers=args.workers,
-            top_k=config.top_k,
-        )
-    except ValueError as err:  # includes ValidationError
-        print(str(err), file=sys.stderr)
-        return 1
+    batch = run_batch(
+        config.template,
+        config.rule,
+        config.n_values,
+        config.replicates,
+        config.seed,
+        workers=args.workers,
+        top_k=config.top_k,
+    )
     checks = run_checks(batch, config)
     paths = emit_report(batch, checks, args.out)
     print(f"wrote {paths['trials']}")
@@ -106,8 +97,6 @@ def _cmd_run(args) -> int:
 def _cmd_check(args) -> int:
     config = _load(args)
     batch = _load_batch(config, args.out)
-    if batch is None:
-        return 1
     checks = run_checks(batch, config)
     print(f"wrote {write_checks(checks, args.out)}")
     print(f"overall: {'pass' if checks['overall_passed'] else 'FAIL'}")
@@ -117,8 +106,6 @@ def _cmd_check(args) -> int:
 def _cmd_report(args) -> int:
     config = _load(args)
     batch = _load_batch(config, args.out)
-    if batch is None:
-        return 1
     print(f"model: {config.model.family} alpha={config.model.alpha} scale={config.model.scale}")
     print(f"filter: c={list(config.filter.c.values)} theta={list(config.filter.theta.values)}")
     print(f"{'n':>6} {'p':>5} {'count':>6} {'median scaled_norm':>20} {'median offdiag':>15}")
@@ -161,7 +148,12 @@ def main(argv=None) -> int:
         _add_common(p)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as err:  # ValueError includes ValidationError
+        path = getattr(err, "filename", None)
+        print(f"{path}: {err.strerror}" if path else str(err), file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -30,8 +30,6 @@ from .linear_filter import FilterSpec, build_row_process
 from .linear_filter import build_xhat  # noqa: F401  (perfbench's tracer wraps this name)
 from .rv_noise import TailModel, derive_key, mean_value, norming_constant, sample_noise
 from .spectral import (
-    CenteringSpec,
-    build_H,
     centered_covariance,
     centered_gram_diag,
     mu_x_alpha,
@@ -178,20 +176,14 @@ class ValidationError(ValueError):
 
 def validate(spec: EnsembleSpec, rule: DimensionRule | None = None) -> ValidationReport:
     """Check every admissibility hypothesis; each item reports its margin."""
-    model, fspec = spec.model, spec.filter
-    alpha, delta = model.alpha, fspec.delta
+    model = spec.model
+    alpha = model.alpha
     items = [
         ValidationItem(
             "alpha_range",
             0.0 < alpha < 4.0,
             min(alpha, 4.0 - alpha),
             f"alpha={alpha}",
-        ),
-        ValidationItem(
-            "delta_vs_alpha",
-            delta < min(alpha, 1.0),
-            min(alpha, 1.0) - delta,
-            f"delta={delta} < min(alpha, 1)={min(alpha, 1.0)}",
         ),
     ]
     if 5.0 / 3.0 < alpha < 4.0:
@@ -256,7 +248,7 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
 
     a_np = norming_constant(model, n * p)
     mu = mu_x_alpha(model, c, a_np)
-    s = centered_covariance(gram, theta, CenteringSpec(mu=mu, H=build_H(theta, p), n=n))
+    s = centered_covariance(gram, theta, p, n, mu)
     a2 = a_np * a_np
     scaled = spectral_norm(s) / a2
     offdiag = offdiag_deviation(gram, a_np)
@@ -535,7 +527,6 @@ def ks_check(batch: TrialBatch, tol: float = 0.10) -> dict:
 
 def order_stat_check(
     batch: TrialBatch,
-    spec: EnsembleSpec | None = None,
     k: int | None = None,
     limit_draws: int = 2000,
     limit_seed: int = 0x0A11,
@@ -546,13 +537,11 @@ def order_stat_check(
     Per rank, the empirical median across replicates must agree with the
     simulated limit median within iqr_factor * (empirical IQR + limit IQR).
     """
-    fspec = batch.filter if spec is None else spec.filter
-    alpha = batch.model.alpha if spec is None else spec.model.alpha
     k = batch.top_k if k is None else k
     emp = batch.top_matrix()[:, :k]
     draws = np.array(
         [
-            limit_order_statistics(fspec, alpha, k, derive_key(limit_seed, i))
+            limit_order_statistics(batch.filter, batch.model.alpha, k, derive_key(limit_seed, i))
             for i in range(limit_draws)
         ]
     )

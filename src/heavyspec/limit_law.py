@@ -16,7 +16,6 @@ from .rv_noise import index_uniforms
 
 __all__ = [
     "BoundConstants",
-    "GammaSeq",
     "bound_cdf_lower",
     "bound_cdf_upper",
     "bound_constants",
@@ -24,7 +23,6 @@ __all__ = [
     "frechet_quantile",
     "limit_order_statistics",
     "ma1_constants",
-    "sample_gamma",
 ]
 
 _GAMMA_TAG = 0x47
@@ -83,32 +81,11 @@ def bound_cdf_upper(x, b: BoundConstants):
     return frechet_cdf(x, b.lower_scale, b.alpha)
 
 
-@dataclass(frozen=True, eq=False)
-class GammaSeq:
-    """Arrival times of a unit-rate Poisson process: strictly increasing, positive."""
-
-    values: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        v = self.values
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("gamma sequence must be a nonempty vector")
-        if not (v[0] > 0.0 and np.all(np.diff(v) > 0.0)):
-            raise ValueError("gamma sequence must be positive and strictly increasing")
-
-
 def _exp_increments(seed: int, start: int, stop: int) -> np.ndarray:
+    """Unit exponential gaps between the Poisson arrivals start..stop-1;
+    counter-based, keyed by (seed, index)."""
     u = index_uniforms(seed, np.arange(start, stop), tag=_GAMMA_TAG)
     return -np.log(u)
-
-
-def sample_gamma(k: int, seed: int) -> GammaSeq:
-    """First k arrival times; increments are counter-based, keyed by (seed, index)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    values = np.cumsum(_exp_increments(seed, 0, k))
-    return GammaSeq(values=values, seed=seed)
 
 
 def limit_order_statistics(

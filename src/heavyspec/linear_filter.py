@@ -10,24 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .rv_noise import NoisePanel
 
 __all__ = [
-    "CoefficientFamily",
     "CoefficientSequence",
     "FilterSpec",
     "build_row_process",
     "build_xhat",
     "build_xhat_direct",
     "build_xi",
-    "delta_norm",
-    "geometric_family",
-    "polynomial_family",
-    "truncate_family",
 ]
 
 
@@ -37,7 +31,6 @@ class CoefficientSequence:
 
     values: tuple[float, ...]
     min_lag: int = 0
-    name: str = ""
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -79,107 +72,20 @@ class CoefficientSequence:
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """The pair of windows for the two-dimensional filter plus its delta exponent."""
+    """The pair of windows for the two-dimensional filter."""
 
     c: CoefficientSequence
     theta: CoefficientSequence
-    delta: float = 0.9
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
     def to_dict(self) -> dict:
-        return {"c": self.c.to_dict(), "theta": self.theta.to_dict(), "delta": self.delta}
+        return {"c": self.c.to_dict(), "theta": self.theta.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterSpec":
         return cls(
             c=CoefficientSequence.from_dict(d["c"]),
             theta=CoefficientSequence.from_dict(d["theta"]),
-            delta=float(d.get("delta", 0.9)),
         )
-
-
-def delta_norm(seq: CoefficientSequence, delta: float) -> float:
-    """Sum of |v|^delta over the window."""
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return float(sum(abs(v) ** delta for v in seq.values))
-
-
-@dataclass(frozen=True)
-class CoefficientFamily:
-    """An infinite coefficient family with a computable absolute tail bound.
-
-    ``coef(k)`` gives the coefficient at lag k; ``tail(m)`` bounds
-    sum_{|k| > m} |coef(k)| from above.
-    """
-
-    coef: Callable[[int], float]
-    tail: Callable[[int], float]
-    name: str = ""
-
-
-def geometric_family(ratio: float, name: str = "geometric") -> CoefficientFamily:
-    """One-sided family ratio^k for k >= 0; requires |ratio| < 1."""
-    if not 0.0 < abs(ratio) < 1.0:
-        raise ValueError(f"geometric family needs 0 < |ratio| < 1, got {ratio}")
-    r = abs(ratio)
-
-    def coef(k: int) -> float:
-        return ratio**k if k >= 0 else 0.0
-
-    def tail(m: int) -> float:
-        # Exact: sum_{k > m} r^k = r^(m+1) / (1 - r).
-        return r ** (m + 1) / (1.0 - r)
-
-    return CoefficientFamily(coef=coef, tail=tail, name=name)
-
-
-def polynomial_family(power: float, name: str = "polynomial") -> CoefficientFamily:
-    """One-sided family (1 + k)^(-power) for k >= 0; requires power > 1."""
-    if not power > 1.0:
-        raise ValueError(f"polynomial family needs power > 1, got {power}")
-
-    def coef(k: int) -> float:
-        return (1.0 + k) ** (-power) if k >= 0 else 0.0
-
-    def tail(m: int) -> float:
-        # Integral test: sum_{k > m} (1+k)^-s <= int_m^inf (1+x)^-s dx.
-        return (1.0 + m) ** (1.0 - power) / (power - 1.0)
-
-    return CoefficientFamily(coef=coef, tail=tail, name=name)
-
-
-_TRUNCATE_CAP = 10**6
-
-
-def truncate_family(family: CoefficientFamily, epsilon: float = 1e-6) -> CoefficientSequence:
-    """Smallest symmetric window whose residual absolute tail sum is < epsilon.
-
-    Zero coefficients at the window edges are trimmed, so one-sided families
-    come back one-sided and a single spike is returned unchanged.  The bound
-    on the dropped absolute mass is recorded in the sequence name so callers
-    can keep it below whatever resolution their scaling makes visible.
-    """
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    m = 0
-    while family.tail(m) >= epsilon:
-        m += 1
-        if m > _TRUNCATE_CAP:
-            raise ValueError(f"family {family.name!r} tail does not fall below {epsilon}")
-    lags = list(range(-m, m + 1))
-    values = [family.coef(k) for k in lags]
-    lo = 0
-    hi = len(values)
-    while lo < hi - 1 and values[lo] == 0.0:
-        lo += 1
-    while hi > lo + 1 and values[hi - 1] == 0.0:
-        hi -= 1
-    label = f"{family.name}(dropped<{family.tail(m):.3g})" if family.name else ""
-    return CoefficientSequence(tuple(values[lo:hi]), min_lag=lags[lo], name=label)
 
 
 def build_xi(

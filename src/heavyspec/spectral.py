@@ -1,36 +1,31 @@
 """Centering algebra and spectral norms.
 
-The centering matrix H is banded (every row carries the same short window),
-so H Hᵀ and H diag(d) Hᵀ are assembled band by band.  The centered
-covariance S and the off-diagonal deviation are both built from one Gram
-matrix of the time-filtered rows.  Spectral norms of the resulting dense
-symmetric matrices come from one ARPACK call (``scipy.sparse.linalg.eigsh``)
-with a deterministic start vector; a dense eigensolve is used only as a
-cross-check oracle in the tests.
+Every row of the centering matrix H carries the same short theta window, so
+H Hᵀ is a symmetric banded Toeplitz matrix, built from the window's
+autocorrelation without forming H.  The centered covariance S and the
+off-diagonal deviation are both built from one Gram matrix of the
+time-filtered rows.  Spectral norms of the resulting dense symmetric
+matrices come from one ARPACK call (``scipy.sparse.linalg.eigsh``) with a
+deterministic start vector; a dense eigensolve is used only as a cross-check
+oracle in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import toeplitz
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .linear_filter import CoefficientSequence
 from .rv_noise import TailModel, index_uniforms, second_moment, truncated_second_moment
 
 __all__ = [
-    "BandedH",
-    "CenteringSpec",
     "SpectralNormError",
-    "SymBanded",
-    "build_H",
     "centered_covariance",
     "centered_gram_diag",
     "gram_diag",
-    "hdh_matrix",
-    "hht_matrix",
     "mu_x_alpha",
     "offdiag_deviation",
     "spectral_norm",
@@ -41,114 +36,6 @@ _SPECTRAL_TAG = 0x51
 
 class SpectralNormError(RuntimeError):
     """The eigensolver failed to converge within its restart cap."""
-
-
-@dataclass(frozen=True)
-class BandedH:
-    """Banded rectangular matrix with one shared row window.
-
-    H[i, i + shift + l] = weights[l]; all other entries are zero.  Every
-    row hosts the full window, which the constructor enforces.
-    """
-
-    nrows: int
-    ncols: int
-    shift: int
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.nrows < 1 or self.ncols < 1:
-            raise ValueError("H must have positive dimensions")
-        if not self.weights:
-            raise ValueError("H window is empty")
-        if self.shift < 0 or (self.nrows - 1) + self.shift + len(self.weights) - 1 >= self.ncols:
-            raise ValueError(
-                f"window does not fit: nrows={self.nrows} ncols={self.ncols} "
-                f"shift={self.shift} window={len(self.weights)}"
-            )
-
-    def dense(self) -> np.ndarray:
-        h = np.zeros((self.nrows, self.ncols))
-        for l, w in enumerate(self.weights):
-            idx = np.arange(self.nrows)
-            h[idx, idx + self.shift + l] = w
-        return h
-
-
-def build_H(theta: CoefficientSequence, p: int) -> BandedH:
-    """The p x 3p centering matrix with entries theta_{p-(j-i)} for 0 <= j-i <= 2p.
-
-    Lags of theta outside [-p, p] fall outside the indicator and are dropped.
-    """
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    k_lo = max(theta.min_lag, -p)
-    k_hi = min(theta.max_lag, p)
-    if k_lo > k_hi:
-        # Whole window is outside the indicator; H is structurally zero.
-        return BandedH(nrows=p, ncols=3 * p, shift=p, weights=(0.0,))
-    vals = theta.values[k_lo - theta.min_lag : k_hi - theta.min_lag + 1]
-    return BandedH(nrows=p, ncols=3 * p, shift=p - k_hi, weights=tuple(reversed(vals)))
-
-
-@dataclass(frozen=True, eq=False)
-class SymBanded:
-    """Symmetric banded matrix; bands[b, i] = A[i, i+b] for 0 <= b < nbands."""
-
-    dim: int
-    bands: np.ndarray
-
-    def __post_init__(self):
-        if self.bands.ndim != 2 or self.bands.shape[1] != self.dim:
-            raise ValueError(f"bands must have shape (nbands, {self.dim})")
-
-    def dense(self) -> np.ndarray:
-        a = np.zeros((self.dim, self.dim))
-        nb = self.bands.shape[0]
-        for b in range(nb):
-            m = self.dim - b
-            if m <= 0:
-                break
-            idx = np.arange(m)
-            a[idx, idx + b] = self.bands[b, :m]
-            if b > 0:
-                a[idx + b, idx] = self.bands[b, :m]
-        return a
-
-
-def hdh_matrix(H: BandedH, d: np.ndarray) -> SymBanded:
-    """H diag(d) Hᵀ computed band by band.
-
-    Entry (i, i+b) equals sum_u weights[u] * weights[u-b] * d[i + shift + u].
-    """
-    d = np.asarray(d, dtype=float)
-    if d.shape != (H.ncols,):
-        raise ValueError(f"d must have length {H.ncols}, got shape {d.shape}")
-    w = H.weights
-    L = len(w)
-    p = H.nrows
-    bands = np.zeros((min(L, p), p))
-    for b in range(bands.shape[0]):
-        m = p - b
-        acc = np.zeros(m)
-        for u in range(b, L):
-            lo = H.shift + u
-            acc += w[u] * w[u - b] * d[lo : lo + m]
-        bands[b, :m] = acc
-    return SymBanded(dim=p, bands=bands)
-
-
-def hht_matrix(H: BandedH) -> SymBanded:
-    return hdh_matrix(H, np.ones(H.ncols))
-
-
-@dataclass(frozen=True)
-class CenteringSpec:
-    """Scalar centering level mu together with the banded H and sample size n."""
-
-    mu: float
-    H: BandedH
-    n: int
 
 
 def mu_x_alpha(model: TailModel, c: CoefficientSequence, a_np: float) -> float:
@@ -165,17 +52,18 @@ def mu_x_alpha(model: TailModel, c: CoefficientSequence, a_np: float) -> float:
 
 
 def centered_covariance(
-    gram: np.ndarray, theta: CoefficientSequence, centering: CenteringSpec
+    gram: np.ndarray, theta: CoefficientSequence, p: int, n: int, mu: float
 ) -> np.ndarray:
     """S = T G Tᵀ - n * mu * H Hᵀ, symmetrized after assembly.
 
     G is the Gram matrix of the time-filtered rows 1 - theta.max_lag through
     p - theta.min_lag, and T applies the full theta window across them, so
-    T G Tᵀ equals Xhat Xhatᵀ for the filtered p x n panel.  H keeps only the
-    theta lags inside [-p, p]; the two differ when a lag lies outside.
+    T G Tᵀ equals Xhat Xhatᵀ for the filtered p x n panel.  H is the p x 3p
+    centering matrix with H[i, j] = theta_{p-(j-i)} for 0 <= j-i <= 2p, so it
+    keeps only the theta lags inside [-p, p]; the two differ when a lag lies
+    outside.
     """
     g = np.asarray(gram, dtype=float)
-    p = centering.H.nrows
     m = p + len(theta.values) - 1
     if g.shape != (m, m):
         raise ValueError(f"gram must be {m} x {m} for p = {p}, got shape {g.shape}")
@@ -186,8 +74,16 @@ def centered_covariance(
     s = np.zeros((p, p))
     for o, w in offsets:
         s += w * tg[:, o : o + p]
-    if centering.mu != 0.0:
-        s -= (centering.n * centering.mu) * hht_matrix(centering.H).dense()
+    if mu != 0.0:
+        # H Hᵀ is the symmetric Toeplitz matrix with first row
+        # r[b] = sum_u w[u] * w[u-b], w the reversed window of the theta lags
+        # inside [-p, p].  Summing each r[b] in ascending u fixes the bits of S.
+        w = [v for k, v in zip(theta.lags, theta.values) if -p <= k <= p][::-1]
+        r = np.zeros(p)
+        for b in range(min(len(w), p)):
+            for u in range(b, len(w)):
+                r[b] += w[u] * w[u - b]
+        s -= (n * mu) * toeplitz(r)
     asym = float(np.abs(s - s.T).max())
     scale = float(np.abs(s).max())
     if asym > 1e-12 * scale:

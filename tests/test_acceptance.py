@@ -27,23 +27,15 @@ from heavyspec.experiment import (
 from heavyspec.limit_law import bound_constants, frechet_cdf, ma1_constants
 from heavyspec.linear_filter import CoefficientSequence, FilterSpec
 from heavyspec.rv_noise import TailModel
-from heavyspec.spectral import (
-    BandedH,
-    build_H,
-    hdh_matrix,
-    hht_matrix,
-    mu_x_alpha,
-    spectral_norm,
-)
+from heavyspec.spectral import centered_covariance, mu_x_alpha, spectral_norm
 
 WORKERS = min(2, os.cpu_count() or 1)
 
 
-def _fs(c_vals, theta_vals, delta=0.9):
+def _fs(c_vals, theta_vals):
     return FilterSpec(
         c=CoefficientSequence(tuple(c_vals)),
         theta=CoefficientSequence(tuple(theta_vals)),
-        delta=delta,
     )
 
 
@@ -53,7 +45,7 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def envelope_batch():
-    # alpha=1.2, c=(1, 0.5), theta=(1, 0.5), delta=0.9, beta=0.9 (admissible:
+    # alpha=1.2, c=(1, 0.5), theta=(1, 0.5), beta=0.9 (admissible:
     # the admissible limit at alpha=1.2 is 4), n=1000, p = n^0.9 capped at 400.
     template = EnsembleTemplate(
         model=TailModel("pareto_symmetric", alpha=1.2),
@@ -67,17 +59,20 @@ def envelope_batch():
 def test_criterion_1_exact_algebra():
     t0 = time.perf_counter()
 
-    # build_H: single spike pins ones at j - i = p; two-lag window per formula.
-    h = build_H(CoefficientSequence((1.0,)), 2).dense()
-    expect = np.zeros((2, 6))
-    expect[0, 2] = 1.0
-    expect[1, 3] = 1.0
-    ok = np.array_equal(h, expect)
-    h3 = build_H(CoefficientSequence((1.0, 0.5)), 3).dense()
-    ok &= all(h3[i, i + 2] == 0.5 and h3[i, i + 3] == 1.0 for i in range(3))
+    # Centering band H Hᵀ, read off S = -n * mu * H Hᵀ with a zero Gram and
+    # n * mu = 2: a single spike gives the identity, the window (1, 0.5) the
+    # tridiagonal 1.25/0.5 matrix, and lags 1..3 at p = 2 lose lag 3 to the
+    # indicator of H.
+    def hht(theta_vals, p, min_lag=0):
+        m = p + len(theta_vals) - 1
+        theta = CoefficientSequence(theta_vals, min_lag=min_lag)
+        return centered_covariance(np.zeros((m, m)), theta, p, 4, 0.5) / -2.0
+
+    ok = np.array_equal(hht((1.0,), 5), np.eye(5))
     ok &= np.array_equal(
-        hht_matrix(build_H(CoefficientSequence((1.0,)), 5)).dense(), np.eye(5)
+        hht((1.0, 0.5), 3), [[1.25, 0.5, 0.0], [0.5, 1.25, 0.5], [0.0, 0.5, 1.25]]
     )
+    ok &= np.array_equal(hht((1.0, 0.5, 0.25), 2, min_lag=1), [[1.25, 0.5], [0.5, 1.25]])
 
     # mu_x_alpha branches.
     ok &= mu_x_alpha(
@@ -105,13 +100,6 @@ def test_criterion_1_exact_algebra():
     ok &= ma1_constants(0.0) == (1.0, 1.0)
     ok &= ma1_constants(1.0) == (1.0, 2.0)
     ok &= ma1_constants(2.0) == (4.0, 6.0)
-
-    # hdh_matrix hand example.
-    theta = 0.7
-    hma = BandedH(nrows=2, ncols=3, shift=0, weights=(theta, 1.0))
-    got = hdh_matrix(hma, np.array([1.0, 2.0, 3.0])).dense()
-    ref = np.array([[theta**2 + 2.0, 2.0 * theta], [2.0 * theta, 2.0 * theta**2 + 3.0]])
-    ok &= bool(np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max())
 
     elapsed = time.perf_counter() - t0
     ok = bool(ok) and elapsed < 1.0

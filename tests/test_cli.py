@@ -15,7 +15,6 @@ def config_path(tmp_path):
         "filter": {
             "c": {"min_lag": 0, "values": [1.0, 0.5]},
             "theta": {"min_lag": 0, "values": [1.0, 0.5]},
-            "delta": 0.9,
         },
         "dimension_rule": {"beta": 0.5, "const": 1.0, "p_max": 10},
         "n_values": [40, 80],
@@ -145,3 +144,25 @@ def test_refuses_trials_from_other_config(config_path, tmp_path, capsys, command
     assert problem in captured.err
     assert captured.out == ""
     assert not os.path.exists(os.path.join(out_dir, "checks.json"))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("validate --config {config} --alpha 5", "alpha must lie in (0, 4), got 5.0"),
+        ("run --config {config} --out {tmp}/out --alpha 5", "alpha must lie in (0, 4), got 5.0"),
+        ("validate --config {config} --n 0", "p and n must be >= 1, got p=1, n=0"),
+        ("check --config {config} --out {tmp}/absent", "absent/trials.csv: No such file or directory"),
+        ("report --config {config} --out {tmp}/absent", "absent/trials.csv: No such file or directory"),
+        *[
+            (f"{command} --config {{tmp}}/absent.json", "absent.json: No such file or directory")
+            for command in ("validate", "run", "check", "report")
+        ],
+    ],
+)
+def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys, argv, message):
+    assert main(argv.format(config=config_path, tmp=tmp_path).split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err

@@ -39,14 +39,13 @@ from heavyspec.rv_noise import TailModel, sample_noise
 from heavyspec.spectral import spectral_norm
 
 MODEL15 = TailModel("pareto_symmetric", alpha=1.5)
-SPIKE = FilterSpec(c=CoefficientSequence((1.0,)), theta=CoefficientSequence((1.0,)), delta=0.9)
+SPIKE = FilterSpec(c=CoefficientSequence((1.0,)), theta=CoefficientSequence((1.0,)))
 
 
-def _fs(c_vals, theta_vals, delta=0.9):
+def _fs(c_vals, theta_vals):
     return FilterSpec(
         c=CoefficientSequence(tuple(c_vals)),
         theta=CoefficientSequence(tuple(theta_vals)),
-        delta=delta,
     )
 
 
@@ -119,21 +118,21 @@ class TestValidate:
         report = validate(spec, DimensionRule(beta=0.9))
         assert report.ok
         margins = {it.name: it.margin for it in report.items}
-        assert margins["delta_vs_alpha"] == pytest.approx(0.1)
         assert margins["beta_admissible"] == pytest.approx(0.1)
 
-    def test_delta_too_large_fails(self):
+    def test_alpha_below_one_admissible_with_default_filter(self):
+        # A finite filter window meets the summability hypothesis at every
+        # alpha, so the filter puts no lower bound on alpha.
         spec = EnsembleSpec(
-            model=TailModel("pareto_symmetric", alpha=0.9),
-            filter=_fs((1.0,), (1.0,), delta=0.95),
-            p=5,
-            n=10,
+            model=TailModel("pareto_symmetric", alpha=0.8),
+            filter=_fs((1.0, 0.5), (1.0, 0.5)),
+            p=400,
+            n=1000,
             seed=1,
         )
-        report = validate(spec)
-        items = {it.name: it for it in report.items}
-        assert not items["delta_vs_alpha"].passed
-        assert not report.ok
+        report = validate(spec, DimensionRule(beta=0.9, p_max=400))
+        assert [it.name for it in report.items] == ["alpha_range", "zero_mean", "beta_admissible"]
+        assert report.ok
 
     def test_nonzero_mean_fails_above_five_thirds(self):
         spec = EnsembleSpec(
@@ -522,7 +521,6 @@ class TestConfig:
             "filter": {
                 "c": {"min_lag": 0, "values": [1.0, 0.5]},
                 "theta": {"min_lag": 0, "values": [1.0, 0.5]},
-                "delta": 0.9,
             },
             "dimension_rule": {"beta": 0.9, "const": 1.0, "p_max": 400},
             "n_values": [500, 1000],

@@ -16,7 +16,6 @@ from heavyspec.limit_law import (
     frechet_quantile,
     limit_order_statistics,
     ma1_constants,
-    sample_gamma,
 )
 from heavyspec.linear_filter import CoefficientSequence, FilterSpec
 
@@ -25,7 +24,6 @@ def _fs(c_vals, theta_vals):
     return FilterSpec(
         c=CoefficientSequence(tuple(c_vals)),
         theta=CoefficientSequence(tuple(theta_vals)),
-        delta=0.9,
     )
 
 
@@ -93,37 +91,44 @@ class TestBoundCdfs:
         assert np.allclose(frechet_cdf(x, 2.5, 1.3), levels, rtol=1e-12)
 
 
+def _arrivals(k: int, seed: int) -> np.ndarray:
+    # The first k Poisson arrival times, as limit_order_statistics draws them.
+    return np.cumsum(limit_law._exp_increments(seed, 0, k))
+
+
 class TestSampleGamma:
+    """Arrival times of the unit-rate Poisson process behind the limit laws."""
+
     def test_increments_positive_and_increasing(self):
-        g = sample_gamma(100, seed=5)
-        assert g.values[0] > 0
-        assert np.all(np.diff(g.values) > 0)
+        g = _arrivals(100, seed=5)
+        assert g[0] > 0
+        assert np.all(np.diff(g) > 0)
 
     def test_deterministic_and_extendable(self):
-        a = sample_gamma(10, seed=3)
-        b = sample_gamma(25, seed=3)
-        assert np.allclose(a.values, b.values[:10], rtol=0, atol=0)
+        a = _arrivals(10, seed=3)
+        b = _arrivals(25, seed=3)
+        assert np.allclose(a, b[:10], rtol=0, atol=0)
 
     def test_mean_of_fifth_arrival(self):
         n = 100_000
-        fifth = np.array([sample_gamma(5, seed=s).values[-1] for s in range(n)])
+        fifth = np.array([_arrivals(5, seed=s)[-1] for s in range(n)])
         se = math.sqrt(5.0 / n)
         assert abs(fifth.mean() - 5.0) <= 3.0 * se
 
     def test_first_arrival_is_unit_exponential(self):
         n = 100_000
-        first = np.array([sample_gamma(1, seed=s).values[0] for s in range(n)])
+        first = np.array([_arrivals(1, seed=s)[0] for s in range(n)])
         frac = np.mean(first > 1.0)
         se = math.sqrt(math.exp(-1.0) * (1 - math.exp(-1.0)) / n)
         assert abs(frac - math.exp(-1.0)) <= 3.0 * se
 
     def test_rejects_bad_k(self):
-        with pytest.raises(ValueError, match="k"):
-            sample_gamma(0, seed=1)
+        with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+            limit_order_statistics(_fs((1.0,), (1.0,)), 1.5, 0, seed=1)
 
 
 def _vectorized_first_arrivals(seeds: np.ndarray) -> np.ndarray:
-    # Same chain as sample_gamma's first increment, vectorized over seeds.
+    # Same chain as the first arrival increment, vectorized over seeds.
     h = rvn._finalize(seeds.astype(np.uint64))
     with np.errstate(over="ignore"):
         h = rvn._finalize(h ^ (np.uint64(limit_law._GAMMA_TAG) * rvn._TAG_SALT))
@@ -135,7 +140,7 @@ class TestClosedFormVsSampler:
     def test_vectorized_arrivals_match_sampler(self):
         seeds = np.arange(2000)
         vec = _vectorized_first_arrivals(seeds)
-        direct = np.array([sample_gamma(1, seed=int(s)).values[0] for s in seeds])
+        direct = np.array([_arrivals(1, seed=int(s))[0] for s in seeds])
         assert np.array_equal(vec, direct)
 
     def test_upper_cdf_matches_gamma_sampler(self):
@@ -157,8 +162,7 @@ class TestLimitOrderStatistics:
         alpha = 1.5
         tops = limit_order_statistics(fs, alpha, 5, seed=9)
         assert np.all(np.diff(tops) <= 0)
-        gammas = sample_gamma(5, seed=9)
-        assert np.allclose(tops, gammas.values ** (-2.0 / alpha), rtol=0, atol=0)
+        assert np.allclose(tops, _arrivals(5, seed=9) ** (-2.0 / alpha), rtol=0, atol=0)
 
     def test_duplicate_window_duplicates_points(self):
         tops = limit_order_statistics(_fs((1.0,), (1.0, 1.0)), 1.5, 4, seed=3)

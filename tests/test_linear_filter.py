@@ -10,10 +10,6 @@ from heavyspec.linear_filter import (
     build_xhat,
     build_xhat_direct,
     build_xi,
-    delta_norm,
-    geometric_family,
-    polynomial_family,
-    truncate_family,
 )
 from heavyspec.rv_noise import NoiseCoverageError, NoisePanel, TailModel, sample_noise
 
@@ -45,80 +41,12 @@ class TestCoefficientSequence:
             (1.0, 0.5), min_lag=-2
         )
 
-    def test_filter_spec_delta_range(self):
-        c = CoefficientSequence((1.0,))
-        with pytest.raises(ValueError, match="delta"):
-            FilterSpec(c=c, theta=c, delta=1.2)
-        with pytest.raises(ValueError, match="delta"):
-            FilterSpec(c=c, theta=c, delta=0.0)
-
     def test_filter_spec_json_roundtrip(self):
         fs = FilterSpec(
             c=CoefficientSequence((1.0, 0.5)),
             theta=CoefficientSequence((0.3,), min_lag=1),
-            delta=0.7,
         )
         assert FilterSpec.from_dict(fs.to_dict()) == fs
-
-
-class TestDeltaNorm:
-    def test_single_value(self):
-        assert delta_norm(CoefficientSequence((1.0,)), 0.5) == 1.0
-
-    def test_direct_sum(self):
-        assert delta_norm(CoefficientSequence((1.0, 0.5, 0.25)), 1.0) == pytest.approx(1.75)
-
-    def test_fractional_power(self):
-        assert delta_norm(CoefficientSequence((2.0, -2.0)), 0.5) == pytest.approx(
-            2.0 * np.sqrt(2.0), rel=1e-12
-        )
-
-    def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ValueError, match="delta"):
-            delta_norm(CoefficientSequence((1.0,)), 0.0)
-
-
-class TestTruncateFamily:
-    def test_geometric_window(self):
-        # tail after lag m is 0.5^m; first m with 0.5^m < 1e-3 is m = 10.
-        seq = truncate_family(geometric_family(0.5), 1e-3)
-        assert seq.min_lag == 0
-        assert len(seq.values) == 11
-        assert seq.values == tuple(0.5**j for j in range(11))
-
-    def test_single_spike_unchanged(self):
-        from heavyspec.linear_filter import CoefficientFamily
-
-        spike = CoefficientFamily(
-            coef=lambda k: 1.0 if k == 0 else 0.0, tail=lambda m: 0.0, name="spike"
-        )
-        for eps in (1e-3, 1e-8, 1e-15):
-            seq = truncate_family(spike, eps)
-            assert seq.min_lag == 0
-            assert seq.values == (1.0,)
-
-    def test_default_epsilon_and_dropped_mass_report(self):
-        seq = truncate_family(geometric_family(0.5))
-        assert geometric_family(0.5).tail(len(seq.values) - 1) < 1e-6
-        assert "dropped<" in seq.name
-
-    def test_polynomial_window_vs_direct_sum(self):
-        family = polynomial_family(3.0)
-        eps = 1e-4
-        seq = truncate_family(family, eps)
-        assert seq.min_lag == 0
-        m = len(seq.values) - 1
-        # Integral bound picks the window; the true tail must indeed be < eps,
-        # and one lag fewer must not satisfy the bound used.
-        direct_tail = sum((1.0 + k) ** -3.0 for k in range(m + 1, m + 200_000))
-        assert direct_tail < eps
-        assert family.tail(m) < eps <= family.tail(m - 1)
-
-    def test_non_summable_family_rejected(self):
-        with pytest.raises(ValueError, match="ratio"):
-            geometric_family(1.0)
-        with pytest.raises(ValueError, match="power"):
-            polynomial_family(1.0)
 
 
 class TestBuildXi:

@@ -13,15 +13,10 @@ from heavyspec.linear_filter import (
 )
 from heavyspec.rv_noise import TailModel, norming_constant, sample_noise
 from heavyspec.spectral import (
-    BandedH,
-    CenteringSpec,
     SpectralNormError,
-    build_H,
     centered_covariance,
     centered_gram_diag,
     gram_diag,
-    hdh_matrix,
-    hht_matrix,
     mu_x_alpha,
     offdiag_deviation,
     spectral_norm,
@@ -38,83 +33,76 @@ def _brute_H(theta: CoefficientSequence, p: int) -> np.ndarray:
     return h
 
 
+def _hht_from_centering(theta: CoefficientSequence, p: int) -> np.ndarray:
+    # With a zero Gram, S = -n * mu * H Hᵀ; n * mu = 2 keeps the scaling exact.
+    m = p + len(theta.values) - 1
+    return centered_covariance(np.zeros((m, m)), theta, p, 4, 0.5) / -2.0
+
+
 class TestBuildH:
+    """Positions of H, checked exactly through the centering band H Hᵀ."""
+
     def test_single_spike_positions(self):
-        h = build_H(CoefficientSequence((1.0,)), 2).dense()
         expect = np.zeros((2, 6))
         expect[0, 2] = 1.0
         expect[1, 3] = 1.0
-        assert np.array_equal(h, expect)
+        assert np.array_equal(_brute_H(CoefficientSequence((1.0,)), 2), expect)
+        assert np.array_equal(_hht_from_centering(CoefficientSequence((1.0,)), 2), expect @ expect.T)
 
     def test_spike_gives_identity_hht(self):
-        h = build_H(CoefficientSequence((1.0,)), 4)
-        assert np.array_equal(hht_matrix(h).dense(), np.eye(4))
+        assert np.array_equal(_hht_from_centering(CoefficientSequence((1.0,)), 4), np.eye(4))
 
     def test_two_lag_window_against_brute_force(self):
         theta = CoefficientSequence((1.0, 0.5))
-        h = build_H(theta, 3)
-        dense = h.dense()
-        assert np.array_equal(dense, _brute_H(theta, 3))
+        dense = _brute_H(theta, 3)
         # Each row holds (0.5, 1.0) at columns i+p-1, i+p.
         for i in range(3):
             assert dense[i, i + 2] == 0.5
             assert dense[i, i + 3] == 1.0
+        expect = np.array([[1.25, 0.5, 0.0], [0.5, 1.25, 0.5], [0.0, 0.5, 1.25]])
+        assert np.array_equal(dense @ dense.T, expect)
+        assert np.array_equal(_hht_from_centering(theta, 3), expect)
 
     def test_two_sided_window_against_brute_force(self):
         theta = CoefficientSequence((0.3, 1.0, -0.2), min_lag=-1)
         for p in (1, 2, 5):
-            assert np.array_equal(build_H(theta, p).dense(), _brute_H(theta, p))
+            h = _brute_H(theta, p)
+            assert np.array_equal(_hht_from_centering(theta, p), h @ h.T)
 
     def test_row_abs_sums(self):
         theta = CoefficientSequence((1.0, -0.5, 0.25))
-        h = build_H(theta, 6)
-        dense = h.dense()
-        assert np.allclose(np.abs(dense).sum(axis=1), theta.abs_sum)
+        hht = _hht_from_centering(theta, 6)
+        # Rows far enough from both edges carry the whole autocorrelation.
+        assert np.array_equal(hht.sum(axis=1)[2:4], [sum(theta.values) ** 2] * 2)
+        assert np.abs(hht).sum(axis=1).max() <= theta.abs_sum**2
 
     def test_lags_beyond_p_fall_outside_indicator(self):
         theta = CoefficientSequence((1.0, 0.5, 0.25), min_lag=1)  # lags 1, 2, 3
-        assert np.array_equal(build_H(theta, 2).dense(), _brute_H(theta, 2))
+        h = _brute_H(theta, 2)
+        assert np.array_equal(_hht_from_centering(theta, 2), h @ h.T)
+        # Lag 3 lies outside [-p, p], so only the window (1, 0.5) is left.
+        assert np.array_equal(h @ h.T, [[1.25, 0.5], [0.5, 1.25]])
 
 
 class TestHdhMatrix:
-    def test_spike_permutes_diagonal(self):
-        h = build_H(CoefficientSequence((1.0,)), 3)
-        d = np.arange(1.0, 10.0)
-        got = hdh_matrix(h, d).dense()
-        assert np.array_equal(got, np.diag(d[3:6]))
-
-    def test_ma1_hand_multiplication(self):
-        theta = 0.7
-        h = BandedH(nrows=2, ncols=3, shift=0, weights=(theta, 1.0))
-        got = hdh_matrix(h, np.array([1.0, 2.0, 3.0])).dense()
-        expect = np.array(
-            [[theta**2 * 1.0 + 2.0, 2.0 * theta], [2.0 * theta, theta**2 * 2.0 + 3.0]]
-        )
-        assert np.allclose(got, expect, rtol=0, atol=1e-15)
+    """H diag(d) Hᵀ at d = 1, the centering band H Hᵀ."""
 
     def test_band_formula_matches_triple_product(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             p = int(rng.integers(1, 9))
-            L = int(rng.integers(1, 6))
-            ncols = p + L + int(rng.integers(0, 4))
-            shift = int(rng.integers(0, ncols - (p - 1) - L + 1))
-            h = BandedH(nrows=p, ncols=ncols, shift=shift, weights=tuple(rng.normal(size=L)))
-            d = rng.normal(size=ncols)
-            ref = h.dense() @ np.diag(d) @ h.dense().T
-            got = hdh_matrix(h, d).dense()
+            theta = CoefficientSequence(
+                tuple(rng.normal(size=int(rng.integers(1, 6)))), min_lag=int(rng.integers(-6, 4))
+            )
+            h = _brute_H(theta, p)
+            ref = h @ h.T
+            got = _hht_from_centering(theta, p)
             assert np.abs(got - ref).max() <= 1e-12 * max(np.abs(ref).max(), 1.0)
 
     def test_hht_interior_diagonal_is_theta_square_sum(self):
         theta = CoefficientSequence((1.0, -0.5, 0.25), min_lag=-1)
-        h = build_H(theta, 7)
-        hht = hht_matrix(h)
-        assert np.allclose(hht.bands[0], theta.sq_sum, rtol=1e-15)
-
-    def test_wrong_d_length_rejected(self):
-        h = build_H(CoefficientSequence((1.0,)), 2)
-        with pytest.raises(ValueError, match="length"):
-            hdh_matrix(h, np.ones(5))
+        hht = _hht_from_centering(theta, 7)
+        assert np.allclose(np.diag(hht), theta.sq_sum, rtol=1e-15)
 
 
 class TestMuXAlpha:
@@ -138,33 +126,29 @@ class TestCenteredCovariance:
     def test_zero_mu_is_gram(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 9))
-        spec = CenteringSpec(mu=0.0, H=build_H(self.SPIKE, 4), n=9)
-        s = centered_covariance(x @ x.T, self.SPIKE, spec)
+        s = centered_covariance(x @ x.T, self.SPIKE, 4, 9, 0.0)
         assert np.allclose(s, x @ x.T, rtol=1e-15)
         # Gram matrix is positive semidefinite.
         assert np.linalg.eigvalsh(s).min() >= -1e-10
 
     def test_scalar_hand_case(self):
         gram = np.array([[5.0]])  # Gram of the 1 x 2 panel (1, 2)
-        spec = CenteringSpec(mu=1.0, H=build_H(self.SPIKE, 1), n=2)
-        s = centered_covariance(gram, self.SPIKE, spec)
+        s = centered_covariance(gram, self.SPIKE, 1, 2, 1.0)
         assert s.shape == (1, 1)
         assert s[0, 0] == 5.0 - 2.0 * 1.0 * 1.0
 
     def test_dimension_mismatch(self):
         theta = CoefficientSequence((1.0, 0.5))
-        spec = CenteringSpec(mu=0.0, H=build_H(theta, 4), n=5)
         with pytest.raises(ValueError, match="gram must be 5 x 5"):
-            centered_covariance(np.zeros((4, 4)), theta, spec)
+            centered_covariance(np.zeros((4, 4)), theta, 4, 5, 0.0)
         with pytest.raises(ValueError, match="gram must be"):
-            centered_covariance(np.zeros((5, 6)), theta, spec)
+            centered_covariance(np.zeros((5, 6)), theta, 4, 5, 0.0)
 
     def test_output_exactly_symmetric(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(7, 11))
         theta = CoefficientSequence((1.0, 0.5))
-        spec = CenteringSpec(mu=0.5, H=build_H(theta, 6), n=11)
-        s = centered_covariance(x @ x.T, theta, spec)
+        s = centered_covariance(x @ x.T, theta, 6, 11, 0.5)
         assert np.array_equal(s, s.T)
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])  # mu = 0, truncated, exact
@@ -189,9 +173,9 @@ class TestCenteredCovariance:
         a_np = norming_constant(model, n * p)
         mu = mu_x_alpha(model, c, a_np)
         assert (mu == 0.0) == (alpha < 2.0)
-        H = build_H(theta, p)
-        got = centered_covariance(x_rows @ x_rows.T, theta, CenteringSpec(mu=mu, H=H, n=n))
-        ref = xhat @ xhat.T - n * mu * hht_matrix(H).dense()
+        got = centered_covariance(x_rows @ x_rows.T, theta, p, n, mu)
+        h = _brute_H(theta, p)
+        ref = xhat @ xhat.T - n * mu * (h @ h.T)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -298,11 +282,10 @@ class TestSpectralNorm:
 
     def test_norm_bounded_by_inf_norm(self):
         theta = CoefficientSequence((1.0, 0.5))
-        h = build_H(theta, 12)
         rng = np.random.default_rng(11)
-        d = rng.pareto(0.75, size=36) ** 2
-        hdh = hdh_matrix(h, d).dense()
-        assert spectral_norm(hdh) <= np.abs(hdh).sum(axis=1).max() * (1.0 + 1e-8)
+        x = rng.pareto(0.75, size=(13, 36)) * rng.choice([-1.0, 1.0], size=(13, 36))
+        s = centered_covariance(x @ x.T, theta, 12, 36, 3.0)
+        assert spectral_norm(s) <= np.abs(s).sum(axis=1).max() * (1.0 + 1e-8)
 
     def test_weyl_inequality(self):
         rng = np.random.default_rng(12)
