@@ -128,12 +128,6 @@ class DimensionRule:
             p = min(p, self.p_max)
         return p
 
-    def to_dict(self) -> dict:
-        d = {"beta": self.beta, "const": self.const}
-        if self.p_max is not None:
-            d["p_max"] = self.p_max
-        return d
-
     @classmethod
     def from_dict(cls, d: dict) -> "DimensionRule":
         p_max = d.get("p_max")
@@ -175,18 +169,14 @@ class ValidationError(ValueError):
 
 
 def validate(spec: EnsembleSpec, rule: DimensionRule | None = None) -> ValidationReport:
-    """Check every admissibility hypothesis; each item reports its margin."""
+    """Check every admissibility hypothesis; each item reports its margin.
+
+    The tail index range (0, 4) is not an item: ``TailModel`` refuses any
+    other alpha before a spec exists."""
     model = spec.model
     alpha = model.alpha
-    items = [
-        ValidationItem(
-            "alpha_range",
-            0.0 < alpha < 4.0,
-            min(alpha, 4.0 - alpha),
-            f"alpha={alpha}",
-        ),
-    ]
-    if 5.0 / 3.0 < alpha < 4.0:
+    items = []
+    if alpha > 5.0 / 3.0:
         mean = mean_value(model)
         items.append(
             ValidationItem(
@@ -261,8 +251,6 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
         ma += w * seg
         ma_sq += (w * w) * seg
     top = np.sort(ma / a2)[::-1][:top_k]
-    if top.size < top_k:
-        top = np.concatenate([top, np.full(top_k - top.size, math.nan)])
     return TrialRecord(
         n=n,
         p=p,
@@ -375,6 +363,9 @@ def run_batch(
 ) -> TrialBatch:
     """Validate, then run every replicate at every n.
 
+    Refuses, before any trial runs, a ``top_k`` outside ``[1, p]`` at any n:
+    each record holds exactly ``top_k`` ranks of the p windowed diagonals.
+
     Replicate seeds depend only on (base_seed, n, replicate); records are
     sorted afterwards so the batch is independent of scheduling.
 
@@ -398,6 +389,8 @@ def run_batch(
         report = validate(template.spec(p, n, base_seed), rule)
         if not report.ok:
             raise ValidationError(report)
+        if not 1 <= top_k <= p:
+            raise ValueError(f"top_k must lie in [1, p], got top_k={top_k} with p={p} at n={n}")
         for r in range(replicates):
             jobs.append((template.spec(p, n, derive_seed(base_seed, n, r)), r, top_k))
     if workers > 1:
@@ -444,23 +437,19 @@ def ks_distance(values, cdf) -> float:
     return max(d_plus, d_minus, 0.0)
 
 
-def envelope_check(
-    batch: TrialBatch,
-    grid=None,
-    levels=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9),
-    slack: float = 0.03,
-    z: float = 4.0,
-) -> dict:
+_ENVELOPE_LEVELS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+
+
+def envelope_check(batch: TrialBatch, slack: float = 0.03, z: float = 4.0) -> dict:
     """Test containment of the empirical CDF between the two envelope CDFs.
 
-    The default grid puts the x values at the lower-envelope quantiles of the
-    given levels, so the test has comparable power across the distribution.
-    Overall pass requires every grid point to pass at the largest n.
+    The grid puts the x values at the lower-envelope quantiles of
+    ``_ENVELOPE_LEVELS``, so the test has comparable power across the
+    distribution. Overall pass requires every grid point to pass at the
+    largest n.
     """
     b = bound_constants(batch.filter, batch.model.alpha)
-    if grid is None:
-        grid = frechet_quantile(np.asarray(levels, dtype=float), b.upper_scale, b.alpha)
-    grid = np.asarray(grid, dtype=float)
+    grid = frechet_quantile(np.asarray(_ENVELOPE_LEVELS), b.upper_scale, b.alpha)
     per_n = []
     overall = True
     for n in sorted(batch.n_values):
@@ -525,23 +514,21 @@ def ks_check(batch: TrialBatch, tol: float = 0.10) -> dict:
     return out
 
 
-def order_stat_check(
-    batch: TrialBatch,
-    k: int | None = None,
-    limit_draws: int = 2000,
-    limit_seed: int = 0x0A11,
-    iqr_factor: float = 0.5,
-) -> dict:
+_LIMIT_SEED = 0x0A11
+_IQR_FACTOR = 0.5
+
+
+def order_stat_check(batch: TrialBatch, k: int | None = None, limit_draws: int = 2000) -> dict:
     """Compare top-rank diagonal statistics with the limit point process.
 
     Per rank, the empirical median across replicates must agree with the
-    simulated limit median within iqr_factor * (empirical IQR + limit IQR).
+    simulated limit median within _IQR_FACTOR * (empirical IQR + limit IQR).
     """
     k = batch.top_k if k is None else k
     emp = batch.top_matrix()[:, :k]
     draws = np.array(
         [
-            limit_order_statistics(batch.filter, batch.model.alpha, k, derive_key(limit_seed, i))
+            limit_order_statistics(batch.filter, batch.model.alpha, k, derive_key(_LIMIT_SEED, i))
             for i in range(limit_draws)
         ]
     )
@@ -549,12 +536,11 @@ def order_stat_check(
     overall = True
     for r in range(k):
         e = emp[:, r]
-        e = e[np.isfinite(e)]
         med_e = float(np.median(e))
         iqr_e = float(np.percentile(e, 75) - np.percentile(e, 25))
         med_l = float(np.median(draws[:, r]))
         iqr_l = float(np.percentile(draws[:, r], 75) - np.percentile(draws[:, r], 25))
-        tol = iqr_factor * (iqr_e + iqr_l)
+        tol = _IQR_FACTOR * (iqr_e + iqr_l)
         ok = abs(med_e - med_l) <= tol
         overall = overall and ok
         ranks.append(
@@ -574,7 +560,7 @@ def order_stat_check(
         "n": batch.largest_n,
         "k": k,
         "limit_draws": limit_draws,
-        "iqr_factor": iqr_factor,
+        "iqr_factor": _IQR_FACTOR,
         "ranks": ranks,
     }
 
@@ -760,7 +746,9 @@ def read_trials_csv(path: str) -> list[TrialRecord]:
 
 def batch_from_records(config: ExperimentConfig, records) -> TrialBatch:
     """Wrap reloaded records, which must cover exactly the config's
-    (n, replicate) grid, each with the config's p for its n."""
+    (n, replicate) grid, each with the config's p for its n, the seed the
+    config's base seed derives for it, the norming constant of the config's
+    tail model, and top_k top values."""
     records = tuple(records)
     grid = {(n, r) for n in config.n_values for r in range(config.replicates)}
     found = [(rec.n, rec.replicate) for rec in records]
@@ -770,11 +758,30 @@ def batch_from_records(config: ExperimentConfig, records) -> TrialBatch:
             f"records do not match the config's (n, replicate) grid: {len(missing)} missing "
             f"{missing[:1]}, {len(extra)} extra {extra[:1]}, {len(found) - len(set(found))} duplicates"
         )
+    p_at = {n: config.rule.p_for(n) for n in config.n_values}
+    a_np = {n: norming_constant(config.model, n * p) for n, p in p_at.items()}
     for rec in records:
-        if rec.p != config.rule.p_for(rec.n):
+        where = f"at (n, replicate) = ({rec.n}, {rec.replicate})"
+        if rec.p != p_at[rec.n]:
             raise ValueError(
                 f"records do not match the config: p = {rec.p} at n = {rec.n}, "
-                f"the config gives p = {config.rule.p_for(rec.n)}"
+                f"the config gives p = {p_at[rec.n]}"
+            )
+        seed = derive_seed(config.seed, rec.n, rec.replicate)
+        if rec.seed != seed:
+            raise ValueError(
+                f"records do not match the config: seed = {rec.seed} {where}, "
+                f"the config's base seed {config.seed} gives {seed}"
+            )
+        if rec.a_np != a_np[rec.n]:
+            raise ValueError(
+                f"records do not match the config: a_np = {rec.a_np!r} {where}, "
+                f"the config's tail model gives {a_np[rec.n]!r}"
+            )
+        if len(rec.top_diag) != config.top_k:
+            raise ValueError(
+                f"records do not match the config: {len(rec.top_diag)} top values {where}, "
+                f"the config's top_k is {config.top_k}"
             )
     return TrialBatch(
         model=config.model,

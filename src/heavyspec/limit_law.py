@@ -1,8 +1,9 @@
 """Closed forms and samplers for the limiting laws of the scaled spectral norm.
 
 The two envelope distributions are Fréchet-type laws driven by a single unit
-exponential; the order-statistic limit is the point process built from all
-Poisson arrival times, weighted by the row window and the squared time window.
+exponential; the order-statistic limit is the point process of the Poisson
+arrival times, weighted by the row window and the squared time window, whose
+k largest points are a closed form of the first k arrivals.
 """
 
 from __future__ import annotations
@@ -88,44 +89,24 @@ def _exp_increments(seed: int, start: int, stop: int) -> np.ndarray:
     return -np.log(u)
 
 
-def limit_order_statistics(
-    spec: FilterSpec,
-    alpha: float,
-    k: int,
-    seed: int,
-    block: int = 256,
-    max_points: int = 10**7,
-) -> np.ndarray:
+def limit_order_statistics(spec: FilterSpec, alpha: float, k: int, seed: int) -> np.ndarray:
     """One draw of the k largest points of the limit point process.
 
-    The points are Gamma_i^(-2/alpha) * theta_l * sum_j c_j^2 over all arrival
-    indices i and window lags l.  Arrivals are drawn in blocks until the
-    largest possible future point falls below the current k-th largest, which
-    is exact because Gamma_i^(-2/alpha) is decreasing in i.
+    The points are Gamma_i^(-2/alpha) * theta_l * sum_j c_j^2 over the arrival
+    indices i and window lags l.  Gamma_i^(-2/alpha) falls as i grows, so a
+    point of an arrival past the k-th at a positive theta_l lies below the k
+    points of arrivals 1..k at the same lag, and a point at theta_l <= 0 lies
+    below every point at the largest, positive weight.  The k largest points
+    therefore come from the first k arrivals, and this draw of them is exact.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     theta = np.asarray(spec.theta.values, dtype=float)
-    theta_max = float(theta.max())
-    if theta_max <= 0.0:
+    if float(theta.max()) <= 0.0:
         raise ValueError("order-statistic limit needs at least one positive theta weight")
-    sum_c2 = spec.c.sq_sum
-    exponent = -2.0 / alpha
-
-    top = np.array([], dtype=float)
-    total = 0.0  # running Gamma
-    count = 0
-    while count < max_points:
-        inc = _exp_increments(seed, count, count + block)
-        gammas = total + np.cumsum(inc)
-        total = float(gammas[-1])
-        count += block
-        points = (gammas**exponent)[:, None] * theta[None, :] * sum_c2
-        top = np.sort(np.concatenate([top, points.ravel()]))[-k:]
-        bound = total**exponent * theta_max * sum_c2
-        if top.size == k and bound < top[0]:
-            return top[::-1].copy()
-    raise RuntimeError(f"order statistics did not stabilize within {max_points} arrivals")
+    gammas = np.cumsum(_exp_increments(seed, 0, k))
+    points = (gammas ** (-2.0 / alpha))[:, None] * theta[None, :] * spec.c.sq_sum
+    return np.sort(points.ravel())[-k:][::-1].copy()
 
 
 def ma1_constants(theta: float) -> tuple[float, float]:

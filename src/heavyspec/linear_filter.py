@@ -62,9 +62,6 @@ class CoefficientSequence:
     def max_abs(self) -> float:
         return float(max(abs(v) for v in self.values))
 
-    def to_dict(self) -> dict:
-        return {"min_lag": self.min_lag, "values": list(self.values)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "CoefficientSequence":
         return cls(values=tuple(float(v) for v in d["values"]), min_lag=int(d.get("min_lag", 0)))
@@ -76,9 +73,6 @@ class FilterSpec:
 
     c: CoefficientSequence
     theta: CoefficientSequence
-
-    def to_dict(self) -> dict:
-        return {"c": self.c.to_dict(), "theta": self.theta.to_dict()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterSpec":

@@ -74,9 +74,6 @@ class TailModel:
     def is_pareto(self) -> bool:
         return self.family in _PARETO_FAMILIES
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "alpha": self.alpha, "q": self.q, "scale": self.scale}
-
     @classmethod
     def from_dict(cls, d: dict) -> "TailModel":
         return cls(
@@ -111,10 +108,6 @@ class NoisePanel:
     @property
     def col_range(self) -> tuple[int, int]:
         return (self.col_offset, self.col_offset + self.values.shape[1])
-
-    def get(self, i: int, t: int) -> float:
-        block = self.block((i, i + 1), (t, t + 1))
-        return float(block[0, 0])
 
     def block(self, row_range: tuple[int, int], col_range: tuple[int, int]) -> np.ndarray:
         """View of the logical rectangle ``row_range`` x ``col_range`` (half-open)."""

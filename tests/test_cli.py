@@ -87,16 +87,24 @@ def test_run_rejects_bad_run_size(config_path, tmp_path, capsys, override, messa
 
 
 def test_check_recomputes_from_csv(config_path, tmp_path):
-    out_dir = str(tmp_path / "out")
-    assert main(["run", "--config", config_path, "--out", out_dir]) == 0
-    checks_path = os.path.join(out_dir, "checks.json")
-    with open(checks_path, encoding="utf-8") as fh:
-        first = fh.read()
-    os.remove(checks_path)
-    assert main(["check", "--config", config_path, "--out", out_dir]) == 0
-    with open(checks_path, encoding="utf-8") as fh:
-        second = fh.read()
-    assert first == second
+    with open(config_path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    for checks_on in ((), ("envelope", "order_stats")):
+        config["checks"].update({name: True for name in checks_on})
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        out_dir = str(tmp_path / "-".join(("out", *checks_on)))
+        assert main(["run", "--config", config_path, "--out", out_dir]) == 0
+        checks_path = os.path.join(out_dir, "checks.json")
+        with open(checks_path, encoding="utf-8") as fh:
+            first = fh.read()
+        os.remove(checks_path)
+        assert main(["check", "--config", config_path, "--out", out_dir]) == 0
+        with open(checks_path, encoding="utf-8") as fh:
+            second = fh.read()
+        assert first == second
+        checks = json.loads(second)
+        assert [name for name in config["checks"] if checks[name]["enabled"]] == list(checks_on)
 
 
 def test_report_prints_summary(config_path, tmp_path, capsys):
@@ -131,6 +139,8 @@ def test_n_override(config_path, tmp_path):
     [
         (["--n", "64"], "10 missing [(40, 0)], 5 extra [(64, 0)], 0 duplicates"),
         (["--replicates", "2"], "6 missing [(40, 2)], 0 extra [], 0 duplicates"),
+        (["--seed", "8"], "at (n, replicate) = (40, 0), the config's base seed 11 gives"),
+        (["--alpha", "1.2"], "at (n, replicate) = (40, 0), the config's tail model gives"),
     ],
 )
 def test_refuses_trials_from_other_config(config_path, tmp_path, capsys, command, run_override, problem):
@@ -140,7 +150,7 @@ def test_refuses_trials_from_other_config(config_path, tmp_path, capsys, command
     capsys.readouterr()
     assert main([command, "--config", config_path, "--out", out_dir]) == 1
     captured = capsys.readouterr()
-    assert "records do not match the config's (n, replicate) grid" in captured.err
+    assert captured.err.startswith("records do not match the config")
     assert problem in captured.err
     assert captured.out == ""
     assert not os.path.exists(os.path.join(out_dir, "checks.json"))
@@ -152,6 +162,7 @@ def test_refuses_trials_from_other_config(config_path, tmp_path, capsys, command
         ("validate --config {config} --alpha 5", "alpha must lie in (0, 4), got 5.0"),
         ("run --config {config} --out {tmp}/out --alpha 5", "alpha must lie in (0, 4), got 5.0"),
         ("validate --config {config} --n 0", "p and n must be >= 1, got p=1, n=0"),
+        ("run --config {config} --out {tmp}/out --n 4", "got top_k=3 with p=2 at n=4"),
         ("check --config {config} --out {tmp}/absent", "absent/trials.csv: No such file or directory"),
         ("report --config {config} --out {tmp}/absent", "absent/trials.csv: No such file or directory"),
         *[
@@ -165,4 +176,21 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert not os.path.exists(os.path.join(tmp_path, "out", "trials.csv"))
+
+
+def test_check_refuses_other_top_k(config_path, tmp_path, capsys):
+    out_dir = str(tmp_path / "out")
+    assert main(["run", "--config", config_path, "--out", out_dir]) == 0
+    with open(config_path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["top_k"] = 4
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    capsys.readouterr()
+    assert main(["check", "--config", config_path, "--out", out_dir]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "3 top values at (n, replicate) = (40, 0), the config's top_k is 4" in captured.err
     assert "Traceback" not in captured.err

@@ -35,7 +35,7 @@ from heavyspec.experiment import (
 from heavyspec.experiment import _set_blas_threads
 from heavyspec.limit_law import bound_constants, frechet_cdf, frechet_quantile
 from heavyspec.linear_filter import CoefficientSequence, FilterSpec
-from heavyspec.rv_noise import TailModel, sample_noise
+from heavyspec.rv_noise import TailModel, norming_constant, sample_noise
 from heavyspec.spectral import spectral_norm
 
 MODEL15 = TailModel("pareto_symmetric", alpha=1.5)
@@ -111,6 +111,11 @@ class TestDimensionRule:
         with pytest.raises(ValueError, match="const"):
             DimensionRule(beta=0.5, const=-1.0)
 
+    def test_from_dict_defaults(self):
+        assert DimensionRule.from_dict({"beta": 0.5}) == DimensionRule(beta=0.5, const=1.0, p_max=None)
+        d = {"beta": 0.9, "const": 2.0, "p_max": 400}
+        assert DimensionRule.from_dict(d) == DimensionRule(beta=0.9, const=2.0, p_max=400)
+
 
 class TestValidate:
     def test_admissible_case(self):
@@ -131,7 +136,7 @@ class TestValidate:
             seed=1,
         )
         report = validate(spec, DimensionRule(beta=0.9, p_max=400))
-        assert [it.name for it in report.items] == ["alpha_range", "zero_mean", "beta_admissible"]
+        assert [it.name for it in report.items] == ["zero_mean", "beta_admissible"]
         assert report.ok
 
     def test_nonzero_mean_fails_above_five_thirds(self):
@@ -293,6 +298,18 @@ class TestRunBatch:
     def test_seed_derivation_injective_within_batch(self):
         seeds = {derive_seed(7, n, r) for n in (100, 200, 400) for r in range(500)}
         assert len(seeds) == 1500
+
+    def test_rejects_top_k_outside_one_to_p(self):
+        template = EnsembleTemplate(model=MODEL15, filter=SPIKE)
+        rule = DimensionRule(beta=0.5, p_max=3)
+        with pytest.raises(ValueError, match=r"got top_k=0 with p=3 at n=40"):
+            run_batch(template, rule, [40], 2, base_seed=1, top_k=0)
+        with pytest.raises(ValueError, match=r"got top_k=4 with p=3 at n=40"):
+            run_batch(template, rule, [40], 2, base_seed=1, top_k=4)
+        # Refused at the first n whose p is too small, before any trial runs.
+        with pytest.raises(ValueError, match=r"got top_k=3 with p=2 at n=4"):
+            run_batch(template, rule, [40, 4], 2, base_seed=1, top_k=3)
+        assert run_batch(template, rule, [40], 2, base_seed=1, top_k=3).top_matrix().shape == (2, 3)
 
     def test_records_sorted(self):
         template = EnsembleTemplate(model=MODEL15, filter=SPIKE)
@@ -514,6 +531,17 @@ class TestEmitAndReload:
         assert "overall_passed" in loaded
 
 
+def _stored(config, n, replicate, **changes):
+    # A record as trials.csv stores it for this config, with made-up statistics.
+    p = config.rule.p_for(n)
+    rec = TrialRecord(
+        n=n, p=p, replicate=replicate, seed=derive_seed(config.seed, n, replicate),
+        a_np=norming_constant(config.model, n * p), scaled_norm=1.0, offdiag_dev=0.1,
+        top_diag=(1.0, 0.5, 0.2), diag_sq_max=math.nan,
+    )
+    return replace(rec, **changes)
+
+
 class TestConfig:
     def test_from_dict_roundtrip(self, tmp_path):
         d = {
@@ -549,10 +577,7 @@ class TestConfig:
             replicates=1,
             seed=0,
         )
-        rec = TrialRecord(
-            n=40, p=6, replicate=0, seed=1, a_np=2.0, scaled_norm=1.0,
-            offdiag_dev=0.1, top_diag=(1.0, 0.5, 0.2), diag_sq_max=math.nan,
-        )
+        rec = _stored(config, 40, 0)
         batch = batch_from_records(config, [rec])
         assert batch.records == (rec,)
         assert batch.largest_n == 40
@@ -566,18 +591,36 @@ class TestConfig:
             replicates=2,
             seed=0,
         )
-        rec = TrialRecord(
-            n=40, p=6, replicate=0, seed=1, a_np=2.0, scaled_norm=1.0,
-            offdiag_dev=0.1, top_diag=(1.0, 0.5, 0.2), diag_sq_max=math.nan,
-        )
+        rec = _stored(config, 40, 0)
         with pytest.raises(ValueError, match=r"1 missing \[\(40, 1\)\], 0 extra \[\], 0 duplicates"):
             batch_from_records(config, [rec])
         with pytest.raises(ValueError, match=r"0 missing \[\], 0 extra \[\], 1 duplicates"):
             batch_from_records(config, [rec, rec, replace(rec, replicate=1)])
         with pytest.raises(ValueError, match="p = 7 at n = 40, the config gives p = 6"):
-            batch_from_records(config, [replace(rec, p=7), replace(rec, replicate=1)])
+            batch_from_records(config, [replace(rec, p=7), _stored(config, 40, 1)])
         with pytest.raises(ValueError, match=r"0 missing \[\], 1 extra \[\(80, 0\)\]"):
-            batch_from_records(config, [rec, replace(rec, replicate=1), replace(rec, n=80, p=9)])
+            batch_from_records(config, [rec, _stored(config, 40, 1), replace(rec, n=80, p=9)])
+
+    def test_batch_from_records_rejects_other_seed_model_or_top_k(self):
+        config = ExperimentConfig(
+            model=MODEL15,
+            filter=SPIKE,
+            rule=DimensionRule(beta=0.5),
+            n_values=(40,),
+            replicates=2,
+            seed=7,
+        )
+        first = _stored(config, 40, 0)
+        other_seed = _stored(replace(config, seed=8), 40, 1)
+        with pytest.raises(ValueError, match=r"seed = \d+ at \(n, replicate\) = \(40, 1\), the config's base seed 7"):
+            batch_from_records(config, [first, other_seed])
+        other_model = _stored(replace(config, model=TailModel("pareto_symmetric", alpha=1.2)), 40, 1)
+        with pytest.raises(ValueError, match=r"a_np = .* at \(n, replicate\) = \(40, 1\), the config's tail model"):
+            batch_from_records(config, [first, other_model])
+        two_tops = _stored(config, 40, 1, top_diag=(1.0, 0.5))
+        with pytest.raises(ValueError, match=r"2 top values at \(n, replicate\) = \(40, 1\), the config's top_k is 3"):
+            batch_from_records(config, [first, two_tops])
+        assert batch_from_records(config, [first, _stored(config, 40, 1)]).top_k == 3
 
     def test_unknown_checks_key_rejected(self):
         d = {

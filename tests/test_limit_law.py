@@ -1,4 +1,4 @@
-"""Tests for the envelope laws, gamma sequences and order-statistic limits."""
+"""Tests for the envelope laws, Poisson arrivals and order-statistic limits."""
 
 import math
 
@@ -188,6 +188,29 @@ class TestLimitOrderStatistics:
     def test_negative_weights_stay_out_of_top(self):
         tops = limit_order_statistics(_fs((1.0,), (1.0, -0.5)), 1.5, 3, seed=4)
         assert np.all(tops > 0)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize(
+        "c_vals, theta_vals, min_lag",
+        [
+            ((1.0,), (1.0, -0.5), 0),  # negative weight
+            ((1.0, 0.5), (1.0, 1.0), 0),  # duplicate weights
+            ((1.0,), (0.3, 1.0, -0.2), -1),  # two-sided window
+            ((0.5, 2.0), (-0.4, 0.2, 0.7), 0),  # largest weight last
+        ],
+    )
+    def test_equals_brute_force_over_500_arrivals(self, k, c_vals, theta_vals, min_lag):
+        fs = FilterSpec(
+            c=CoefficientSequence(c_vals),
+            theta=CoefficientSequence(theta_vals, min_lag=min_lag),
+        )
+        alpha = 1.3
+        theta = np.asarray(theta_vals)
+        for seed in range(5):
+            gammas = _arrivals(500, seed)
+            points = (gammas ** (-2.0 / alpha))[:, None] * theta[None, :] * fs.c.sq_sum
+            brute = np.sort(points.ravel())[::-1][:k]
+            assert np.array_equal(limit_order_statistics(fs, alpha, k, seed), brute)
 
     def test_requires_positive_weight(self):
         with pytest.raises(ValueError, match="positive"):

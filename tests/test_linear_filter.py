@@ -36,17 +36,16 @@ class TestCoefficientSequence:
         assert list(seq.lags) == [-1, 0, 1]
 
     def test_json_roundtrip(self):
-        seq = CoefficientSequence((1.0, 0.5), min_lag=-2)
-        assert CoefficientSequence.from_dict(seq.to_dict()) == CoefficientSequence(
-            (1.0, 0.5), min_lag=-2
-        )
+        d = {"min_lag": -2, "values": [1.0, 0.5]}
+        assert CoefficientSequence.from_dict(d) == CoefficientSequence((1.0, 0.5), min_lag=-2)
+        assert CoefficientSequence.from_dict({"values": [1.0]}).min_lag == 0
 
     def test_filter_spec_json_roundtrip(self):
-        fs = FilterSpec(
+        d = {"c": {"values": [1.0, 0.5]}, "theta": {"min_lag": 1, "values": [0.3]}}
+        assert FilterSpec.from_dict(d) == FilterSpec(
             c=CoefficientSequence((1.0, 0.5)),
             theta=CoefficientSequence((0.3,), min_lag=1),
         )
-        assert FilterSpec.from_dict(fs.to_dict()) == fs
 
 
 class TestBuildXi:

@@ -56,14 +56,17 @@ class TestTailModel:
 
     def test_json_roundtrip(self):
         for m in _models():
-            assert TailModel.from_dict(m.to_dict()) == m
+            d = {"family": m.family, "alpha": m.alpha, "q": m.q, "scale": m.scale}
+            assert TailModel.from_dict(d) == m
+        defaults = TailModel.from_dict({"family": "pareto_symmetric", "alpha": 1.5})
+        assert (defaults.q, defaults.scale) == (0.5, 1.0)
 
 
 class TestNoisePanel:
     def test_block_and_get(self):
         panel = NoisePanel(values=np.arange(12.0).reshape(3, 4), row_offset=-1, col_offset=2)
-        assert panel.get(-1, 2) == 0.0
-        assert panel.get(1, 5) == 11.0
+        assert panel.block((-1, 0), (2, 3))[0, 0] == 0.0
+        assert panel.block((1, 2), (5, 6))[0, 0] == 11.0
         block = panel.block((0, 2), (3, 5))
         assert np.array_equal(block, np.array([[5.0, 6.0], [9.0, 10.0]]))
 
@@ -74,7 +77,7 @@ class TestNoisePanel:
         with pytest.raises(NoiseCoverageError, match=r"missing cols \[4, 6\)"):
             panel.block((0, 3), (2, 6))
         with pytest.raises(NoiseCoverageError):
-            panel.get(3, 0)
+            panel.block((3, 4), (0, 1))
 
 
 class TestSampleNoise:
