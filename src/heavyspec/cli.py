@@ -11,6 +11,7 @@ import sys
 import numpy as np
 
 from .experiment import (
+    CHECKS,
     ExperimentConfig,
     TrialBatch,
     batch_from_records,
@@ -32,8 +33,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=float, default=None, help="override tail index")
     parser.add_argument("--n", type=int, default=None, help="override n grid with a single n")
     parser.add_argument("--replicates", type=int, default=None, help="override replicate count")
-    parser.add_argument("--slack", type=float, default=None, help="override envelope slack")
-    parser.add_argument("--z", type=float, default=None, help="override envelope z factor")
 
 
 def _load(args) -> ExperimentConfig:
@@ -47,10 +46,6 @@ def _load(args) -> ExperimentConfig:
         updates["n_values"] = (args.n,)
     if args.replicates is not None:
         updates["replicates"] = args.replicates
-    if args.slack is not None:
-        updates["slack"] = args.slack
-    if args.z is not None:
-        updates["z"] = args.z
     return dataclasses.replace(config, **updates) if updates else config
 
 
@@ -119,7 +114,7 @@ def _cmd_report(args) -> int:
         with open(checks_path, encoding="utf-8") as fh:
             checks = json.load(fh)
         print("checks:")
-        for name in ("envelope", "ks", "order_stats", "offdiag"):
+        for name in CHECKS:
             c = checks.get(name, {})
             if not c.get("enabled"):
                 status = "disabled"

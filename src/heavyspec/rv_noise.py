@@ -99,7 +99,6 @@ class NoisePanel:
     values: np.ndarray
     row_offset: int
     col_offset: int
-    seed: int = 0
 
     @property
     def row_range(self) -> tuple[int, int]:
@@ -180,10 +179,9 @@ def _lane(h: np.ndarray, lane: int) -> np.ndarray:
         return _finalize(h ^ (np.uint64(lane) * _LANE_SALT))
 
 
-def index_uniforms(seed: int, idx, lane: int = 0, tag: int = 0) -> np.ndarray:
-    """Uniform(0,1) keyed by (seed, tag, index, lane), one value per index."""
-    h = _finalize(_stream_head(seed, tag) ^ _encode(idx))
-    return _to_unit(_lane(h, lane))
+def index_uniforms(seed: int, idx, tag: int = 0) -> np.ndarray:
+    """Uniform(0,1) keyed by (seed, tag, index), one value per index."""
+    return _to_unit(_finalize(_stream_head(seed, tag) ^ _encode(idx)))
 
 
 def derive_key(seed: int, *indices: int) -> int:
@@ -195,10 +193,9 @@ def derive_key(seed: int, *indices: int) -> int:
     return int(h)
 
 
-def grid_uniforms(seed: int, rows, cols, lane: int = 0, tag: int = 0) -> np.ndarray:
-    """Uniform(0,1) on the outer grid rows x cols, keyed by logical index."""
-    head = _stream_head(seed, tag)
-    hr = _finalize(head ^ _encode(rows))
+def grid_uniforms(seed: int, rows, cols, lane: int = 0) -> np.ndarray:
+    """Uniform(0,1) on the outer grid rows x cols, keyed by (seed, row, col, lane)."""
+    hr = _finalize(_stream_head(seed, 0) ^ _encode(rows))
     h = _finalize(hr[:, None] ^ _encode(cols)[None, :])
     return _to_unit(_lane(h, lane))
 
@@ -235,7 +232,7 @@ def sample_noise(
             u_sign = grid_uniforms(seed, rows, cols, lane=1)
             sign = np.where(u_sign < model.q, 1.0, -1.0)
             values = sign * magnitude
-    return NoisePanel(values=values, row_offset=r0, col_offset=c0, seed=seed)
+    return NoisePanel(values=values, row_offset=r0, col_offset=c0)
 
 
 def abs_survival(model: TailModel, x) -> np.ndarray | float:

@@ -144,7 +144,7 @@ def test_criterion_3_single_spike_exact_law():
 def test_criterion_4_envelope_containment(envelope_batch):
     _, _, batch = envelope_batch
     assert batch.records[0].p == 400  # n^0.9 capped
-    report = envelope_check(batch, slack=0.03, z=4.0)
+    report = envelope_check(batch)
     worst = min(
         min(r["ecdf"] - (r["cdf_lower"] - r["tol"]) for r in report["per_n"][-1]["grid"]),
         min((r["cdf_upper"] + r["tol"]) - r["ecdf"] for r in report["per_n"][-1]["grid"]),
@@ -162,7 +162,7 @@ def test_criterion_5_offdiag_vanishing():
     batch = run_batch(
         template, rule, [200, 500, 1000, 2000], 100, base_seed=20250303, workers=WORKERS
     )
-    report = offdiag_trend_check(batch, threshold=0.15)
+    report = offdiag_trend_check(batch)
     meds = ", ".join(f"{m:.4f}" for m in report["medians"])
     ok = report["passed"]
     _report(5, ok, f"median offdiag per n: [{meds}] strictly decreasing, final < 0.15")
@@ -175,7 +175,7 @@ def test_criterion_6_order_statistic_limit():
     )
     rule = DimensionRule(beta=0.9, const=1.0, p_max=400)
     batch = run_batch(template, rule, [1000], 500, base_seed=20250304, workers=WORKERS)
-    report = order_stat_check(batch, k=3, limit_draws=2000)
+    report = order_stat_check(batch)
     detail = "; ".join(
         f"rank {r['rank']}: |{r['empirical_median']:.3f} - {r['limit_median']:.3f}| <= {r['tol']:.3f}"
         for r in report["ranks"]

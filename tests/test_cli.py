@@ -156,6 +156,44 @@ def test_refuses_trials_from_other_config(config_path, tmp_path, capsys, command
     assert not os.path.exists(os.path.join(out_dir, "checks.json"))
 
 
+@pytest.mark.parametrize("command", ["check", "report"])
+@pytest.mark.parametrize("window", ["c", "theta"])
+def test_refuses_trials_from_other_filter(config_path, tmp_path, capsys, command, window):
+    # (1, 0.6) in place of the run's (1, 0.5): every stored field check passes,
+    # and only the rerun of replicate 0 tells the two filters apart.
+    out_dir = str(tmp_path / "out")
+    assert main(["run", "--config", config_path, "--out", out_dir]) == 0
+    os.remove(os.path.join(out_dir, "checks.json"))
+    with open(config_path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["filter"][window]["values"] = [1.0, 0.6]
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    capsys.readouterr()
+    assert main([command, "--config", config_path, "--out", out_dir]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("records do not match the config: scaled_norm = ")
+    assert "at (n, replicate) = (40, 0), a rerun of the config gives" in captured.err
+    assert captured.out == ""
+    assert not os.path.exists(os.path.join(out_dir, "checks.json"))
+
+
+@pytest.mark.parametrize("key", ["slack", "z", "ks_tol", "offdiag_threshold"])
+def test_refuses_config_with_unknown_key(config_path, capsys, key):
+    # The check tolerances are constants; a config that still sets one is
+    # refused rather than judged by the constant.
+    with open(config_path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    config[key] = 0.05
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    assert main(["validate", "--config", config_path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"unknown config keys ['{key}']; known: ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -35,7 +35,7 @@ from heavyspec.experiment import (
 from heavyspec.experiment import _set_blas_threads
 from heavyspec.limit_law import bound_constants, frechet_cdf, frechet_quantile
 from heavyspec.linear_filter import CoefficientSequence, FilterSpec
-from heavyspec.rv_noise import TailModel, norming_constant, sample_noise
+from heavyspec.rv_noise import TailModel, sample_noise
 from heavyspec.spectral import spectral_norm
 
 MODEL15 = TailModel("pareto_symmetric", alpha=1.5)
@@ -147,7 +147,7 @@ class TestValidate:
             n=10,
             seed=1,
         )
-        report = validate(spec)
+        report = validate(spec, DimensionRule(beta=0.3))
         items = {it.name: it for it in report.items}
         assert not items["zero_mean"].passed
 
@@ -412,7 +412,7 @@ class TestKsCheck:
         rng = np.random.default_rng(22)
         values = frechet_quantile(rng.uniform(size=2000), b.lower_scale, 1.5)
         batch = _synthetic_batch(values, SPIKE, model)
-        report = ks_check(batch, tol=0.10)
+        report = ks_check(batch)
         assert report["applicable"]
         assert report["passed"]
 
@@ -456,7 +456,7 @@ class TestOffdiagTrendCheck:
 
     def test_decreasing_below_threshold_passes(self):
         batch = self._batch_with_offdiags({100: [0.4, 0.5], 200: [0.2, 0.3], 400: [0.05, 0.1]})
-        report = offdiag_trend_check(batch, threshold=0.15)
+        report = offdiag_trend_check(batch)
         assert report["passed"] and report["decreasing"]
 
     def test_non_monotone_fails(self):
@@ -465,7 +465,7 @@ class TestOffdiagTrendCheck:
 
     def test_final_above_threshold_fails(self):
         batch = self._batch_with_offdiags({100: [0.9], 200: [0.5]})
-        report = offdiag_trend_check(batch, threshold=0.15)
+        report = offdiag_trend_check(batch)
         assert report["decreasing"] and not report["passed"]
 
 
@@ -473,10 +473,24 @@ class TestOrderStatCheck:
     def test_smoke_structure(self):
         template = EnsembleTemplate(model=MODEL15, filter=_fs((1.0,), (1.0, 0.5)))
         batch = run_batch(template, DimensionRule(beta=0.9, p_max=60), [200], 60, base_seed=31)
-        report = order_stat_check(batch, k=2, limit_draws=400)
-        assert {r["rank"] for r in report["ranks"]} == {1, 2}
+        report = order_stat_check(batch)
+        assert (report["k"], report["limit_draws"]) == (3, 2000)
+        assert {r["rank"] for r in report["ranks"]} == {1, 2, 3}
         for r in report["ranks"]:
             assert r["tol"] > 0
+
+    def test_not_applicable_without_positive_theta(self):
+        # The limit has no top points when every theta weight is nonpositive;
+        # the check reports that instead of failing the run.
+        template = EnsembleTemplate(model=MODEL15, filter=_fs((1.0,), (-1.0, -0.5)))
+        batch = run_batch(template, DimensionRule(beta=0.5, p_max=8), [60], 4, base_seed=3)
+        report = order_stat_check(batch)
+        assert report == {"applicable": False, "passed": None, "n": 60, "k": 3}
+        config = ExperimentConfig(
+            model=MODEL15, filter=batch.filter, rule=batch.rule, n_values=(60,), replicates=4, seed=3,
+            checks={"envelope": False, "ks": False, "order_stats": True, "offdiag": False},
+        )
+        assert run_checks(batch, config)["overall_passed"] is True
 
 
 class TestEmitAndReload:
@@ -530,15 +544,35 @@ class TestEmitAndReload:
         assert loaded["envelope"]["enabled"]
         assert "overall_passed" in loaded
 
+    def test_checks_json_flags_are_booleans(self, tmp_path):
+        # Two theta weights: ks reports distances without a verdict (null).
+        batch = self._small_batch()
+        config = ExperimentConfig(
+            model=batch.model,
+            filter=batch.filter,
+            rule=batch.rule,
+            n_values=batch.n_values,
+            replicates=batch.replicates,
+            seed=batch.base_seed,
+            top_k=batch.top_k,
+        )
+        paths = emit_report(batch, run_checks(batch, config), str(tmp_path))
+        with open(paths["checks"], encoding="utf-8") as fh:
+            loaded = json.load(fh)
+        assert type(loaded["overall_passed"]) is bool
+        for name in ("envelope", "order_stats", "offdiag"):
+            assert loaded[name]["enabled"] is True and loaded[name]["applicable"] is True
+            assert type(loaded[name]["passed"]) is bool
+        assert loaded["ks"]["enabled"] is True and loaded["ks"]["applicable"] is False
+        assert loaded["ks"]["passed"] is None
+        assert all(type(row["passed"]) is bool for row in loaded["envelope"]["per_n"][-1]["grid"])
+        assert all(type(rank["passed"]) is bool for rank in loaded["order_stats"]["ranks"])
+
 
 def _stored(config, n, replicate, **changes):
-    # A record as trials.csv stores it for this config, with made-up statistics.
-    p = config.rule.p_for(n)
-    rec = TrialRecord(
-        n=n, p=p, replicate=replicate, seed=derive_seed(config.seed, n, replicate),
-        a_np=norming_constant(config.model, n * p), scaled_norm=1.0, offdiag_dev=0.1,
-        top_diag=(1.0, 0.5, 0.2), diag_sq_max=math.nan,
-    )
+    # The record of this trial of the config as trials.csv stores it.
+    spec = config.template.spec(config.rule.p_for(n), n, derive_seed(config.seed, n, replicate))
+    rec = replace(run_trial(spec, top_k=config.top_k), replicate=replicate, diag_sq_max=math.nan)
     return replace(rec, **changes)
 
 
@@ -600,6 +634,9 @@ class TestConfig:
             batch_from_records(config, [replace(rec, p=7), _stored(config, 40, 1)])
         with pytest.raises(ValueError, match=r"0 missing \[\], 1 extra \[\(80, 0\)\]"):
             batch_from_records(config, [rec, _stored(config, 40, 1), replace(rec, n=80, p=9)])
+        # A header-only trials.csv under --replicates 0 has no replicate 0 to rerun.
+        with pytest.raises(ValueError, match=r"replicates must be >= 1, got 0"):
+            batch_from_records(replace(config, replicates=0), [])
 
     def test_batch_from_records_rejects_other_seed_model_or_top_k(self):
         config = ExperimentConfig(
@@ -622,6 +659,34 @@ class TestConfig:
             batch_from_records(config, [first, two_tops])
         assert batch_from_records(config, [first, _stored(config, 40, 1)]).top_k == 3
 
+    def test_batch_from_records_rejects_other_filter_or_statistics(self):
+        config = ExperimentConfig(
+            model=MODEL15,
+            filter=_fs((1.0, 0.5), (1.0, 0.5)),
+            rule=DimensionRule(beta=0.5),
+            n_values=(40, 60),
+            replicates=2,
+            seed=7,
+        )
+        records = [_stored(config, n, r) for n in (40, 60) for r in range(2)]
+        assert batch_from_records(config, records).records == tuple(records)
+        for window in ("c", "theta"):
+            other = replace(config, filter=replace(config.filter, **{window: CoefficientSequence((1.0, 0.6))}))
+            with pytest.raises(ValueError, match=r"scaled_norm = .* at \(n, replicate\) = \(40, 0\), a rerun"):
+                batch_from_records(other, records)
+        at_60 = records[2]
+        assert (at_60.n, at_60.replicate) == (60, 0)
+        for changes, name in (
+            ({"offdiag_dev": at_60.offdiag_dev * (1 + 1e-6)}, "offdiag_dev"),
+            ({"top_diag": (at_60.top_diag[0], at_60.top_diag[1] + 1e-6 * at_60.top_diag[0], at_60.top_diag[2])}, "top2"),
+        ):
+            changed = [*records[:2], replace(at_60, **changes), records[3]]
+            with pytest.raises(ValueError, match=rf"{name} = .* at \(n, replicate\) = \(60, 0\), a rerun"):
+                batch_from_records(config, changed)
+        # Within the tolerance, as another BLAS build may differ, it is the same run.
+        nudged = replace(at_60, scaled_norm=at_60.scaled_norm * (1 + 1e-12))
+        assert batch_from_records(config, [*records[:2], nudged, records[3]]).records[2] == nudged
+
     def test_unknown_checks_key_rejected(self):
         d = {
             "model": {"family": "pareto_symmetric", "alpha": 1.2},
@@ -634,3 +699,5 @@ class TestConfig:
         }
         with pytest.raises(ValueError, match=r"unknown checks \['order_stat'\]"):
             ExperimentConfig.from_dict(d)
+        with pytest.raises(ValueError, match=r"^unknown config keys \['slack'\]; known: \['checks', "):
+            ExperimentConfig.from_dict({**d, "checks": {}, "slack": 0.05})

@@ -284,9 +284,10 @@ class TestIndexedUniforms:
     def test_lane_and_tag_separate_streams(self):
         idx = np.arange(1000)
         base = index_uniforms(3, idx)
-        assert not np.array_equal(base, index_uniforms(3, idx, lane=1))
         assert not np.array_equal(base, index_uniforms(3, idx, tag=1))
         assert not np.array_equal(base, index_uniforms(4, idx))
+        grid = grid_uniforms(3, np.arange(30), np.arange(30))
+        assert not np.array_equal(grid, grid_uniforms(3, np.arange(30), np.arange(30), lane=1))
 
     def test_grid_not_symmetric_in_row_col(self):
         g = grid_uniforms(3, np.arange(50), np.arange(50))
