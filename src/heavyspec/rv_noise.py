@@ -22,7 +22,6 @@ __all__ = [
     "TailModel",
     "abs_survival",
     "derive_key",
-    "grid_uniforms",
     "index_uniforms",
     "mean_value",
     "norming_constant",
@@ -143,15 +142,28 @@ _LANE_SALT = np.uint64(0xD6E8FEB86659FD93)
 _TAG_SALT = np.uint64(0x2545F4914F6CDD1D)
 
 _U64_MASK = (1 << 64) - 1
+_SIGN_BIT = np.uint64(1 << 63)
+_UNIT_SHIFT = np.uint64(11)
 
 
-def _finalize(x: np.ndarray) -> np.ndarray:
-    # splitmix64 output function; bijective on uint64 with full avalanche.
+def _mix_(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    # splitmix64 output function, in place on x; tmp is scratch of x's shape.
+    # Bijective on uint64 with full avalanche.
     with np.errstate(over="ignore"):
-        x = x + _GOLDEN
-        x = (x ^ (x >> np.uint64(30))) * _MIX1
-        x = (x ^ (x >> np.uint64(27))) * _MIX2
-        return x ^ (x >> np.uint64(31))
+        x += _GOLDEN
+        for shift, mult in ((30, _MIX1), (27, _MIX2)):
+            np.right_shift(x, np.uint64(shift), out=tmp)
+            x ^= tmp
+            x *= mult
+        np.right_shift(x, np.uint64(31), out=tmp)
+        x ^= tmp
+    return x
+
+
+def _finalize(x) -> np.ndarray:
+    # Copy, then mix; a scalar in gives a scalar out.
+    x = np.array(x, dtype=np.uint64)
+    return _mix_(x, np.empty_like(x))[()]
 
 
 def _encode(idx) -> np.ndarray:
@@ -168,19 +180,53 @@ def _stream_head(seed: int, tag: int) -> np.uint64:
 
 
 def _to_unit(h: np.ndarray) -> np.ndarray:
-    # Strictly inside (0, 1) so inverse-CDF transforms never hit the endpoints.
-    return ((h >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    # The top 53 bits m map to (m + 0.5) * 2**-53, which lies in (0, 1]: never
+    # 0, but m = 2**53 - 1 gives exactly 1.0 because 2**53 - 0.5 rounds to
+    # even.  Consumes h (shifted in place).
+    h >>= _UNIT_SHIFT
+    u = h.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
-def _lane(h: np.ndarray, lane: int) -> np.ndarray:
-    if lane == 0:
-        return h
-    with np.errstate(over="ignore"):
-        return _finalize(h ^ (np.uint64(lane) * _LANE_SALT))
+def _sign_threshold(q: float) -> int:
+    """Least m in [0, 2**53) whose unit value (m + 0.5) * 2**-53 is >= q.
+
+    The unit map is non-decreasing in m, so ``unit(m) < q`` holds exactly when
+    ``m < _sign_threshold(q)``; m = 2**53 - 1 maps to 1.0, so q <= 1 has one.
+    """
+    lo, hi = 0, (1 << 53) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (float(mid) + 0.5) * 2.0**-53 >= q:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _negative_bits(h1: np.ndarray, q: float) -> np.ndarray:
+    # Consumes the lane-1 hash h1: its unit value is < q exactly when its top
+    # 53 bits m are < T, and the sign bit of (T - 1) - m, wrapping, is set
+    # exactly when m >= T.  Returns that sign bit per entry.
+    h1 >>= _UNIT_SHIFT
+    np.subtract(np.uint64((_sign_threshold(q) - 1) & _U64_MASK), h1, out=h1)
+    h1 &= _SIGN_BIT
+    return h1
+
+
+def _grid_hash(seed: int, row_range, col_range) -> tuple[np.ndarray, np.ndarray]:
+    # Lane-0 hash of every (row, col) in the rectangle, keyed by (seed, row, col),
+    # and a scratch buffer of the same shape for further in-place mixing.
+    hr = _finalize(_stream_head(seed, 0) ^ _encode(np.arange(*row_range)))
+    h = hr[:, None] ^ _encode(np.arange(*col_range))[None, :]
+    tmp = np.empty_like(h)
+    return _mix_(h, tmp), tmp
 
 
 def index_uniforms(seed: int, idx, tag: int = 0) -> np.ndarray:
-    """Uniform(0,1) keyed by (seed, tag, index), one value per index."""
+    """Uniform(0,1] keyed by (seed, tag, index), one value per index."""
     return _to_unit(_finalize(_stream_head(seed, tag) ^ _encode(idx)))
 
 
@@ -191,13 +237,6 @@ def derive_key(seed: int, *indices: int) -> int:
     for ix in indices:
         h = _finalize(h ^ _encode(ix))
     return int(h)
-
-
-def grid_uniforms(seed: int, rows, cols, lane: int = 0) -> np.ndarray:
-    """Uniform(0,1) on the outer grid rows x cols, keyed by (seed, row, col, lane)."""
-    hr = _finalize(_stream_head(seed, 0) ^ _encode(rows))
-    h = _finalize(hr[:, None] ^ _encode(cols)[None, :])
-    return _to_unit(_lane(h, lane))
 
 
 # ---------------------------------------------------------------------------
@@ -213,26 +252,34 @@ def sample_noise(
     """Fill the logical rectangle with iid draws from ``model``.
 
     Entry (i, t) depends only on (seed, i, t): enlarging the rectangle
-    extends the panel without reshuffling the overlap.
+    extends the panel without reshuffling the overlap.  The magnitude comes
+    from the lane-0 hash of (seed, i, t); the sign of the two-sided Pareto
+    families from lane 1, that hash salted and mixed once more.
     """
     r0, r1 = row_range
     c0, c1 = col_range
     if r1 <= r0 or c1 <= c0:
         raise ValueError(f"ranges must be nonempty, got rows={row_range} cols={col_range}")
-    rows = np.arange(r0, r1, dtype=np.int64)
-    cols = np.arange(c0, c1, dtype=np.int64)
-    u = grid_uniforms(seed, rows, cols, lane=0)
+    h, tmp = _grid_hash(seed, row_range, col_range)
+    sign = None
+    if model.family in (PARETO_SYMMETRIC, PARETO_SKEWED):
+        sign = _negative_bits(_mix_(h ^ _LANE_SALT, tmp), model.q)
+    # Drop the scratch before _to_unit allocates the float panel and the hash
+    # once it is consumed: at most three panel-sized buffers live at once.
+    del tmp
+    u = _to_unit(h)
+    del h
     if model.family == STUDENT_T:
-        values = model.scale * stats.t.ppf(u, df=model.alpha)
-    else:
-        magnitude = model.scale * u ** (-1.0 / model.alpha)
-        if model.family == PARETO_POSITIVE:
-            values = magnitude
-        else:
-            u_sign = grid_uniforms(seed, rows, cols, lane=1)
-            sign = np.where(u_sign < model.q, 1.0, -1.0)
-            values = sign * magnitude
-    return NoisePanel(values=values, row_offset=r0, col_offset=c0)
+        return NoisePanel(
+            values=model.scale * stats.t.ppf(u, df=model.alpha), row_offset=r0, col_offset=c0
+        )
+    u **= -1.0 / model.alpha
+    u *= model.scale
+    if sign is not None:
+        # Setting the sign bit of a positive magnitude is exactly -1.0 * it.
+        bits = u.view(np.uint64)
+        bits ^= sign
+    return NoisePanel(values=u, row_offset=r0, col_offset=c0)
 
 
 def abs_survival(model: TailModel, x) -> np.ndarray | float:

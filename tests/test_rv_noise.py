@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from heavyspec import rv_noise as rvn
 from heavyspec.rv_noise import (
     FAMILIES,
     NoiseCoverageError,
@@ -16,7 +17,6 @@ from heavyspec.rv_noise import (
     TailModel,
     abs_survival,
     derive_key,
-    grid_uniforms,
     index_uniforms,
     mean_value,
     norming_constant,
@@ -33,6 +33,30 @@ def _models():
         TailModel("pareto_skewed", alpha=1.5, q=0.3),
         TailModel("student_t", alpha=3.0),
     ]
+
+
+def _lanes(seed, row_range, col_range):
+    """The lane-0 and lane-1 uint64 grid hashes that ``sample_noise`` draws from."""
+    h, tmp = rvn._grid_hash(seed, row_range, col_range)
+    return h.copy(), rvn._mix_(h ^ rvn._LANE_SALT, tmp)
+
+
+def _unit(m):
+    # The float unit map on top-53-bit values m, as the allocating formula wrote it.
+    return (np.asarray(m, dtype=np.uint64).astype(np.float64) + 0.5) * 2.0**-53
+
+
+def _reference_noise(model, row_range, col_range, seed):
+    """The allocating formula the in-place sampler must reproduce bit for bit."""
+    lane0, lane1 = _lanes(seed, row_range, col_range)
+    u = _unit(lane0 >> np.uint64(11))
+    if model.family == "student_t":
+        return model.scale * stats.t.ppf(u, df=model.alpha)
+    magnitude = model.scale * u ** (-1.0 / model.alpha)
+    if model.family == "pareto_positive":
+        return magnitude
+    u_sign = _unit(lane1 >> np.uint64(11))
+    return np.where(u_sign < model.q, 1.0, -1.0) * magnitude
 
 
 class TestTailModel:
@@ -286,19 +310,97 @@ class TestIndexedUniforms:
         base = index_uniforms(3, idx)
         assert not np.array_equal(base, index_uniforms(3, idx, tag=1))
         assert not np.array_equal(base, index_uniforms(4, idx))
-        grid = grid_uniforms(3, np.arange(30), np.arange(30))
-        assert not np.array_equal(grid, grid_uniforms(3, np.arange(30), np.arange(30), lane=1))
+        lane0, lane1 = _lanes(3, (0, 30), (0, 30))
+        assert not np.array_equal(lane0, lane1)
 
     def test_grid_not_symmetric_in_row_col(self):
-        g = grid_uniforms(3, np.arange(50), np.arange(50))
+        g = rvn._to_unit(_lanes(3, (0, 50), (0, 50))[0])
         assert not np.allclose(g, g.T)
 
     def test_uniform_moments(self):
-        u = grid_uniforms(11, np.arange(1000), np.arange(1000)).ravel()
-        se = 1.0 / math.sqrt(12.0 * u.size)
-        assert abs(u.mean() - 0.5) <= 4.0 * se
-        assert abs(np.mean(u * u) - 1.0 / 3.0) <= 4.0 * math.sqrt(4.0 / 45.0 / u.size)
+        for lane in _lanes(11, (0, 1000), (0, 1000)):
+            u = rvn._to_unit(lane).ravel()
+            se = 1.0 / math.sqrt(12.0 * u.size)
+            assert abs(u.mean() - 0.5) <= 4.0 * se
+            assert abs(np.mean(u * u) - 1.0 / 3.0) <= 4.0 * math.sqrt(4.0 / 45.0 / u.size)
 
     def test_derive_key_distinct(self):
         keys = {derive_key(5, n, r) for n in range(100) for r in range(100)}
         assert len(keys) == 10000
+
+
+class TestCounterContract:
+    # Digests of the little-endian uint64 lane hashes for seed 20240607 on
+    # rows [-3, 37) x cols [-5, 52).  Integer arithmetic only, so they hold on
+    # every machine; a change here changes every panel ever drawn.
+    LANE0_SHA256 = "e2a62621eef16547cad736425cc112170db2bc31fd8470bb63aaac1409faedf2"
+    LANE1_SHA256 = "a34401f0468f6225800bd141d73a04726bc9a5adba170764b9cc0462d9829ba2"
+
+    def test_lane_hash_digests(self):
+        lane0, lane1 = _lanes(20240607, (-3, 37), (-5, 52))
+        assert lane0.shape == (40, 57)
+        assert hashlib.sha256(lane0.astype("<u8").tobytes()).hexdigest() == self.LANE0_SHA256
+        assert hashlib.sha256(lane1.astype("<u8").tobytes()).hexdigest() == self.LANE1_SHA256
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            TailModel("pareto_symmetric", alpha=1.2),
+            TailModel("pareto_symmetric", alpha=1.0, scale=3.0),
+            TailModel("pareto_positive", alpha=3.0, q=1.0, scale=0.7),
+            TailModel("pareto_skewed", alpha=1.5, q=0.0, scale=2.5),
+            TailModel("pareto_skewed", alpha=1.5, q=0.3, scale=2.5),
+            TailModel("pareto_skewed", alpha=2.0, q=1.0),
+            TailModel("student_t", alpha=3.0, scale=2.0),
+        ],
+        ids=lambda m: f"{m.family}-a{m.alpha}-q{m.q}-s{m.scale}",
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 2**63 + 5])
+    def test_sampler_matches_allocating_reference(self, model, seed):
+        rows, cols = (-7, 33), (-12, 50)
+        panel = sample_noise(model, rows, cols, seed)
+        assert np.array_equal(panel.values, _reference_noise(model, rows, cols, seed))
+
+    def test_unit_range_is_half_open_at_zero_closed_at_one(self):
+        # 2**53 - 0.5 rounds to even, so the largest value is exactly 1.0 (and
+        # under student_t that entry is ppf(1) = inf, a 2**-53 event per entry).
+        top = (1 << 53) - 1
+        # 2**53 - 1.5 rounds down to even, one step below 1.0.
+        expected = [1.0, 1.0 - 2.0**-52, 2.0**-54]
+        for h in ([top << 11, (top - 1) << 11, 0], [2**64 - 1, ((top - 1) << 11) | 2047, 2047]):
+            u = rvn._to_unit(np.array(h, dtype=np.uint64))
+            assert u.tolist() == expected
+            assert _unit(np.array(h, dtype=np.uint64) >> np.uint64(11)).tolist() == expected
+
+
+class TestSignThreshold:
+    QS = [0.0, 0.3, 0.5, 1.0, math.nextafter(0.5, 0.0), math.nextafter(1.0, 0.0)]
+
+    @pytest.mark.parametrize("q", QS)
+    def test_threshold_is_least_m_at_or_above_q(self, q):
+        t = rvn._sign_threshold(q)
+        assert 0 <= t < 2**53
+        assert _unit([t])[0] >= q
+        if t > 0:
+            assert _unit([t - 1])[0] < q
+
+    @pytest.mark.parametrize("q", QS + [0.123456789, 0.75, 2.0**-54, 1e-300])
+    def test_integer_test_agrees_with_float_rule(self, q):
+        t = rvn._sign_threshold(q)
+        rng = np.random.default_rng(4)
+        near = np.arange(-600, 600)
+        m = np.concatenate(
+            [
+                rng.integers(0, 2**53, size=200_000, dtype=np.uint64),
+                (2**52 + near).astype(np.uint64),
+                np.clip(t + near, 0, 2**53 - 1).astype(np.uint64),
+                np.array([0, 2**53 - 2, 2**53 - 1], dtype=np.uint64),
+            ]
+        )
+        u = _unit(m)
+        assert np.array_equal(m >= np.uint64(t), u >= q)
+        # The sampler's sign bit is set exactly where the old rule gave -1,
+        # whatever the 11 low bits that the unit map drops.
+        low = rng.integers(0, 2048, size=m.size, dtype=np.uint64)
+        negative = rvn._negative_bits((m << np.uint64(11)) | low, q) == np.uint64(1 << 63)
+        assert np.array_equal(negative, ~(u < q))
