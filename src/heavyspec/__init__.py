@@ -18,7 +18,6 @@ from .limit_law import (
     bound_cdf_upper,
     bound_constants,
     limit_order_statistics,
-    ma1_constants,
 )
 from .linear_filter import (
     CoefficientSequence,

@@ -26,7 +26,7 @@ from .limit_law import (
     frechet_quantile,
     limit_order_statistics,
 )
-from .linear_filter import FilterSpec, build_row_process
+from .linear_filter import FilterSpec, build_row_process, config_int
 from .linear_filter import build_xhat  # noqa: F401  (perfbench's tracer wraps this name)
 from .rv_noise import TailModel, derive_key, mean_value, norming_constant, sample_noise
 from .spectral import (
@@ -135,7 +135,7 @@ class DimensionRule:
         return cls(
             beta=float(d["beta"]),
             const=float(d.get("const", 1.0)),
-            p_max=None if p_max is None else int(p_max),
+            p_max=None if p_max is None else config_int(p_max, "p_max"),
         )
 
 
@@ -623,20 +623,22 @@ class ExperimentConfig:
         unknown = sorted(set(d) - set(_CONFIG_KEYS))
         if unknown:
             raise ValueError(f"unknown config keys {unknown}; known: {sorted(_CONFIG_KEYS)}")
-        checks = dict.fromkeys(CHECKS, True)
-        unknown = sorted(set(d.get("checks", {})) - set(checks))
+        flags = d.get("checks", {})
+        if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
+            raise ValueError(f"checks must map check names to true or false, got {flags!r}")
+        unknown = sorted(set(flags) - set(CHECKS))
         if unknown:
-            raise ValueError(f"unknown checks {unknown}; known: {sorted(checks)}")
-        checks.update(d.get("checks", {}))
+            raise ValueError(f"unknown checks {unknown}; known: {sorted(CHECKS)}")
+        checks = {**dict.fromkeys(CHECKS, True), **flags}
         return cls(
             model=TailModel.from_dict(d["model"]),
             filter=FilterSpec.from_dict(d["filter"]),
             rule=DimensionRule.from_dict(d["dimension_rule"]),
-            n_values=tuple(int(n) for n in d["n_values"]),
-            replicates=int(d["replicates"]),
-            seed=int(d["seed"]),
+            n_values=tuple(config_int(n, "n_values entry") for n in d["n_values"]),
+            replicates=config_int(d["replicates"], "replicates"),
+            seed=config_int(d["seed"], "seed"),
             checks=checks,
-            top_k=int(d.get("top_k", 3)),
+            top_k=config_int(d.get("top_k", 3), "top_k"),
         )
 
 

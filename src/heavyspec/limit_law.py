@@ -23,7 +23,6 @@ __all__ = [
     "frechet_cdf",
     "frechet_quantile",
     "limit_order_statistics",
-    "ma1_constants",
 ]
 
 _GAMMA_TAG = 0x47
@@ -108,9 +107,3 @@ def limit_order_statistics(spec: FilterSpec, alpha: float, k: int, seed: int) ->
     points = (gammas ** (-2.0 / alpha))[:, None] * theta[None, :] * spec.c.sq_sum
     return np.sort(points.ravel())[-k:][::-1].copy()
 
-
-def ma1_constants(theta: float) -> tuple[float, float]:
-    """Lower and upper scale constants of the first-order row-average model."""
-    lower = max(1.0, theta * theta)
-    upper = max(1.0 + abs(theta), abs(theta) + theta * theta)
-    return lower, upper

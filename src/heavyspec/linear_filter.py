@@ -25,6 +25,15 @@ __all__ = [
 ]
 
 
+def config_int(value, name: str) -> int:
+    """A config count as an int; refuses booleans and non-integral numbers."""
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CoefficientSequence:
     """A finite real coefficient window; ``values[v]`` sits at lag ``min_lag + v``."""
@@ -64,7 +73,8 @@ class CoefficientSequence:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CoefficientSequence":
-        return cls(values=tuple(float(v) for v in d["values"]), min_lag=int(d.get("min_lag", 0)))
+        min_lag = config_int(d.get("min_lag", 0), "min_lag")
+        return cls(values=tuple(float(v) for v in d["values"]), min_lag=min_lag)
 
 
 @dataclass(frozen=True)

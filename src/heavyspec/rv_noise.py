@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
-from scipy import stats
+from scipy import special
 
 __all__ = [
     "FAMILIES",
@@ -270,10 +269,10 @@ def sample_noise(
     u = _to_unit(h)
     del h
     if model.family == STUDENT_T:
-        return NoisePanel(
-            values=model.scale * stats.t.ppf(u, df=model.alpha), row_offset=r0, col_offset=c0
-        )
-    u **= -1.0 / model.alpha
+        # The t quantile function that stats.t.ppf calls, so the same bits.
+        special.stdtrit(model.alpha, u, out=u)
+    else:
+        u **= -1.0 / model.alpha
     u *= model.scale
     if sign is not None:
         # Setting the sign bit of a positive magnitude is exactly -1.0 * it.
@@ -288,7 +287,7 @@ def abs_survival(model: TailModel, x) -> np.ndarray | float:
     if model.is_pareto:
         out = np.where(x <= model.scale, 1.0, (model.scale / np.maximum(x, model.scale)) ** model.alpha)
     else:
-        out = 2.0 * stats.t.sf(np.maximum(x, 0.0) / model.scale, df=model.alpha)
+        out = 2.0 * special.stdtr(model.alpha, -(np.maximum(x, 0.0) / model.scale))
         out = np.where(x < 0.0, 1.0, out)
     return out if out.ndim else float(out)
 
@@ -299,26 +298,25 @@ def norming_constant(model: TailModel, m: int) -> float:
         raise ValueError(f"m must be >= 1, got {m}")
     if model.is_pareto:
         return model.scale * float(m) ** (1.0 / model.alpha)
-    # |Z|/scale has survival 2*sf_t; invert at level 1/m.
-    return model.scale * float(stats.t.isf(0.5 / m, df=model.alpha))
+    # |Z|/scale has survival 2*sf_t, so a/scale is minus the t quantile at
+    # 1/(2m); abs, not negation, keeps a = +0.0 at m = 1, as stats.t.isf does.
+    return model.scale * abs(float(special.stdtrit(model.alpha, 0.5 / m)))
 
 
 def truncated_second_moment(model: TailModel, cutoff: float) -> float:
-    """E(Z^2 1{Z^2 <= cutoff^2}) = E(Z^2 1{|Z| <= cutoff})."""
+    """E(Z^2 1{|Z| <= cutoff}) at alpha = 2, the one tail index where it
+    centres S; a closed form for both families."""
+    if model.alpha != 2.0:
+        raise ValueError(f"truncated second moment is defined at alpha = 2 only, got {model.alpha}")
     if not cutoff > 0.0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
+    s = model.scale
     if model.is_pareto:
-        s, a = model.scale, model.alpha
-        if cutoff <= s:
-            return 0.0
-        if a == 2.0:
-            return 2.0 * s * s * math.log(cutoff / s)
-        return a * s**a * (cutoff ** (2.0 - a) - s ** (2.0 - a)) / (2.0 - a)
-    upper = cutoff / model.scale
-    val, _ = integrate.quad(
-        lambda u: u * u * stats.t.pdf(u, df=model.alpha), 0.0, upper, epsrel=1e-8, limit=200
-    )
-    return 2.0 * model.scale**2 * val
+        return 2.0 * s * s * math.log(cutoff / s) if cutoff > s else 0.0
+    # The t_2 density is (2 + u^2)^(-3/2), so the integral of u^2 times it
+    # over [0, u] is asinh(u/sqrt 2) - u/sqrt(2 + u^2).
+    u = cutoff / s
+    return 2.0 * s * s * (math.asinh(u / math.sqrt(2.0)) - u / math.sqrt(2.0 + u * u))
 
 
 def second_moment(model: TailModel) -> float:

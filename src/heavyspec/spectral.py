@@ -12,8 +12,6 @@ oracle in the tests.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.linalg import toeplitz
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
@@ -39,16 +37,15 @@ class SpectralNormError(RuntimeError):
 
 
 def mu_x_alpha(model: TailModel, c: CoefficientSequence, a_np: float) -> float:
-    """Centering level: 0 below tail index 2, truncated second moment at 2 with
-    infinite variance, the exact second moment otherwise; times sum c_j^2."""
+    """Centering level: 0 below tail index 2, the second moment truncated at
+    a_np at 2, the exact second moment above 2; times sum c_j^2."""
     if not a_np > 0.0:
         raise ValueError(f"a_np must be positive, got {a_np}")
     if model.alpha < 2.0:
         return 0.0
-    ez2 = second_moment(model)
-    if model.alpha == 2.0 and math.isinf(ez2):
+    if model.alpha == 2.0:
         return truncated_second_moment(model, a_np) * c.sq_sum
-    return ez2 * c.sq_sum
+    return second_moment(model) * c.sq_sum
 
 
 def centered_covariance(

@@ -24,7 +24,7 @@ from heavyspec.experiment import (
     order_stat_check,
     run_batch,
 )
-from heavyspec.limit_law import bound_constants, frechet_cdf, ma1_constants
+from heavyspec.limit_law import bound_constants, frechet_cdf
 from heavyspec.linear_filter import CoefficientSequence, FilterSpec
 from heavyspec.rv_noise import TailModel
 from heavyspec.spectral import centered_covariance, mu_x_alpha, spectral_norm
@@ -96,10 +96,10 @@ def test_criterion_1_exact_algebra():
     b2 = bound_constants(_fs((1.0,), (1.0, 0.5)), 2.0)
     ok &= b2.lower_scale == 1.0 and b2.upper_scale == 1.5
 
-    # ma1_constants.
-    ok &= ma1_constants(0.0) == (1.0, 1.0)
-    ok &= ma1_constants(1.0) == (1.0, 2.0)
-    ok &= ma1_constants(2.0) == (4.0, 6.0)
+    # First-order constants: bound_constants on c = (1), theta = (1, t).
+    for t, expected in ((0.0, (1.0, 1.0)), (1.0, (1.0, 2.0)), (2.0, (4.0, 6.0))):
+        b = bound_constants(_fs((1.0,), (1.0, t)), 2.0)
+        ok &= (b.lower_scale, b.upper_scale) == expected
 
     elapsed = time.perf_counter() - t0
     ok = bool(ok) and elapsed < 1.0
@@ -192,8 +192,7 @@ def test_criterion_7_ma1_constants():
     )
     rule = DimensionRule(beta=0.9, const=1.0, p_max=400)
     batch = run_batch(template, rule, [1000], 500, base_seed=20250305, workers=WORKERS)
-    lower_const, _ = ma1_constants(theta)
-    scale = lower_const * template.filter.c.sq_sum
+    scale = bound_constants(template.filter, 1.5).lower_scale
     values = np.array([r.diag_sq_max for r in batch.records])
     ks = ks_distance(values, lambda x: frechet_cdf(x, scale, 1.5))
     ok = ks <= 0.10

@@ -195,6 +195,30 @@ def test_refuses_config_with_unknown_key(config_path, capsys, key):
 
 
 @pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("checks", {"envelope": "false"}, "checks must map check names to true or false"),
+        ("replicates", 2.7, "replicates must be an integer, got 2.7"),
+        ("top_k", 2.9, "top_k must be an integer, got 2.9"),
+    ],
+)
+def test_refuses_non_boolean_flag_and_non_integral_count(
+    config_path, tmp_path, capsys, key, value, message
+):
+    with open(config_path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    config[key] = value
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    assert main(["run", "--config", config_path, "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+    assert "Traceback" not in captured.err
+    assert not os.path.exists(os.path.join(tmp_path, "out", "trials.csv"))
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         ("validate --config {config} --alpha 5", "alpha must lie in (0, 4), got 5.0"),

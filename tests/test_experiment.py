@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -701,3 +702,53 @@ class TestConfig:
             ExperimentConfig.from_dict(d)
         with pytest.raises(ValueError, match=r"^unknown config keys \['slack'\]; known: \['checks', "):
             ExperimentConfig.from_dict({**d, "checks": {}, "slack": 0.05})
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("checks", "envelope"), "false", "checks must map check names to true or false"),
+            (("checks", "ks"), 0, "checks must map check names to true or false"),
+            (("checks",), ["envelope"], "checks must map check names to true or false"),
+            (("replicates",), 2.7, "replicates must be an integer, got 2.7"),
+            (("replicates",), True, "replicates must be an integer, got True"),
+            (("top_k",), 2.9, "top_k must be an integer, got 2.9"),
+            (("seed",), "3", "seed must be an integer, got '3'"),
+            (("n_values", 1), 100.5, "n_values entry must be an integer, got 100.5"),
+            (("dimension_rule", "p_max"), 40.5, "p_max must be an integer, got 40.5"),
+            (("filter", "theta", "min_lag"), False, "min_lag must be an integer, got False"),
+        ],
+    )
+    def test_refuses_non_boolean_flag_and_non_integral_count(self, path, value, message):
+        # int() used to truncate 2.7 to 2, and a string flag "false" ran the check.
+        d = {
+            "model": {"family": "pareto_symmetric", "alpha": 1.2},
+            "filter": {"c": {"values": [1.0]}, "theta": {"values": [1.0]}},
+            "dimension_rule": {"beta": 0.9, "p_max": 40},
+            "n_values": [100, 200],
+            "replicates": 2,
+            "seed": 3,
+            "checks": {"envelope": True},
+            "top_k": 2,
+        }
+        assert ExperimentConfig.from_dict(d).replicates == 2
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_dict(d)
+
+    def test_integral_float_counts_are_accepted(self):
+        d = {
+            "model": {"family": "pareto_symmetric", "alpha": 1.2},
+            "filter": {"c": {"values": [1.0]}, "theta": {"values": [1.0], "min_lag": -1.0}},
+            "dimension_rule": {"beta": 0.9, "p_max": 40.0},
+            "n_values": [100.0],
+            "replicates": 2.0,
+            "seed": 3.0,
+            "top_k": 2.0,
+        }
+        config = ExperimentConfig.from_dict(d)
+        assert (config.replicates, config.seed, config.top_k, config.n_values) == (2, 3, 2, (100,))
+        assert (config.rule.p_max, config.filter.theta.min_lag) == (40, -1)
+        assert all(type(v) is int for v in (config.replicates, config.seed, config.top_k, config.rule.p_max))

@@ -15,7 +15,6 @@ from heavyspec.limit_law import (
     frechet_cdf,
     frechet_quantile,
     limit_order_statistics,
-    ma1_constants,
 )
 from heavyspec.linear_filter import CoefficientSequence, FilterSpec
 
@@ -218,20 +217,24 @@ class TestLimitOrderStatistics:
 
 
 class TestMa1Constants:
+    """The first-order row filter theta = (1, t): bound_constants gives
+    (max(1, t^2), max(1 + |t|, |t| + t^2))."""
+
+    def _constants(self, theta):
+        b = bound_constants(_fs((1.0,), (1.0, theta)), 1.5)
+        return b.lower_scale, b.upper_scale
+
     def test_zero(self):
-        assert ma1_constants(0.0) == (1.0, 1.0)
+        assert self._constants(0.0) == (1.0, 1.0)
 
     def test_one(self):
-        assert ma1_constants(1.0) == (1.0, 2.0)
+        assert self._constants(1.0) == (1.0, 2.0)
 
     def test_two(self):
-        assert ma1_constants(2.0) == (4.0, 6.0)
+        assert self._constants(2.0) == (4.0, 6.0)
 
-    def test_contained_in_theorem_bounds(self):
-        # First-order constants must sit inside [lower, upper] of the generic window.
-        for theta in (0.3, 0.7, 1.0, 1.5, 2.5):
-            fs = _fs((1.0,), (1.0, theta))
-            b = bound_constants(fs, 1.5)
-            lo, hi = ma1_constants(theta)
-            assert b.lower_scale <= lo + 1e-12
-            assert hi <= b.upper_scale + 1e-12
+    @pytest.mark.parametrize("theta", [-2.5, -0.7, 0.3, 0.7, 1.0, 1.5, 2.5])
+    def test_first_order_closed_form(self, theta):
+        lower, upper = self._constants(theta)
+        assert lower == max(1.0, theta * theta)
+        assert upper == pytest.approx(max(1.0 + abs(theta), abs(theta) + theta * theta), rel=1e-15)

@@ -205,6 +205,13 @@ class TestNormingConstant:
         a = norming_constant(model, m)
         assert m * abs_survival(model, a) == pytest.approx(1.0, rel=1e-9)
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("m", [1, 10, 1000, 10**6])
+    def test_student_t_same_bits_as_scipy_isf(self, alpha, m):
+        model = TailModel("student_t", alpha=alpha, scale=1.3)
+        expected = 1.3 * float(stats.t.isf(0.5 / m, df=alpha))
+        assert norming_constant(model, m).hex() == expected.hex()
+
     def test_rejects_m_below_one(self):
         with pytest.raises(ValueError, match="m"):
             norming_constant(TailModel("pareto_symmetric", alpha=1.0), 0)
@@ -219,43 +226,60 @@ class TestTruncatedSecondMoment:
         model = TailModel("pareto_positive", alpha=2.0, q=1.0)
         assert truncated_second_moment(model, math.e) == pytest.approx(2.0, rel=1e-14)
 
-    def test_general_pareto_branch(self):
-        # alpha=3, scale=1: E(Z^2 1{|Z|<=c}) = 3(1 - 1/c).
-        model = TailModel("pareto_symmetric", alpha=3.0)
-        assert truncated_second_moment(model, 4.0) == pytest.approx(3.0 * (1 - 0.25), rel=1e-12)
+    @pytest.mark.parametrize("family", ["pareto_symmetric", "student_t"])
+    @pytest.mark.parametrize("alpha", [1.5, 1.999, 2.001, 3.0])
+    def test_rejects_alpha_other_than_two(self, family, alpha):
+        with pytest.raises(ValueError, match="alpha = 2 only"):
+            truncated_second_moment(TailModel(family, alpha=alpha), 4.0)
 
-    def test_large_cutoff_approaches_second_moment(self):
-        model = TailModel("pareto_positive", alpha=3.0, q=1.0)
-        assert truncated_second_moment(model, 1e12) == pytest.approx(
-            second_moment(model), rel=1e-6
+    @pytest.mark.parametrize("cutoff", [0.1, 0.5, 1.0, 10.0, 100.0, 1e4, 1e6])
+    def test_student_t_closed_form_matches_quadrature(self, cutoff):
+        from scipy import integrate
+
+        model = TailModel("student_t", alpha=2.0, scale=1.5)
+        value, _ = integrate.quad(
+            lambda u: u * u * stats.t.pdf(u, 2.0), 0.0, cutoff / 1.5,
+            epsabs=0.0, epsrel=1e-13, limit=200,
         )
-        cuts = [2.0, 10.0, 100.0, 1e6]
-        vals = [truncated_second_moment(model, c) for c in cuts]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
+        expected = 2.0 * 1.5**2 * value
+        assert truncated_second_moment(model, cutoff) == pytest.approx(expected, rel=1e-12)
+
+    def test_grows_like_two_log_cutoff(self):
+        # No second moment at alpha = 2: the truncated one grows without bound,
+        # as 2 log c for the Pareto and 2 log c + log 2 - 2 for t_2.
+        pareto = TailModel("pareto_positive", alpha=2.0, q=1.0)
+        student = TailModel("student_t", alpha=2.0)
+        cuts = [2.0, 10.0, 100.0, 1e6, 1e12]
+        for model in (pareto, student):
+            vals = [truncated_second_moment(model, c) for c in cuts]
+            assert all(a < b for a, b in zip(vals, vals[1:]))
+        assert truncated_second_moment(pareto, 1e12) == pytest.approx(2.0 * math.log(1e12), rel=1e-14)
+        gap = truncated_second_moment(student, 1e12) - 2.0 * math.log(1e12)
+        assert gap == pytest.approx(math.log(2.0) - 2.0, abs=1e-9)
 
     def test_bounded_cutoff_matches_monte_carlo_pareto(self):
         # Truncation bounds the integrand, so the sample mean has a clean SE
-        # even though the fourth moment of Z is infinite.
-        model = TailModel("pareto_positive", alpha=3.0, q=1.0)
+        # even though the second moment of Z is infinite.
+        model = TailModel("pareto_positive", alpha=2.0, q=1.0)
         value = truncated_second_moment(model, 4.0)
         rng = np.random.default_rng(7)
-        z = rng.pareto(3.0, size=10_000_000) + 1.0
+        z = rng.pareto(2.0, size=10_000_000) + 1.0
         kept = np.where(z <= 4.0, z * z, 0.0)
         se = kept.std() / math.sqrt(kept.size)
         assert abs(value - kept.mean()) <= 3.0 * se
 
-    def test_student_t_quadrature_matches_monte_carlo(self):
-        model = TailModel("student_t", alpha=3.0)
+    def test_student_t_closed_form_matches_monte_carlo(self):
+        model = TailModel("student_t", alpha=2.0)
         value = truncated_second_moment(model, 2.0)
         rng = np.random.default_rng(8)
-        z = rng.standard_t(3.0, size=10_000_000)
+        z = rng.standard_t(2.0, size=10_000_000)
         kept = np.where(np.abs(z) <= 2.0, z * z, 0.0)
         se = kept.std() / math.sqrt(kept.size)
         assert abs(value - kept.mean()) <= 3.0 * se
 
     def test_rejects_nonpositive_cutoff(self):
         with pytest.raises(ValueError, match="cutoff"):
-            truncated_second_moment(TailModel("pareto_symmetric", alpha=1.0), 0.0)
+            truncated_second_moment(TailModel("pareto_symmetric", alpha=2.0), 0.0)
 
 
 class TestSecondMoment:
