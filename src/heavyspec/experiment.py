@@ -26,7 +26,8 @@ from .limit_law import (
     frechet_quantile,
     limit_order_statistics,
 )
-from .linear_filter import FilterSpec, build_row_process, config_int
+from ._config import config_float, config_int, config_key, config_section
+from .linear_filter import FilterSpec, build_row_process
 from .linear_filter import build_xhat  # noqa: F401  (perfbench's tracer wraps this name)
 from .rv_noise import TailModel, derive_key, mean_value, norming_constant, sample_noise
 from .spectral import (
@@ -133,8 +134,8 @@ class DimensionRule:
     def from_dict(cls, d: dict) -> "DimensionRule":
         p_max = d.get("p_max")
         return cls(
-            beta=float(d["beta"]),
-            const=float(d.get("const", 1.0)),
+            beta=config_float(config_key(d, "beta"), "beta"),
+            const=config_float(d.get("const", 1.0), "const"),
             p_max=None if p_max is None else config_int(p_max, "p_max"),
         )
 
@@ -178,7 +179,8 @@ def validate(spec: EnsembleSpec, rule: DimensionRule) -> ValidationReport:
     if alpha > 5.0 / 3.0:
         mean = mean_value(spec.model)
         detail = f"E(Z)={mean:g} (required zero for alpha in (5/3, 4))"
-        zero_mean = ValidationItem("zero_mean", mean == 0.0, -abs(mean), detail)
+        # 0.0 - |mean| rather than -|mean|, so that a zero mean reads +0.
+        zero_mean = ValidationItem("zero_mean", mean == 0.0, 0.0 - abs(mean), detail)
     else:
         zero_mean = ValidationItem("zero_mean", True, math.inf, "not required for alpha <= 5/3")
     limit = beta_limit(alpha)
@@ -526,12 +528,8 @@ def order_stat_check(batch: TrialBatch) -> dict:
     if max(batch.filter.theta.values) <= 0.0:
         return {"applicable": False, "passed": None, "n": batch.largest_n, "k": k}
     emp = batch.top_matrix()
-    draws = np.array(
-        [
-            limit_order_statistics(batch.filter, batch.model.alpha, k, derive_key(_LIMIT_SEED, i))
-            for i in range(_LIMIT_DRAWS)
-        ]
-    )
+    seeds = derive_key(_LIMIT_SEED, np.arange(_LIMIT_DRAWS))
+    draws = limit_order_statistics(batch.filter, batch.model.alpha, k, seeds)
     ranks = []
     overall = True
     for r in range(k):
@@ -631,12 +629,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown checks {unknown}; known: {sorted(CHECKS)}")
         checks = {**dict.fromkeys(CHECKS, True), **flags}
         return cls(
-            model=TailModel.from_dict(d["model"]),
-            filter=FilterSpec.from_dict(d["filter"]),
-            rule=DimensionRule.from_dict(d["dimension_rule"]),
-            n_values=tuple(config_int(n, "n_values entry") for n in d["n_values"]),
-            replicates=config_int(d["replicates"], "replicates"),
-            seed=config_int(d["seed"], "seed"),
+            model=config_section(d, "model", TailModel.from_dict),
+            filter=config_section(d, "filter", FilterSpec.from_dict),
+            rule=config_section(d, "dimension_rule", DimensionRule.from_dict),
+            n_values=tuple(config_int(n, "n_values entry") for n in config_key(d, "n_values")),
+            replicates=config_int(config_key(d, "replicates"), "replicates"),
+            seed=config_int(config_key(d, "seed"), "seed"),
             checks=checks,
             top_k=config_int(d.get("top_k", 3), "top_k"),
         )

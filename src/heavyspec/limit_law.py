@@ -3,7 +3,9 @@
 The two envelope distributions are Fréchet-type laws driven by a single unit
 exponential; the order-statistic limit is the point process of the Poisson
 arrival times, weighted by the row window and the squared time window, whose
-k largest points are a closed form of the first k arrivals.
+k largest points are a closed form of the first k arrivals.  One call draws
+the limit for a whole array of seeds in a single broadcast pass, with the bits
+each seed gives alone.
 """
 
 from __future__ import annotations
@@ -81,15 +83,20 @@ def bound_cdf_upper(x, b: BoundConstants):
     return frechet_cdf(x, b.lower_scale, b.alpha)
 
 
-def _exp_increments(seed: int, start: int, stop: int) -> np.ndarray:
-    """Unit exponential gaps between the Poisson arrivals start..stop-1;
+def _exp_increments(seed, start: int, stop: int) -> np.ndarray:
+    """Unit exponential gaps between the Poisson arrivals start..stop-1, along
+    the last axis, for an int seed or each of a uint64 seed array;
     counter-based, keyed by (seed, index)."""
     u = index_uniforms(seed, np.arange(start, stop), tag=_GAMMA_TAG)
     return -np.log(u)
 
 
-def limit_order_statistics(spec: FilterSpec, alpha: float, k: int, seed: int) -> np.ndarray:
-    """One draw of the k largest points of the limit point process.
+def limit_order_statistics(spec: FilterSpec, alpha: float, k: int, seed) -> np.ndarray:
+    """Draws of the k largest points of the limit point process, in
+    decreasing order along the last axis: one draw per seed.
+
+    ``seed`` is an int or a uint64 array of seeds, and the result has shape
+    ``np.shape(seed) + (k,)``; each seed's row is the draw it gives alone.
 
     The points are Gamma_i^(-2/alpha) * theta_l * sum_j c_j^2 over the arrival
     indices i and window lags l.  Gamma_i^(-2/alpha) falls as i grows, so a
@@ -103,7 +110,7 @@ def limit_order_statistics(spec: FilterSpec, alpha: float, k: int, seed: int) ->
     theta = np.asarray(spec.theta.values, dtype=float)
     if float(theta.max()) <= 0.0:
         raise ValueError("order-statistic limit needs at least one positive theta weight")
-    gammas = np.cumsum(_exp_increments(seed, 0, k))
-    points = (gammas ** (-2.0 / alpha))[:, None] * theta[None, :] * spec.c.sq_sum
-    return np.sort(points.ravel())[-k:][::-1].copy()
-
+    gammas = np.cumsum(_exp_increments(seed, 0, k), axis=-1)
+    points = (gammas ** (-2.0 / alpha))[..., None] * theta * spec.c.sq_sum
+    points = np.sort(points.reshape(np.shape(seed) + (-1,)), axis=-1)
+    return points[..., ::-1][..., :k].copy()

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._config import config_float, config_int, config_key, config_section
 from .rv_noise import NoisePanel
 
 __all__ = [
@@ -23,15 +24,6 @@ __all__ = [
     "build_xhat_direct",
     "build_xi",
 ]
-
-
-def config_int(value, name: str) -> int:
-    """A config count as an int; refuses booleans and non-integral numbers."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -74,7 +66,8 @@ class CoefficientSequence:
     @classmethod
     def from_dict(cls, d: dict) -> "CoefficientSequence":
         min_lag = config_int(d.get("min_lag", 0), "min_lag")
-        return cls(values=tuple(float(v) for v in d["values"]), min_lag=min_lag)
+        values = tuple(config_float(v, "coefficient value") for v in config_key(d, "values"))
+        return cls(values=values, min_lag=min_lag)
 
 
 @dataclass(frozen=True)
@@ -87,8 +80,8 @@ class FilterSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "FilterSpec":
         return cls(
-            c=CoefficientSequence.from_dict(d["c"]),
-            theta=CoefficientSequence.from_dict(d["theta"]),
+            c=config_section(d, "c", CoefficientSequence.from_dict),
+            theta=config_section(d, "theta", CoefficientSequence.from_dict),
         )
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from ._config import config_float, config_key
+
 __all__ = [
     "FAMILIES",
     "NoiseCoverageError",
@@ -75,10 +77,10 @@ class TailModel:
     @classmethod
     def from_dict(cls, d: dict) -> "TailModel":
         return cls(
-            family=d["family"],
-            alpha=float(d["alpha"]),
-            q=float(d.get("q", 0.5)),
-            scale=float(d.get("scale", 1.0)),
+            family=config_key(d, "family"),
+            alpha=config_float(config_key(d, "alpha"), "alpha"),
+            q=config_float(d.get("q", 0.5), "q"),
+            scale=config_float(d.get("scale", 1.0), "scale"),
         )
 
 
@@ -170,8 +172,10 @@ def _encode(idx) -> np.ndarray:
     return np.asarray(idx, dtype=np.int64).astype(np.uint64)
 
 
-def _stream_head(seed: int, tag: int) -> np.uint64:
-    head = _finalize(np.uint64(seed & _U64_MASK))
+def _stream_head(seed, tag: int):
+    # The head of each seed's stream: an int seed gives a uint64 scalar, a
+    # uint64 seed array an array of its shape.
+    head = _finalize(seed & _U64_MASK)
     if tag:
         with np.errstate(over="ignore"):
             head = _finalize(head ^ (np.uint64(tag) * _TAG_SALT))
@@ -224,18 +228,27 @@ def _grid_hash(seed: int, row_range, col_range) -> tuple[np.ndarray, np.ndarray]
     return _mix_(h, tmp), tmp
 
 
-def index_uniforms(seed: int, idx, tag: int = 0) -> np.ndarray:
-    """Uniform(0,1] keyed by (seed, tag, index), one value per index."""
-    return _to_unit(_finalize(_stream_head(seed, tag) ^ _encode(idx)))
+def index_uniforms(seed, idx, tag: int = 0) -> np.ndarray:
+    """Uniform(0,1] keyed by (seed, tag, index): one value per seed and index.
+
+    ``seed`` is an int or a uint64 array; the result has shape
+    ``np.shape(seed) + np.shape(idx)``, and each seed's values are those it
+    gives alone."""
+    head = _stream_head(seed, tag)
+    idx = _encode(idx)
+    return _to_unit(_finalize(np.reshape(head, np.shape(head) + (1,) * idx.ndim) ^ idx))
 
 
-def derive_key(seed: int, *indices: int) -> int:
+def derive_key(seed: int, *indices):
     """Chain-hash integer key derivation; distinct index tuples give
-    independent streams (collisions only at the 2^-64 level)."""
-    h = _finalize(np.uint64(seed & _U64_MASK))
+    independent streams (collisions only at the 2^-64 level).
+
+    Integer indices give an int; index arrays broadcast and give a uint64
+    array of keys, each the int its indices give alone."""
+    h = _finalize(seed & _U64_MASK)
     for ix in indices:
         h = _finalize(h ^ _encode(ix))
-    return int(h)
+    return int(h) if np.ndim(h) == 0 else h
 
 
 # ---------------------------------------------------------------------------

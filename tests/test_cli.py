@@ -231,9 +231,28 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
             (f"{command} --config {{tmp}}/absent.json", "absent.json: No such file or directory")
             for command in ("validate", "run", "check", "report")
         ],
+        ("validate --config {tmp}/no_replicates.json", "config lacks required key 'replicates'"),
+        ("run --config {tmp}/no_filter_c.json --out {tmp}/out", "config lacks required key 'filter.c'"),
+        ("validate --config {tmp}/alpha_true.json", "alpha must be a number, got True"),
+        ("run --config {tmp}/beta_string.json --out {tmp}/out", "beta must be a number, got '0.5'"),
     ],
 )
 def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys, argv, message):
+    with open(config_path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    for name, section, key, value in (
+        ("no_replicates", None, "replicates", None),
+        ("no_filter_c", "filter", "c", None),
+        ("alpha_true", "model", "alpha", True),
+        ("beta_string", "dimension_rule", "beta", "0.5"),
+    ):
+        edited = json.loads(json.dumps(config))
+        node = edited if section is None else edited[section]
+        if value is None:
+            del node[key]
+        else:
+            node[key] = value
+        (tmp_path / f"{name}.json").write_text(json.dumps(edited), encoding="utf-8")
     assert main(argv.format(config=config_path, tmp=tmp_path).split()) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

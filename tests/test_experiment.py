@@ -152,6 +152,14 @@ class TestValidate:
         items = {it.name: it for it in report.items}
         assert not items["zero_mean"].passed
 
+    def test_zero_mean_margin_is_plus_zero(self):
+        spec = EnsembleSpec(model=TailModel("student_t", alpha=2.0), filter=SPIKE, p=8, n=1000, seed=1)
+        report = validate(spec, DimensionRule(beta=0.3))
+        margin = report.items[0].margin
+        assert report.items[0].name == "zero_mean" and margin == 0.0
+        assert math.copysign(1.0, margin) == 1.0
+        assert "margin=+0 " in report.lines()[0]
+
     def test_inadmissible_beta_fails(self):
         spec = EnsembleSpec(
             model=TailModel("pareto_symmetric", alpha=3.5),
@@ -577,6 +585,17 @@ def _stored(config, n, replicate, **changes):
     return replace(rec, **changes)
 
 
+def _minimal_config() -> dict:
+    return {
+        "model": {"family": "pareto_symmetric", "alpha": 1.2, "q": 0.5, "scale": 1.0},
+        "filter": {"c": {"values": [1.0]}, "theta": {"values": [1.0]}},
+        "dimension_rule": {"beta": 0.9, "const": 1.0},
+        "n_values": [100],
+        "replicates": 2,
+        "seed": 3,
+    }
+
+
 class TestConfig:
     def test_from_dict_roundtrip(self, tmp_path):
         d = {
@@ -736,6 +755,54 @@ class TestConfig:
             node = node[key]
         node[path[-1]] = value
         with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("model", "alpha"), True, "alpha must be a number, got True"),
+            (("model", "alpha"), "1.2", "alpha must be a number, got '1.2'"),
+            (("model", "q"), "0.5", "q must be a number, got '0.5'"),
+            (("model", "scale"), True, "scale must be a number, got True"),
+            (("dimension_rule", "beta"), True, "beta must be a number, got True"),
+            (("dimension_rule", "const"), "2", "const must be a number, got '2'"),
+            (("filter", "theta", "values"), [True, 0.5], "coefficient value must be a number, got True"),
+            (("filter", "c", "values"), [None], "coefficient value must be a number, got None"),
+        ],
+    )
+    def test_refuses_non_number_real(self, path, value, message):
+        # float() used to read true as 1.0 and "1.2" as 1.2.
+        d = _minimal_config()
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            ("model",),
+            ("model", "family"),
+            ("model", "alpha"),
+            ("filter",),
+            ("filter", "c"),
+            ("filter", "theta", "values"),
+            ("dimension_rule",),
+            ("dimension_rule", "beta"),
+            ("n_values",),
+            ("replicates",),
+            ("seed",),
+        ],
+    )
+    def test_refuses_missing_key_by_its_path(self, path):
+        d = _minimal_config()
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+        with pytest.raises(ValueError, match=re.escape(f"config lacks required key '{'.'.join(path)}'")):
             ExperimentConfig.from_dict(d)
 
     def test_integral_float_counts_are_accepted(self):

@@ -9,6 +9,7 @@ import pytest
 
 MODULES = [
     "heavyspec",
+    "heavyspec._config",
     "heavyspec.cli",
     "heavyspec.experiment",
     "heavyspec.limit_law",

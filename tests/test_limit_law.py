@@ -1,12 +1,15 @@
 """Tests for the envelope laws, Poisson arrivals and order-statistic limits."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+import heavyspec.experiment as experiment
 import heavyspec.limit_law as limit_law
 import heavyspec.rv_noise as rvn
+from heavyspec.experiment import DimensionRule, TrialBatch, TrialRecord
 from heavyspec.limit_law import (
     BoundConstants,
     bound_cdf_lower,
@@ -17,6 +20,7 @@ from heavyspec.limit_law import (
     limit_order_statistics,
 )
 from heavyspec.linear_filter import CoefficientSequence, FilterSpec
+from heavyspec.rv_noise import TailModel
 
 
 def _fs(c_vals, theta_vals):
@@ -90,9 +94,10 @@ class TestBoundCdfs:
         assert np.allclose(frechet_cdf(x, 2.5, 1.3), levels, rtol=1e-12)
 
 
-def _arrivals(k: int, seed: int) -> np.ndarray:
-    # The first k Poisson arrival times, as limit_order_statistics draws them.
-    return np.cumsum(limit_law._exp_increments(seed, 0, k))
+def _arrivals(k: int, seed) -> np.ndarray:
+    # The first k Poisson arrival times, as limit_order_statistics draws them,
+    # along the last axis for each of a uint64 seed array.
+    return np.cumsum(limit_law._exp_increments(seed, 0, k), axis=-1)
 
 
 class TestSampleGamma:
@@ -110,13 +115,13 @@ class TestSampleGamma:
 
     def test_mean_of_fifth_arrival(self):
         n = 100_000
-        fifth = np.array([_arrivals(5, seed=s)[-1] for s in range(n)])
+        fifth = _arrivals(5, seed=np.arange(n, dtype=np.uint64))[:, -1]
         se = math.sqrt(5.0 / n)
         assert abs(fifth.mean() - 5.0) <= 3.0 * se
 
     def test_first_arrival_is_unit_exponential(self):
         n = 100_000
-        first = np.array([_arrivals(1, seed=s)[0] for s in range(n)])
+        first = _arrivals(1, seed=np.arange(n, dtype=np.uint64))[:, 0]
         frac = np.mean(first > 1.0)
         se = math.sqrt(math.exp(-1.0) * (1 - math.exp(-1.0)) / n)
         assert abs(frac - math.exp(-1.0)) <= 3.0 * se
@@ -174,9 +179,7 @@ class TestLimitOrderStatistics:
         alpha = 1.5
         scale = fs.theta.max_abs * fs.c.sq_sum  # positive max weight times sum c^2
         n = 4000
-        maxima = np.array(
-            [limit_order_statistics(fs, alpha, 1, seed=s)[0] for s in range(n)]
-        )
+        maxima = limit_order_statistics(fs, alpha, 1, seed=np.arange(n, dtype=np.uint64))[:, 0]
         # One-sample KS against the closed form; 99% critical value ~ 1.63/sqrt(n).
         v = np.sort(maxima)
         f = frechet_cdf(v, scale, alpha)
@@ -210,6 +213,58 @@ class TestLimitOrderStatistics:
             points = (gammas ** (-2.0 / alpha))[:, None] * theta[None, :] * fs.c.sq_sum
             brute = np.sort(points.ravel())[::-1][:k]
             assert np.array_equal(limit_order_statistics(fs, alpha, k, seed), brute)
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    @pytest.mark.parametrize(
+        "c_vals, theta_vals, min_lag",
+        [
+            ((1.0,), (1.0, -0.5), 0),  # negative weight
+            ((1.0, 0.5), (1.0, 1.0), 0),  # duplicate weights
+            ((1.0,), (0.3, 1.0, -0.2), -1),  # two-sided window
+        ],
+    )
+    def test_seed_array_equals_per_seed_calls(self, k, c_vals, theta_vals, min_lag):
+        fs = FilterSpec(
+            c=CoefficientSequence(c_vals),
+            theta=CoefficientSequence(theta_vals, min_lag=min_lag),
+        )
+        seeds = rvn.derive_key(0x0A11, np.arange(60))
+        draws = limit_order_statistics(fs, 1.3, k, seeds)
+        assert draws.shape == (60, k)
+        singles = np.array([limit_order_statistics(fs, 1.3, k, int(s)) for s in seeds])
+        assert np.array_equal(draws, singles)
+        # Any seed shape: the draws take its shape plus the k ranks.
+        assert np.array_equal(limit_order_statistics(fs, 1.3, k, seeds.reshape(6, 10)), draws.reshape(6, 10, k))
+
+    def test_check_draws_are_pinned(self, monkeypatch):
+        # The 2000 x 3 limit sample order_stat_check compares with, for
+        # config.example.json's filter at alpha 1.2, comes from one call, and
+        # the sha256 of its little-endian bytes is pinned: a change to the
+        # keys, the arrivals or the sort changes the check's verdict inputs.
+        calls = []
+
+        def recording(*args):
+            calls.append(limit_order_statistics(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(experiment, "limit_order_statistics", recording)
+        record = TrialRecord(1000, 400, 0, 1, 1.0, 1.0, 0.0, (3.0, 2.0, 1.0), 0.0)
+        batch = TrialBatch(
+            model=TailModel("pareto_symmetric", alpha=1.2),
+            filter=_fs((1.0, 0.5), (1.0, 0.5)),
+            rule=DimensionRule(beta=0.9, p_max=400),
+            n_values=(1000,),
+            replicates=1,
+            base_seed=7,
+            top_k=3,
+            records=(record,),
+        )
+        experiment.order_stat_check(batch)
+        assert len(calls) == 1
+        draws = calls[0]
+        assert draws.shape == (2000, 3)
+        digest = hashlib.sha256(draws.astype("<f8").tobytes()).hexdigest()
+        assert digest == "47dc0ab03f53e039b5aea52e6c5d86d3ce2631a83d29bdb033e59a35545e6b7d"
 
     def test_requires_positive_weight(self):
         with pytest.raises(ValueError, match="positive"):

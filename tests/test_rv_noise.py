@@ -348,6 +348,15 @@ class TestIndexedUniforms:
             assert abs(u.mean() - 0.5) <= 4.0 * se
             assert abs(np.mean(u * u) - 1.0 / 3.0) <= 4.0 * math.sqrt(4.0 / 45.0 / u.size)
 
+    def test_seed_array_gives_each_seed_alone(self):
+        keys = derive_key(5, np.arange(4))
+        assert keys.dtype == np.uint64
+        assert keys.tolist() == [derive_key(5, i) for i in range(4)]
+        idx = np.arange(-3, 7)
+        u = index_uniforms(keys, idx, tag=9)
+        assert u.shape == (4, 10)
+        assert np.array_equal(u, [index_uniforms(int(key), idx, tag=9) for key in keys])
+
     def test_derive_key_distinct(self):
         keys = {derive_key(5, n, r) for n in range(100) for r in range(100)}
         assert len(keys) == 10000
