@@ -6,7 +6,14 @@ Each refuses a value of the wrong kind, or a missing key, with a
 
 from __future__ import annotations
 
-__all__ = ["MissingConfigKey", "config_float", "config_int", "config_key", "config_section"]
+__all__ = [
+    "MissingConfigKey",
+    "config_float",
+    "config_int",
+    "config_key",
+    "config_list",
+    "config_section",
+]
 
 
 class MissingConfigKey(ValueError):
@@ -26,13 +33,25 @@ def config_key(d: dict, key: str):
 
 
 def config_section(d: dict, key: str, from_dict):
-    """``from_dict(d[key])``; a key missing inside the section is named by its
-    path through ``key``."""
+    """``from_dict(d[key])``; refuses a section that is not a JSON object, and
+    names a key missing inside the section by its path through ``key``."""
     section = config_key(d, key)
+    if not isinstance(section, dict):
+        raise ValueError(f"{key} must be a JSON object, got {section!r}")
     try:
         return from_dict(section)
     except MissingConfigKey as err:
         raise MissingConfigKey(f"{key}.{err.path}") from None
+
+
+def config_list(d: dict, key: str) -> list:
+    """``d[key]``; refuses a missing key by name, and a value that is not a
+    JSON array, such as a number or a string, which iterating would fail on
+    or read character by character."""
+    value = config_key(d, key)
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a list, got {value!r}")
+    return value
 
 
 def config_int(value, name: str) -> int:

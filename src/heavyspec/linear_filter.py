@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import config_float, config_int, config_key, config_section
+from ._config import config_float, config_int, config_list, config_section
 from .rv_noise import NoisePanel
 
 __all__ = [
@@ -66,7 +66,7 @@ class CoefficientSequence:
     @classmethod
     def from_dict(cls, d: dict) -> "CoefficientSequence":
         min_lag = config_int(d.get("min_lag", 0), "min_lag")
-        values = tuple(config_float(v, "coefficient value") for v in config_key(d, "values"))
+        values = tuple(config_float(v, "coefficient value") for v in config_list(d, "values"))
         return cls(values=values, min_lag=min_lag)
 
 

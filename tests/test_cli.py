@@ -235,23 +235,33 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
         ("run --config {tmp}/no_filter_c.json --out {tmp}/out", "config lacks required key 'filter.c'"),
         ("validate --config {tmp}/alpha_true.json", "alpha must be a number, got True"),
         ("run --config {tmp}/beta_string.json --out {tmp}/out", "beta must be a number, got '0.5'"),
+        ("validate --config {tmp}/filter_int.json", "filter must be a JSON object, got 5"),
+        ("validate --config {tmp}/n_values_int.json", "n_values must be a list, got 1000"),
+        ("run --config {tmp}/c_values_float.json --out {tmp}/out", "values must be a list, got 1.0"),
+        ("validate --config {tmp}/model_list.json", "model must be a JSON object, got [1]"),
     ],
 )
 def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys, argv, message):
     with open(config_path, encoding="utf-8") as fh:
         config = json.load(fh)
-    for name, section, key, value in (
-        ("no_replicates", None, "replicates", None),
-        ("no_filter_c", "filter", "c", None),
-        ("alpha_true", "model", "alpha", True),
-        ("beta_string", "dimension_rule", "beta", "0.5"),
+    for name, path, value in (
+        ("no_replicates", ("replicates",), None),
+        ("no_filter_c", ("filter", "c"), None),
+        ("alpha_true", ("model", "alpha"), True),
+        ("beta_string", ("dimension_rule", "beta"), "0.5"),
+        ("filter_int", ("filter",), 5),
+        ("n_values_int", ("n_values",), 1000),
+        ("c_values_float", ("filter", "c", "values"), 1.0),
+        ("model_list", ("model",), [1]),
     ):
         edited = json.loads(json.dumps(config))
-        node = edited if section is None else edited[section]
+        node = edited
+        for key in path[:-1]:
+            node = node[key]
         if value is None:
-            del node[key]
+            del node[path[-1]]
         else:
-            node[key] = value
+            node[path[-1]] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(edited), encoding="utf-8")
     assert main(argv.format(config=config_path, tmp=tmp_path).split()) == 1
     captured = capsys.readouterr()

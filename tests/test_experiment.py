@@ -36,7 +36,7 @@ from heavyspec.experiment import (
 from heavyspec.experiment import _set_blas_threads
 from heavyspec.limit_law import bound_constants, frechet_cdf, frechet_quantile
 from heavyspec.linear_filter import CoefficientSequence, FilterSpec
-from heavyspec.rv_noise import TailModel, sample_noise
+from heavyspec.rv_noise import TailModel, derive_key, sample_noise
 from heavyspec.spectral import spectral_norm
 
 MODEL15 = TailModel("pareto_symmetric", alpha=1.5)
@@ -265,6 +265,101 @@ class TestCenteredTrials:
         rec = run_trial(spec)
         assert math.isfinite(rec.scaled_norm) and rec.scaled_norm > 0
         assert run_trial(spec) == rec
+
+
+def _full_panel_trial(spec: EnsembleSpec, top_k: int) -> TrialRecord:
+    """``run_trial`` from one full noise panel: draw and filter every row at
+    once, take the centered diagonal of the whole row process, then reduce as
+    ``run_trial`` does."""
+    from heavyspec.linear_filter import build_row_process
+    from heavyspec.rv_noise import norming_constant
+    from heavyspec.spectral import centered_covariance, centered_gram_diag, mu_x_alpha, offdiag_deviation
+
+    model, theta, c, p, n = spec.model, spec.filter.theta, spec.filter.c, spec.p, spec.n
+    rows = (1 - theta.max_lag, p - theta.min_lag + 1)
+    noise = sample_noise(model, rows, (1 - c.max_lag, n - c.min_lag + 1), spec.seed)
+    x_rows = build_row_process(noise, c, rows, n)
+    a_np = norming_constant(model, n * p)
+    mu = mu_x_alpha(model, c, a_np)
+    d_tilde = centered_gram_diag(x_rows, mu)
+    gram = x_rows @ x_rows.T
+    a2 = a_np * a_np
+    ma = np.zeros(p)
+    ma_sq = np.zeros(p)
+    for k, w in zip(theta.lags, theta.values):
+        seg = d_tilde[theta.max_lag - k : theta.max_lag - k + p]
+        ma += w * seg
+        ma_sq += (w * w) * seg
+    return TrialRecord(
+        n=n,
+        p=p,
+        replicate=0,
+        seed=spec.seed,
+        a_np=a_np,
+        scaled_norm=spectral_norm(centered_covariance(gram, theta, p, n, mu)) / a2,
+        offdiag_dev=offdiag_deviation(gram, a_np),
+        top_diag=tuple(float(v) for v in np.sort(ma / a2)[::-1][:top_k]),
+        diag_sq_max=float(ma_sq.max() / a2),
+    )
+
+
+class TestRowBlocks:
+    """``run_trial`` draws and filters the panel one row block at a time."""
+
+    # Two-sided windows with negative lags: the noise panel then starts at a
+    # row and a column other than 1, and a block's row range has an offset.
+    LAGGED = FilterSpec(
+        c=CoefficientSequence((0.5, 1.0, -0.3), min_lag=-1),
+        theta=CoefficientSequence((0.25, 0.7, 1.0, 0.5), min_lag=-2),
+    )
+    MODELS = (
+        TailModel("pareto_symmetric", alpha=1.5),
+        TailModel("pareto_skewed", alpha=1.2, q=0.3),
+        TailModel("student_t", alpha=3.0),
+    )
+
+    @pytest.mark.parametrize("block_rows", [1, 3, 7, None])
+    @pytest.mark.parametrize("p", [1, 2, 5, 37])
+    @pytest.mark.parametrize("fspec", [SPIKE, LAGGED], ids=["spike", "lagged"])
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.family)
+    def test_blocks_equal_the_full_panel(self, monkeypatch, block_rows, p, fspec, model):
+        import heavyspec.experiment as experiment
+
+        n = 45
+        cols = n + fspec.c.max_lag - fspec.c.min_lag
+        if block_rows is not None:
+            # The largest entry count that still floors to block_rows rows.
+            monkeypatch.setattr(experiment, "_BLOCK_ENTRIES", (block_rows + 1) * cols - 1)
+        # A seed of its own per case, so that no earlier case leaves this
+        # trial's values in memory that a skipped block would then reuse.
+        seed = derive_key(0xB10C, p, block_rows or 0, self.MODELS.index(model), int(fspec is SPIKE))
+        spec = EnsembleSpec(model=model, filter=fspec, p=p, n=n, seed=seed)
+        top_k = min(3, p)
+        got = run_trial(spec, top_k=top_k)
+        assert got == _full_panel_trial(spec, top_k)
+
+    def test_no_call_draws_the_full_panel(self, monkeypatch):
+        import heavyspec.experiment as experiment
+
+        calls = []
+
+        def recorder(model, row_range, col_range, seed):
+            calls.append((row_range, col_range))
+            return sample_noise(model, row_range, col_range, seed)
+
+        monkeypatch.setattr(experiment, "sample_noise", recorder)
+        fspec = _fs((1.0, 0.5), (1.0, 0.5))
+        p, n = 400, 1000
+        run_trial(EnsembleSpec(model=MODEL15, filter=fspec, p=p, n=n, seed=17))
+        cols = (0, n + 1)
+        limit = max(experiment._BLOCK_ENTRIES, cols[1] - cols[0])
+        assert len(calls) > 1
+        for (r0, r1), col_range in calls:
+            assert col_range == cols
+            assert (r1 - r0) * (cols[1] - cols[0]) <= limit
+        # The row ranges tile the panel rows 0..p: each row drawn exactly once.
+        rows = [r for (r0, r1), _ in calls for r in range(r0, r1)]
+        assert sorted(rows) == list(range(0, p + 1))
 
 
 class TestRunBatch:
@@ -804,6 +899,36 @@ class TestConfig:
         del node[path[-1]]
         with pytest.raises(ValueError, match=re.escape(f"config lacks required key '{'.'.join(path)}'")):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("filter",), 5, "filter must be a JSON object, got 5"),
+            (("model",), [1], "model must be a JSON object, got [1]"),
+            (("dimension_rule",), "0.9", "dimension_rule must be a JSON object, got '0.9'"),
+            (("filter", "c"), [1.0], "c must be a JSON object, got [1.0]"),
+            (("n_values",), 1000, "n_values must be a list, got 1000"),
+            (("n_values",), "100", "n_values must be a list, got '100'"),
+            (("filter", "c", "values"), 1.0, "values must be a list, got 1.0"),
+            (("filter", "theta", "values"), {"0": 1.0}, "values must be a list, got {'0': 1.0}"),
+        ],
+    )
+    def test_refuses_value_of_wrong_shape(self, path, value, message):
+        # Iterating a number used to end in a TypeError, a list for a section
+        # in "config lacks required key 'model.family'", and the string "100"
+        # was refused by its first character, "got '1'".
+        d = _minimal_config()
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_dict(d)
+
+    def test_refuses_config_that_is_not_an_object(self):
+        for value in ([_minimal_config()], 5, "config"):
+            with pytest.raises(ValueError, match=re.escape(f"config must be a JSON object, got {value!r}")):
+                ExperimentConfig.from_dict(value)
 
     def test_integral_float_counts_are_accepted(self):
         d = {
