@@ -36,7 +36,6 @@ from .rv_noise import (
 from .spectral import (
     centered_covariance,
     centered_gram_diag,
-    gram_diag,
     mu_x_alpha,
     offdiag_deviation,
     spectral_norm,

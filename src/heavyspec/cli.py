@@ -14,22 +14,26 @@ from .experiment import (
     CHECKS,
     ExperimentConfig,
     TrialBatch,
+    _grid_reports,
     batch_from_records,
     emit_report,
     load_config,
     read_trials_csv,
     run_batch,
     run_checks,
-    validate,
     write_checks,
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    """The flags the command reads: validate writes nothing and reads no
+    seed, and only run has a pool."""
     parser.add_argument("--config", required=True, help="experiment config (JSON)")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--workers", type=int, default=1, help="parallel trial workers")
-    parser.add_argument("--seed", type=int, default=None, help="override base seed")
+    if command != "validate":
+        parser.add_argument("--out", default="out", help="output directory")
+        parser.add_argument("--seed", type=int, default=None, help="override base seed")
+    if command == "run":
+        parser.add_argument("--workers", type=int, default=1, help="parallel trial workers")
     parser.add_argument("--alpha", type=float, default=None, help="override tail index")
     parser.add_argument("--n", type=int, default=None, help="override n grid with a single n")
     parser.add_argument("--replicates", type=int, default=None, help="override replicate count")
@@ -38,7 +42,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config)
     updates = {}
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         updates["seed"] = args.seed
     if args.alpha is not None:
         updates["model"] = dataclasses.replace(config.model, alpha=args.alpha)
@@ -57,10 +61,9 @@ def _load_batch(config: ExperimentConfig, out_dir: str) -> TrialBatch:
 
 def _cmd_validate(args) -> int:
     config = _load(args)
+    grid = _grid_reports(config.template, config.rule, config.n_values, config.replicates, config.top_k)
     worst = 0
-    for n in config.n_values:
-        p = config.rule.p_for(n)
-        report = validate(config.template.spec(p, n, config.seed), config.rule)
+    for n, p, report in grid:
         print(f"n={n} p={p}")
         for line in report.lines():
             print("  " + line)
@@ -140,7 +143,7 @@ def main(argv=None) -> int:
         ("report", _cmd_report),
     ):
         p = sub.add_parser(name)
-        _add_common(p)
+        _add_flags(p, name)
         p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:

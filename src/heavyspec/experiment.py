@@ -191,9 +191,8 @@ def validate(spec: EnsembleSpec, rule: DimensionRule) -> ValidationReport:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Per-replicate scalars; ``top_diag`` holds the k largest row-window
-    moving averages of the scaled centered diagonal, ``diag_sq_max`` the
-    largest squared-window average (the centered-Gram diagonal max)."""
+    """Per-replicate scalars, one row of trials.csv; ``top_diag`` holds the k
+    largest row-window moving averages of the scaled centered diagonal."""
 
     n: int
     p: int
@@ -203,7 +202,6 @@ class TrialRecord:
     scaled_norm: float
     offdiag_dev: float
     top_diag: tuple[float, ...]
-    diag_sq_max: float
 
 
 # Noise entries per row block of a trial (512 KiB of float64): one block, its
@@ -248,11 +246,8 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     offdiag = offdiag_deviation(gram, a_np)
 
     ma = np.zeros(p)
-    ma_sq = np.zeros(p)
     for k, w in zip(theta.lags, theta.values):
-        seg = d_tilde[k_hi - k : k_hi - k + p]
-        ma += w * seg
-        ma_sq += (w * w) * seg
+        ma += w * d_tilde[k_hi - k : k_hi - k + p]
     top = np.sort(ma / a2)[::-1][:top_k]
     return TrialRecord(
         n=n,
@@ -263,7 +258,6 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
         scaled_norm=scaled,
         offdiag_dev=offdiag,
         top_diag=tuple(float(v) for v in top),
-        diag_sq_max=float(ma_sq.max() / a2),
     )
 
 
@@ -299,9 +293,8 @@ class TrialBatch:
     def offdiag_devs(self, n: int) -> np.ndarray:
         return np.array([r.offdiag_dev for r in self.records_at(n)])
 
-    def top_matrix(self, n: int | None = None) -> np.ndarray:
-        n = self.largest_n if n is None else n
-        return np.array([r.top_diag for r in self.records_at(n)])
+    def top_matrix(self) -> np.ndarray:
+        return np.array([r.top_diag for r in self.records_at(self.largest_n)])
 
 
 def _trial_job(args: tuple[EnsembleSpec, int, int]) -> TrialRecord:
@@ -355,6 +348,27 @@ def _one_blas_thread():
             set_threads(count)
 
 
+def _grid_reports(
+    template: EnsembleTemplate, rule: DimensionRule, n_values, replicates: int, top_k: int
+) -> list[tuple[int, int, ValidationReport]]:
+    """(n, p, admissibility report) at each n of a batch; refuses an empty n
+    grid, fewer than one replicate and a ``top_k`` outside ``[1, p]`` at any
+    n, as each record holds exactly ``top_k`` ranks of the p windowed
+    diagonals. ``validate`` reads no seed, so the specs carry seed 0."""
+    if not n_values:
+        raise ValueError("n_values must be nonempty")
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates}")
+    grid = []
+    for n in n_values:
+        p = rule.p_for(n)
+        report = validate(template.spec(p, n, 0), rule)
+        if not 1 <= top_k <= p:
+            raise ValueError(f"top_k must lie in [1, p], got top_k={top_k} with p={p} at n={n}")
+        grid.append((n, p, report))
+    return grid
+
+
 def run_batch(
     template: EnsembleTemplate,
     rule: DimensionRule,
@@ -364,10 +378,8 @@ def run_batch(
     workers: int = 1,
     top_k: int = 3,
 ) -> TrialBatch:
-    """Validate, then run every replicate at every n.
-
-    Refuses, before any trial runs, a ``top_k`` outside ``[1, p]`` at any n:
-    each record holds exactly ``top_k`` ranks of the p windowed diagonals.
+    """Validate, then run every replicate at every n; refuses, before any
+    trial runs, what ``_grid_reports`` refuses and an inadmissible n.
 
     Replicate seeds depend only on (base_seed, n, replicate); records are
     sorted afterwards so the batch is independent of scheduling.
@@ -379,21 +391,13 @@ def run_batch(
     equal across worker counts and machines. It also stops each pool worker
     from spinning extra BLAS threads that take the CPU from the others.
     """
-    n_values = tuple(int(n) for n in n_values)
-    if not n_values:
-        raise ValueError("n_values must be nonempty")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    n_values = tuple(int(n) for n in n_values)
     jobs = []
-    for n in n_values:
-        p = rule.p_for(n)
-        report = validate(template.spec(p, n, base_seed), rule)
+    for n, p, report in _grid_reports(template, rule, n_values, replicates, top_k):
         if not report.ok:
             raise ValidationError(report)
-        if not 1 <= top_k <= p:
-            raise ValueError(f"top_k must lie in [1, p], got top_k={top_k} with p={p} at n={n}")
         for r in range(replicates):
             jobs.append((template.spec(p, n, derive_seed(base_seed, n, r)), r, top_k))
     if workers > 1:
@@ -725,7 +729,7 @@ def write_checks(checks: dict, out_dir: str) -> str:
 
 
 def read_trials_csv(path: str) -> list[TrialRecord]:
-    """Reload trial records; the squared-window diagnostic is not persisted."""
+    """Reload the trial records that ``emit_report`` wrote."""
     records = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -744,7 +748,6 @@ def read_trials_csv(path: str) -> list[TrialRecord]:
                     scaled_norm=float(cells[5]),
                     offdiag_dev=float(cells[6]),
                     top_diag=tuple(float(c) for c in cells[7 : 7 + top_count]),
-                    diag_sq_max=math.nan,
                 )
             )
     return records
@@ -769,8 +772,7 @@ def batch_from_records(config: ExperimentConfig, records) -> TrialBatch:
     ``offdiag_dev`` and top values (relative to the largest |top|) must
     match the stored row to ``_RERUN_REL_TOL``; this refuses records that
     another filter made."""
-    if config.replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {config.replicates}")
+    _grid_reports(config.template, config.rule, config.n_values, config.replicates, config.top_k)
     records = tuple(records)
     grid = {(n, r) for n in config.n_values for r in range(config.replicates)}
     found = [(rec.n, rec.replicate) for rec in records]

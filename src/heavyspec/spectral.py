@@ -23,7 +23,6 @@ __all__ = [
     "SpectralNormError",
     "centered_covariance",
     "centered_gram_diag",
-    "gram_diag",
     "mu_x_alpha",
     "offdiag_deviation",
     "spectral_norm",
@@ -88,16 +87,10 @@ def centered_covariance(
     return 0.5 * (s + s.T)
 
 
-def gram_diag(x: np.ndarray) -> np.ndarray:
-    """Row sums of squares, the diagonal of X Xᵀ."""
-    x = np.asarray(x, dtype=float)
-    return (x * x).sum(axis=1)
-
-
 def centered_gram_diag(x: np.ndarray, mu: float) -> np.ndarray:
-    """Row sums of (x^2 - mu): gram_diag(x) - n * mu."""
+    """Row sums of (x^2 - mu): the diagonal of X Xᵀ minus n * mu."""
     x = np.asarray(x, dtype=float)
-    return gram_diag(x) - x.shape[1] * mu
+    return (x * x).sum(axis=1) - x.shape[1] * mu
 
 
 def offdiag_deviation(gram: np.ndarray, a_np: float) -> float:
@@ -105,8 +98,7 @@ def offdiag_deviation(gram: np.ndarray, a_np: float) -> float:
     diagonal zeroed."""
     if not a_np > 0.0:
         raise ValueError(f"a_np must be positive, got {a_np}")
-    g = np.asarray(gram, dtype=float)
-    g = 0.5 * (g + g.T)
+    g = np.array(gram, dtype=float)
     np.fill_diagonal(g, 0.0)
     return spectral_norm(g) / (a_np * a_np)
 

@@ -186,14 +186,16 @@ def test_criterion_6_order_statistic_limit():
 
 
 def test_criterion_7_ma1_constants():
+    # max_i (D_i + theta^2 D_(i+1)) / a^2 is the top windowed diagonal under
+    # the squared window (1, theta^2); its Frechet scale is the lower-envelope
+    # scale of the window (1, theta).
     theta = 0.7
-    template = EnsembleTemplate(
-        model=TailModel("pareto_symmetric", alpha=1.5), filter=_fs((1.0,), (1.0, theta))
-    )
+    model = TailModel("pareto_symmetric", alpha=1.5)
+    squared = EnsembleTemplate(model=model, filter=_fs((1.0,), (1.0, theta * theta)))
     rule = DimensionRule(beta=0.9, const=1.0, p_max=400)
-    batch = run_batch(template, rule, [1000], 500, base_seed=20250305, workers=WORKERS)
-    scale = bound_constants(template.filter, 1.5).lower_scale
-    values = np.array([r.diag_sq_max for r in batch.records])
+    batch = run_batch(squared, rule, [1000], 500, base_seed=20250305, workers=WORKERS)
+    scale = bound_constants(_fs((1.0,), (1.0, theta)), 1.5).lower_scale
+    values = batch.top_matrix()[:, 0]
     ks = ks_distance(values, lambda x: frechet_cdf(x, scale, 1.5))
     ok = ks <= 0.10
     _report(

@@ -30,8 +30,25 @@ def config_path(tmp_path):
 def test_validate_exit_code_ok(config_path, capsys):
     assert main(["validate", "--config", config_path]) == 0
     out = capsys.readouterr().out
-    assert "admissible" in out
+    assert out.splitlines()[-1] == "admissible"
     assert "beta_admissible" in out
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("validate", "--out"),
+        ("validate", "--workers"),
+        ("validate", "--seed"),
+        ("check", "--workers"),
+        ("report", "--workers"),
+    ],
+)
+def test_command_refuses_flag_it_does_not_read(config_path, capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", config_path, flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
 def test_validate_rejects_bad_alpha_override(config_path, capsys):
@@ -225,6 +242,9 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
         ("run --config {config} --out {tmp}/out --alpha 5", "alpha must lie in (0, 4), got 5.0"),
         ("validate --config {config} --n 0", "p and n must be >= 1, got p=1, n=0"),
         ("run --config {config} --out {tmp}/out --n 4", "got top_k=3 with p=2 at n=4"),
+        ("validate --config {config} --n 4", "got top_k=3 with p=2 at n=4"),
+        ("validate --config {tmp}/n_values_empty.json", "n_values must be nonempty"),
+        ("validate --config {config} --replicates 0", "replicates must be >= 1, got 0"),
         ("check --config {config} --out {tmp}/absent", "absent/trials.csv: No such file or directory"),
         ("report --config {config} --out {tmp}/absent", "absent/trials.csv: No such file or directory"),
         *[
@@ -253,6 +273,7 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         ("n_values_int", ("n_values",), 1000),
         ("c_values_float", ("filter", "c", "values"), 1.0),
         ("model_list", ("model",), [1]),
+        ("n_values_empty", ("n_values",), []),
     ):
         edited = json.loads(json.dumps(config))
         node = edited

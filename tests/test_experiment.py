@@ -61,7 +61,6 @@ def _synthetic_batch(values, fspec, model, n=1000, top=None):
             scaled_norm=float(v),
             offdiag_dev=0.0,
             top_diag=tuple(top[i]) if top is not None else (float(v),),
-            diag_sq_max=float(v),
         )
         for i, v in enumerate(values)
     )
@@ -201,7 +200,6 @@ class TestRunTrial:
         assert r2.scaled_norm == 4.0 * r1.scaled_norm
         assert r2.offdiag_dev == 4.0 * r1.offdiag_dev
         assert all(b == 4.0 * a for a, b in zip(r1.top_diag, r2.top_diag))
-        assert r2.diag_sq_max == 4.0 * r1.diag_sq_max
 
     def test_top_diag_is_window_average_of_centered_diagonal(self):
         from heavyspec.linear_filter import build_row_process
@@ -241,14 +239,14 @@ class TestCenteredTrials:
 
     def test_exact_moment_centering_above_two(self):
         from heavyspec.linear_filter import build_row_process
-        from heavyspec.spectral import centered_gram_diag, gram_diag, mu_x_alpha
+        from heavyspec.spectral import centered_gram_diag, mu_x_alpha
 
         model = TailModel("pareto_symmetric", alpha=2.5)
         mu = mu_x_alpha(model, self.FS.c, 100.0)
         assert mu == pytest.approx(2.5 / 0.5 * self.FS.c.sq_sum, rel=1e-14)
         noise = sample_noise(model, (0, 200), (0, 2001), seed=8)
         x = build_row_process(noise, self.FS.c, (0, 200), 2000)
-        raw = gram_diag(x).mean() / 2000
+        raw = centered_gram_diag(x, 0.0).mean() / 2000
         centered = centered_gram_diag(x, mu).mean() / 2000
         assert abs(centered) < 0.05 * raw
 
@@ -285,11 +283,8 @@ def _full_panel_trial(spec: EnsembleSpec, top_k: int) -> TrialRecord:
     gram = x_rows @ x_rows.T
     a2 = a_np * a_np
     ma = np.zeros(p)
-    ma_sq = np.zeros(p)
     for k, w in zip(theta.lags, theta.values):
-        seg = d_tilde[theta.max_lag - k : theta.max_lag - k + p]
-        ma += w * seg
-        ma_sq += (w * w) * seg
+        ma += w * d_tilde[theta.max_lag - k : theta.max_lag - k + p]
     return TrialRecord(
         n=n,
         p=p,
@@ -299,7 +294,6 @@ def _full_panel_trial(spec: EnsembleSpec, top_k: int) -> TrialRecord:
         scaled_norm=spectral_norm(centered_covariance(gram, theta, p, n, mu)) / a2,
         offdiag_dev=offdiag_deviation(gram, a_np),
         top_diag=tuple(float(v) for v in np.sort(ma / a2)[::-1][:top_k]),
-        diag_sq_max=float(ma_sq.max() / a2),
     )
 
 
@@ -544,7 +538,6 @@ class TestOffdiagTrendCheck:
                         scaled_norm=1.0,
                         offdiag_dev=float(d),
                         top_diag=(1.0,),
-                        diag_sq_max=1.0,
                     )
                 )
         return TrialBatch(
@@ -614,19 +607,15 @@ class TestEmitAndReload:
         assert b1 == b2
 
     def test_csv_header_and_roundtrip(self, tmp_path):
+        # A record is exactly a trials.csv row: reading back gives every
+        # record of both n values whole.
         batch = self._small_batch()
         paths = emit_report(batch, None, str(tmp_path))
         with open(paths["trials"], encoding="utf-8") as fh:
             header = fh.readline().strip()
         assert header == "n,p,replicate,seed,a_np,scaled_norm,offdiag_dev,top1,top2,top3"
-        records = read_trials_csv(paths["trials"])
-        assert len(records) == len(batch.records)
-        for got, ref in zip(records, batch.records):
-            assert (got.n, got.p, got.replicate, got.seed) == (ref.n, ref.p, ref.replicate, ref.seed)
-            assert got.scaled_norm == ref.scaled_norm
-            assert got.offdiag_dev == ref.offdiag_dev
-            assert got.top_diag == ref.top_diag
-            assert math.isnan(got.diag_sq_max)
+        assert read_trials_csv(paths["trials"]) == list(batch.records)
+        assert len(batch.records) == 8
 
     def test_checks_json_written(self, tmp_path):
         batch = self._small_batch()
@@ -676,8 +665,7 @@ class TestEmitAndReload:
 def _stored(config, n, replicate, **changes):
     # The record of this trial of the config as trials.csv stores it.
     spec = config.template.spec(config.rule.p_for(n), n, derive_seed(config.seed, n, replicate))
-    rec = replace(run_trial(spec, top_k=config.top_k), replicate=replicate, diag_sq_max=math.nan)
-    return replace(rec, **changes)
+    return replace(run_trial(spec, top_k=config.top_k), replicate=replicate, **changes)
 
 
 def _minimal_config() -> dict:

@@ -248,7 +248,7 @@ class TestLimitOrderStatistics:
             return calls[-1]
 
         monkeypatch.setattr(experiment, "limit_order_statistics", recording)
-        record = TrialRecord(1000, 400, 0, 1, 1.0, 1.0, 0.0, (3.0, 2.0, 1.0), 0.0)
+        record = TrialRecord(1000, 400, 0, 1, 1.0, 1.0, 0.0, (3.0, 2.0, 1.0))
         batch = TrialBatch(
             model=TailModel("pareto_symmetric", alpha=1.2),
             filter=_fs((1.0, 0.5), (1.0, 0.5)),

@@ -16,7 +16,6 @@ from heavyspec.spectral import (
     SpectralNormError,
     centered_covariance,
     centered_gram_diag,
-    gram_diag,
     mu_x_alpha,
     offdiag_deviation,
     spectral_norm,
@@ -181,18 +180,14 @@ class TestCenteredCovariance:
 
 class TestGramDiagonals:
     def test_identity(self):
-        assert np.array_equal(gram_diag(np.eye(3)), np.ones(3))
+        assert np.array_equal(centered_gram_diag(np.eye(3), 0.0), np.ones(3))
 
     def test_hand_values(self):
-        assert np.array_equal(gram_diag(np.array([[1.0, 2.0], [3.0, 4.0]])), [5.0, 25.0])
+        assert np.array_equal(centered_gram_diag(np.array([[1.0, 2.0], [3.0, 4.0]]), 0.0), [5.0, 25.0])
 
     def test_zero_row(self):
         x = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert gram_diag(x)[0] == 0.0
-
-    def test_centered_matches_uncentered_at_zero_mu(self):
-        x = np.array([[1.0, 2.0, 3.0]])
-        assert np.array_equal(centered_gram_diag(x, 0.0), gram_diag(x))
+        assert centered_gram_diag(x, 0.0)[0] == 0.0
 
     def test_centered_hand_case(self):
         assert centered_gram_diag(np.array([[1.0, 1.0]]), 1.0)[0] == 0.0
@@ -216,6 +211,16 @@ class TestOffdiagDeviation:
         np.fill_diagonal(g, 0.0)
         ref = np.abs(np.linalg.eigvalsh(g)).max()
         assert got == pytest.approx(ref / 2.5**2, rel=1e-10)
+
+    @pytest.mark.parametrize("gram", [[[0.0, 1.0], [0.0, 0.0]], [[2.0, 1.0], [0.0, 3.0]]])
+    def test_refuses_asymmetric_gram(self, gram):
+        # A Gram matrix is symmetric: an asymmetric one is refused, as
+        # centered_covariance refuses it, not symmetrized, and the caller's
+        # matrix keeps its diagonal.
+        g = np.array(gram)
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            offdiag_deviation(g, 1.0)
+        assert np.array_equal(g, gram)
 
 
 class TestSpectralNorm:
