@@ -14,7 +14,7 @@ from .experiment import (
     CHECKS,
     ExperimentConfig,
     TrialBatch,
-    _grid_reports,
+    _grid_report,
     batch_from_records,
     emit_report,
     load_config,
@@ -61,16 +61,13 @@ def _load_batch(config: ExperimentConfig, out_dir: str) -> TrialBatch:
 
 def _cmd_validate(args) -> int:
     config = _load(args)
-    grid = _grid_reports(config.template, config.rule, config.n_values, config.replicates, config.top_k)
-    worst = 0
-    for n, p, report in grid:
+    report, grid = _grid_report(config.model, config.rule, config.n_values, config.replicates, config.top_k)
+    for n, p in grid:
         print(f"n={n} p={p}")
-        for line in report.lines():
-            print("  " + line)
-        if not report.ok:
-            worst = 1
-    print("admissible" if worst == 0 else "NOT admissible")
-    return worst
+    for line in report.lines():
+        print("  " + line)
+    print("admissible" if report.ok else "NOT admissible")
+    return 0 if report.ok else 1
 
 
 def _cmd_run(args) -> int:

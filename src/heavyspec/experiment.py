@@ -125,6 +125,8 @@ class DimensionRule:
             raise ValueError(f"p_max must be >= 1, got {self.p_max}")
 
     def p_for(self, n: int) -> int:
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
         p = max(1, int(round(self.const * float(n) ** self.beta)))
         if self.p_max is not None:
             p = min(p, self.p_max)
@@ -170,14 +172,15 @@ class ValidationError(ValueError):
         self.report = report
 
 
-def validate(spec: EnsembleSpec, rule: DimensionRule) -> ValidationReport:
+def validate(model: TailModel, rule: DimensionRule) -> ValidationReport:
     """Check every admissibility hypothesis; each item reports its margin.
 
-    The tail index range (0, 4) is not an item: ``TailModel`` refuses any
-    other alpha before a spec exists."""
-    alpha = spec.model.alpha
+    The hypotheses constrain only the noise and the growth rule, never one
+    n, p or seed. The tail index range (0, 4) is not an item: ``TailModel``
+    refuses any other alpha."""
+    alpha = model.alpha
     if alpha > 5.0 / 3.0:
-        mean = mean_value(spec.model)
+        mean = mean_value(model)
         detail = f"E(Z)={mean:g} (required zero for alpha in (5/3, 4))"
         # 0.0 - |mean| rather than -|mean|, so that a zero mean reads +0.
         zero_mean = ValidationItem("zero_mean", mean == 0.0, 0.0 - abs(mean), detail)
@@ -272,10 +275,7 @@ class TrialBatch:
 
     model: TailModel
     filter: FilterSpec
-    rule: DimensionRule
     n_values: tuple[int, ...]
-    replicates: int
-    base_seed: int
     top_k: int
     records: tuple[TrialRecord, ...]
 
@@ -348,13 +348,13 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _grid_reports(
-    template: EnsembleTemplate, rule: DimensionRule, n_values, replicates: int, top_k: int
-) -> list[tuple[int, int, ValidationReport]]:
-    """(n, p, admissibility report) at each n of a batch; refuses an empty n
-    grid, fewer than one replicate and a ``top_k`` outside ``[1, p]`` at any
-    n, as each record holds exactly ``top_k`` ranks of the p windowed
-    diagonals. ``validate`` reads no seed, so the specs carry seed 0."""
+def _grid_report(
+    model: TailModel, rule: DimensionRule, n_values, replicates: int, top_k: int
+) -> tuple[ValidationReport, list[tuple[int, int]]]:
+    """The admissibility report of a batch and its (n, p) grid; refuses an
+    empty n grid, fewer than one replicate, an n below 1 and a ``top_k``
+    outside ``[1, p]`` at any n, as each record holds exactly ``top_k`` ranks
+    of the p windowed diagonals."""
     if not n_values:
         raise ValueError("n_values must be nonempty")
     if replicates < 1:
@@ -362,11 +362,10 @@ def _grid_reports(
     grid = []
     for n in n_values:
         p = rule.p_for(n)
-        report = validate(template.spec(p, n, 0), rule)
         if not 1 <= top_k <= p:
             raise ValueError(f"top_k must lie in [1, p], got top_k={top_k} with p={p} at n={n}")
-        grid.append((n, p, report))
-    return grid
+        grid.append((n, p))
+    return validate(model, rule), grid
 
 
 def run_batch(
@@ -379,7 +378,7 @@ def run_batch(
     top_k: int = 3,
 ) -> TrialBatch:
     """Validate, then run every replicate at every n; refuses, before any
-    trial runs, what ``_grid_reports`` refuses and an inadmissible n.
+    trial runs, what ``_grid_report`` refuses and an inadmissible config.
 
     Replicate seeds depend only on (base_seed, n, replicate); records are
     sorted afterwards so the batch is independent of scheduling.
@@ -394,29 +393,23 @@ def run_batch(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n_values = tuple(int(n) for n in n_values)
+    report, grid = _grid_report(template.model, rule, n_values, replicates, top_k)
+    if not report.ok:
+        raise ValidationError(report)
     jobs = []
-    for n, p, report in _grid_reports(template, rule, n_values, replicates, top_k):
-        if not report.ok:
-            raise ValidationError(report)
+    for n, p in grid:
         for r in range(replicates):
             jobs.append((template.spec(p, n, derive_seed(base_seed, n, r)), r, top_k))
     if workers > 1:
+        # A pool forks all its workers at once: start no more than there are jobs.
+        workers = min(workers, len(jobs))
         with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads, initargs=(1,)) as pool:
             records = list(pool.map(_trial_job, jobs, chunksize=8))
     else:
         with _one_blas_thread():
             records = [_trial_job(job) for job in jobs]
     records.sort(key=lambda rec: (rec.n, rec.replicate))
-    return TrialBatch(
-        model=template.model,
-        filter=template.filter,
-        rule=rule,
-        n_values=n_values,
-        replicates=replicates,
-        base_seed=base_seed,
-        top_k=top_k,
-        records=tuple(records),
-    )
+    return TrialBatch(template.model, template.filter, n_values, top_k, tuple(records))
 
 
 # ---------------------------------------------------------------------------
@@ -684,6 +677,10 @@ def run_checks(batch: TrialBatch, config: ExperimentConfig) -> dict:
     return out
 
 
+# The leading columns of trials.csv, one per scalar of a record; top1..topK follow.
+_TRIAL_COLUMNS = ("n", "p", "replicate", "seed", "a_np", "scaled_norm", "offdiag_dev")
+
+
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
@@ -697,9 +694,7 @@ def emit_report(batch: TrialBatch, checks: dict | None, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     trials_path = os.path.join(out_dir, "trials.csv")
-    top_cols = [f"top{i + 1}" for i in range(batch.top_k)]
-    header = ["n", "p", "replicate", "seed", "a_np", "scaled_norm", "offdiag_dev", *top_cols]
-    lines = [",".join(header)]
+    lines = [",".join([*_TRIAL_COLUMNS, *(f"top{i + 1}" for i in range(batch.top_k))])]
     for rec in batch.records:
         cells = [
             str(rec.n),
@@ -729,31 +724,32 @@ def write_checks(checks: dict, out_dir: str) -> str:
 
 
 def read_trials_csv(path: str) -> list[TrialRecord]:
-    """Reload the trial records that ``emit_report`` wrote."""
+    """Reload the trial records that ``emit_report`` wrote; refuses, in one
+    line that gives ``path:line``, a header other than ``_TRIAL_COLUMNS`` and
+    top1..topK, a row with another number of cells and a cell that is not a
+    number."""
     records = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        top_count = sum(1 for h in header if h.startswith("top"))
-        for line in fh:
+        top_count = len(header) - len(_TRIAL_COLUMNS)
+        if header != [*_TRIAL_COLUMNS, *(f"top{i + 1}" for i in range(top_count))]:
+            raise ValueError(f"{path}:1: header is not {','.join(_TRIAL_COLUMNS)},top1,...,topK")
+        for line_no, line in enumerate(fh, 2):
             cells = line.strip().split(",")
-            if not cells or cells == [""]:
+            if cells == [""]:
                 continue
-            records.append(
-                TrialRecord(
-                    n=int(cells[0]),
-                    p=int(cells[1]),
-                    replicate=int(cells[2]),
-                    seed=int(cells[3]),
-                    a_np=float(cells[4]),
-                    scaled_norm=float(cells[5]),
-                    offdiag_dev=float(cells[6]),
-                    top_diag=tuple(float(c) for c in cells[7 : 7 + top_count]),
-                )
-            )
+            if len(cells) != len(header):
+                raise ValueError(f"{path}:{line_no}: {len(cells)} cells, the header has {len(header)}")
+            try:
+                n, p, replicate, seed = (int(c) for c in cells[:4])
+                a_np, scaled_norm, offdiag_dev, *top = (float(c) for c in cells[4:])
+            except ValueError as err:
+                raise ValueError(f"{path}:{line_no}: {err}") from err
+            records.append(TrialRecord(n, p, replicate, seed, a_np, scaled_norm, offdiag_dev, tuple(top)))
     return records
 
 
-# spectral_norm's default ARPACK tolerance: a rerun on another BLAS build may
+# spectral._ARPACK_TOL, the ARPACK tolerance: a rerun on another BLAS build may
 # differ from the stored record in the last bits of the Gram product.
 _RERUN_REL_TOL = 1e-8
 
@@ -772,7 +768,7 @@ def batch_from_records(config: ExperimentConfig, records) -> TrialBatch:
     ``offdiag_dev`` and top values (relative to the largest |top|) must
     match the stored row to ``_RERUN_REL_TOL``; this refuses records that
     another filter made."""
-    _grid_reports(config.template, config.rule, config.n_values, config.replicates, config.top_k)
+    _grid_report(config.model, config.rule, config.n_values, config.replicates, config.top_k)
     records = tuple(records)
     grid = {(n, r) for n in config.n_values for r in range(config.replicates)}
     found = [(rec.n, rec.replicate) for rec in records]
@@ -809,13 +805,4 @@ def batch_from_records(config: ExperimentConfig, records) -> TrialBatch:
             if not abs(g - w) <= _RERUN_REL_TOL * max(abs(g), abs(w), scale):
                 where = f"at (n, replicate) = ({want.n}, 0)"
                 raise _mismatch(f"{name} = {g!r} {where}, a rerun of the config gives {w!r}")
-    return TrialBatch(
-        model=config.model,
-        filter=config.filter,
-        rule=config.rule,
-        n_values=config.n_values,
-        replicates=config.replicates,
-        base_seed=config.seed,
-        top_k=config.top_k,
-        records=records,
-    )
+    return TrialBatch(config.model, config.filter, config.n_values, config.top_k, records)

@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 _SPECTRAL_TAG = 0x51
+_ARPACK_TOL = 1e-8
+_MAX_RESTARTS = 10_000
 
 
 class SpectralNormError(RuntimeError):
@@ -103,14 +105,13 @@ def offdiag_deviation(gram: np.ndarray, a_np: float) -> float:
     return spectral_norm(g) / (a_np * a_np)
 
 
-def spectral_norm(m, rel_tol: float = 1e-8, max_iter: int = 10_000) -> float:
+def spectral_norm(m) -> float:
     """Largest absolute eigenvalue of a dense symmetric matrix, by ARPACK.
 
     The matrix is pre-scaled by its largest absolute entry, which makes the
     result exactly homogeneous under power-of-two scaling of the input, and
     the start vector is counter-based, so the result is deterministic.
-    ``rel_tol`` is ARPACK's relative residual tolerance and ``max_iter`` its
-    cap on restarts.
+    ARPACK runs at ``_ARPACK_TOL`` with at most ``_MAX_RESTARTS`` restarts.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -129,11 +130,11 @@ def spectral_norm(m, rel_tol: float = 1e-8, max_iter: int = 10_000) -> float:
     v0 = index_uniforms(0, np.arange(dim), tag=_SPECTRAL_TAG) - 0.5
     try:
         w = eigsh(
-            a / scale, k=1, which="LM", v0=v0, tol=rel_tol, maxiter=max_iter,
+            a / scale, k=1, which="LM", v0=v0, tol=_ARPACK_TOL, maxiter=_MAX_RESTARTS,
             return_eigenvectors=False,
         )
     except ArpackNoConvergence as err:
         raise SpectralNormError(
-            f"ARPACK did not converge within {max_iter} restarts at tolerance {rel_tol:g}"
+            f"ARPACK did not converge within {_MAX_RESTARTS} restarts at tolerance {_ARPACK_TOL:g}"
         ) from err
     return scale * abs(float(w[0]))

@@ -34,6 +34,16 @@ def test_validate_exit_code_ok(config_path, capsys):
     assert "beta_admissible" in out
 
 
+def test_validate_prints_the_report_once_after_the_grid(config_path, capsys):
+    # Admissibility constrains the model and the growth rule, not one n: the
+    # report follows the whole (n, p) grid once.
+    assert main(["validate", "--config", config_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["n=40 p=6", "n=80 p=9"]
+    assert [line.split()[1] for line in lines[2:4]] == ["zero_mean", "beta_admissible"]
+    assert lines[4:] == ["admissible"]
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
@@ -91,7 +101,7 @@ def test_run_aborts_on_inadmissible_spec(config_path, tmp_path, capsys):
         (["--workers", "0"], "workers must be >= 1, got 0"),
         (["--workers", "-2"], "workers must be >= 1, got -2"),
         (["--replicates", "0"], "replicates must be >= 1, got 0"),
-        (["--n", "0"], "p and n must be >= 1, got p=1, n=0"),
+        (["--n", "0"], "n must be >= 1, got 0"),
     ],
 )
 def test_run_rejects_bad_run_size(config_path, tmp_path, capsys, override, message):
@@ -240,13 +250,24 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
     [
         ("validate --config {config} --alpha 5", "alpha must lie in (0, 4), got 5.0"),
         ("run --config {config} --out {tmp}/out --alpha 5", "alpha must lie in (0, 4), got 5.0"),
-        ("validate --config {config} --n 0", "p and n must be >= 1, got p=1, n=0"),
+        ("validate --config {config} --n 0", "n must be >= 1, got 0"),
+        ("validate --config {config} --n -5", "n must be >= 1, got -5"),
+        ("run --config {config} --out {tmp}/out --n -5", "n must be >= 1, got -5"),
         ("run --config {config} --out {tmp}/out --n 4", "got top_k=3 with p=2 at n=4"),
         ("validate --config {config} --n 4", "got top_k=3 with p=2 at n=4"),
         ("validate --config {tmp}/n_values_empty.json", "n_values must be nonempty"),
         ("validate --config {config} --replicates 0", "replicates must be >= 1, got 0"),
         ("check --config {config} --out {tmp}/absent", "absent/trials.csv: No such file or directory"),
         ("report --config {config} --out {tmp}/absent", "absent/trials.csv: No such file or directory"),
+        *[
+            (f"{command} --config {{config}} --out {{tmp}}/{name}", message)
+            for command in ("check", "report")
+            for name, message in (
+                ("short_row", "short_row/trials.csv:3: 5 cells, the header has 10"),
+                ("bad_int", "bad_int/trials.csv:3: invalid literal for int() with base 10: 'x118'"),
+            )
+        ],
+        ("check --config {config} --out {tmp}/bad_header", "bad_header/trials.csv:1: header is not n,p,"),
         *[
             (f"{command} --config {{tmp}}/absent.json", "absent.json: No such file or directory")
             for command in ("validate", "run", "check", "report")
@@ -284,6 +305,15 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         else:
             node[path[-1]] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(edited), encoding="utf-8")
+    header = "n,p,replicate,seed,a_np,scaled_norm,offdiag_dev,top1,top2,top3"
+    good = "40,6,0,117,1.5,0.25,0.125,0.5,0.25,0.125"
+    for name, lines in (
+        ("short_row", [header, good, "40,6,1,118,1.5"]),
+        ("bad_int", [header, good, "40,6,1,x118,1.5,0.25,0.125,0.5,0.25,0.125"]),
+        ("bad_header", [header.replace("replicate", "rep"), good]),
+    ):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "trials.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(argv.format(config=config_path, tmp=tmp_path).split()) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -67,10 +67,7 @@ def _synthetic_batch(values, fspec, model, n=1000, top=None):
     return TrialBatch(
         model=model,
         filter=fspec,
-        rule=DimensionRule(beta=0.5),
         n_values=(n,),
-        replicates=len(records),
-        base_seed=0,
         top_k=len(records[0].top_diag),
         records=records,
     )
@@ -110,6 +107,9 @@ class TestDimensionRule:
             DimensionRule(beta=0.0)
         with pytest.raises(ValueError, match="const"):
             DimensionRule(beta=0.5, const=-1.0)
+        # A negative n would raise n to a fractional power: a complex p.
+        with pytest.raises(ValueError, match="n must be >= 1, got -5"):
+            DimensionRule(beta=0.9).p_for(-5)
 
     def test_from_dict_defaults(self):
         assert DimensionRule.from_dict({"beta": 0.5}) == DimensionRule(beta=0.5, const=1.0, p_max=None)
@@ -119,8 +119,7 @@ class TestDimensionRule:
 
 class TestValidate:
     def test_admissible_case(self):
-        spec = EnsembleSpec(model=MODEL15, filter=_fs((1.0,), (1.0,)), p=10, n=100, seed=1)
-        report = validate(spec, DimensionRule(beta=0.9))
+        report = validate(MODEL15, DimensionRule(beta=0.9))
         assert report.ok
         margins = {it.name: it.margin for it in report.items}
         assert margins["beta_admissible"] == pytest.approx(0.1)
@@ -128,46 +127,24 @@ class TestValidate:
     def test_alpha_below_one_admissible_with_default_filter(self):
         # A finite filter window meets the summability hypothesis at every
         # alpha, so the filter puts no lower bound on alpha.
-        spec = EnsembleSpec(
-            model=TailModel("pareto_symmetric", alpha=0.8),
-            filter=_fs((1.0, 0.5), (1.0, 0.5)),
-            p=400,
-            n=1000,
-            seed=1,
-        )
-        report = validate(spec, DimensionRule(beta=0.9, p_max=400))
+        report = validate(TailModel("pareto_symmetric", alpha=0.8), DimensionRule(beta=0.9, p_max=400))
         assert [it.name for it in report.items] == ["zero_mean", "beta_admissible"]
         assert report.ok
 
     def test_nonzero_mean_fails_above_five_thirds(self):
-        spec = EnsembleSpec(
-            model=TailModel("pareto_positive", alpha=2.5, q=1.0),
-            filter=_fs((1.0,), (1.0,)),
-            p=5,
-            n=10,
-            seed=1,
-        )
-        report = validate(spec, DimensionRule(beta=0.3))
+        report = validate(TailModel("pareto_positive", alpha=2.5, q=1.0), DimensionRule(beta=0.3))
         items = {it.name: it for it in report.items}
         assert not items["zero_mean"].passed
 
     def test_zero_mean_margin_is_plus_zero(self):
-        spec = EnsembleSpec(model=TailModel("student_t", alpha=2.0), filter=SPIKE, p=8, n=1000, seed=1)
-        report = validate(spec, DimensionRule(beta=0.3))
+        report = validate(TailModel("student_t", alpha=2.0), DimensionRule(beta=0.3))
         margin = report.items[0].margin
         assert report.items[0].name == "zero_mean" and margin == 0.0
         assert math.copysign(1.0, margin) == 1.0
         assert "margin=+0 " in report.lines()[0]
 
     def test_inadmissible_beta_fails(self):
-        spec = EnsembleSpec(
-            model=TailModel("pareto_symmetric", alpha=3.5),
-            filter=_fs((1.0,), (1.0,)),
-            p=5,
-            n=10,
-            seed=1,
-        )
-        report = validate(spec, DimensionRule(beta=0.5))
+        report = validate(TailModel("pareto_symmetric", alpha=3.5), DimensionRule(beta=0.5))
         items = {it.name: it for it in report.items}
         assert not items["beta_admissible"].passed
 
@@ -259,7 +236,7 @@ class TestCenteredTrials:
     def test_student_t_noise_end_to_end(self):
         model = TailModel("student_t", alpha=3.0)
         spec = EnsembleSpec(model=model, filter=self.FS, p=8, n=200, seed=12)
-        assert validate(spec, DimensionRule(beta=0.15)).ok
+        assert validate(model, DimensionRule(beta=0.15)).ok
         rec = run_trial(spec)
         assert math.isfinite(rec.scaled_norm) and rec.scaled_norm > 0
         assert run_trial(spec) == rec
@@ -370,6 +347,32 @@ class TestRunBatch:
         a = run_batch(template, rule, [40, 80], 4, base_seed=9, workers=1)
         b = run_batch(template, rule, [40, 80], 4, base_seed=9, workers=2)
         assert a.records == b.records
+
+    def test_pool_starts_no_more_workers_than_jobs(self, monkeypatch):
+        # A pool forks all its workers at once; a fake pool that maps serially
+        # records how many it was asked for, and starts no process.
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        template = EnsembleTemplate(model=MODEL15, filter=SPIKE)
+        rule = DimensionRule(beta=0.5, p_max=10)
+        serial = run_batch(template, rule, [40], 2, base_seed=9, workers=1)
+        monkeypatch.setattr("heavyspec.experiment.ProcessPoolExecutor", SerialPool)
+        assert run_batch(template, rule, [40], 2, base_seed=9, workers=3).records == serial.records
+        assert run_batch(template, rule, [40, 80], 2, base_seed=9, workers=3).records[:2] == serial.records
+        assert asked == [2, 3]
 
     def test_records_independent_of_caller_blas_threads(self):
         # At p = 100 OpenBLAS threads the Gram product, and its bits follow the
@@ -543,10 +546,7 @@ class TestOffdiagTrendCheck:
         return TrialBatch(
             model=MODEL15,
             filter=SPIKE,
-            rule=DimensionRule(beta=0.5),
             n_values=tuple(per_n),
-            replicates=max(len(v) for v in per_n.values()),
-            base_seed=0,
             top_k=1,
             records=tuple(records),
         )
@@ -580,20 +580,23 @@ class TestOrderStatCheck:
         # The limit has no top points when every theta weight is nonpositive;
         # the check reports that instead of failing the run.
         template = EnsembleTemplate(model=MODEL15, filter=_fs((1.0,), (-1.0, -0.5)))
-        batch = run_batch(template, DimensionRule(beta=0.5, p_max=8), [60], 4, base_seed=3)
+        rule = DimensionRule(beta=0.5, p_max=8)
+        batch = run_batch(template, rule, [60], 4, base_seed=3)
         report = order_stat_check(batch)
         assert report == {"applicable": False, "passed": None, "n": 60, "k": 3}
         config = ExperimentConfig(
-            model=MODEL15, filter=batch.filter, rule=batch.rule, n_values=(60,), replicates=4, seed=3,
+            model=MODEL15, filter=batch.filter, rule=rule, n_values=(60,), replicates=4, seed=3,
             checks={"envelope": False, "ks": False, "order_stats": True, "offdiag": False},
         )
         assert run_checks(batch, config)["overall_passed"] is True
 
 
 class TestEmitAndReload:
+    RULE = DimensionRule(beta=0.5, p_max=12)
+
     def _small_batch(self):
         template = EnsembleTemplate(model=MODEL15, filter=_fs((1.0, 0.5), (1.0, 0.5)))
-        return run_batch(template, DimensionRule(beta=0.5, p_max=12), [40, 60], 4, base_seed=13)
+        return run_batch(template, self.RULE, [40, 60], 4, base_seed=13)
 
     def test_byte_deterministic_output(self, tmp_path):
         batch1 = self._small_batch()
@@ -622,10 +625,10 @@ class TestEmitAndReload:
         config = ExperimentConfig(
             model=batch.model,
             filter=batch.filter,
-            rule=batch.rule,
+            rule=self.RULE,
             n_values=batch.n_values,
-            replicates=batch.replicates,
-            seed=batch.base_seed,
+            replicates=4,
+            seed=13,
             checks={"envelope": True, "ks": False, "order_stats": False, "offdiag": True},
         )
         checks = run_checks(batch, config)
@@ -643,10 +646,10 @@ class TestEmitAndReload:
         config = ExperimentConfig(
             model=batch.model,
             filter=batch.filter,
-            rule=batch.rule,
+            rule=self.RULE,
             n_values=batch.n_values,
-            replicates=batch.replicates,
-            seed=batch.base_seed,
+            replicates=4,
+            seed=13,
             top_k=batch.top_k,
         )
         paths = emit_report(batch, run_checks(batch, config), str(tmp_path))

@@ -9,7 +9,7 @@ import pytest
 import heavyspec.experiment as experiment
 import heavyspec.limit_law as limit_law
 import heavyspec.rv_noise as rvn
-from heavyspec.experiment import DimensionRule, TrialBatch, TrialRecord
+from heavyspec.experiment import TrialBatch, TrialRecord
 from heavyspec.limit_law import (
     BoundConstants,
     bound_cdf_lower,
@@ -252,10 +252,7 @@ class TestLimitOrderStatistics:
         batch = TrialBatch(
             model=TailModel("pareto_symmetric", alpha=1.2),
             filter=_fs((1.0, 0.5), (1.0, 0.5)),
-            rule=DimensionRule(beta=0.9, p_max=400),
             n_values=(1000,),
-            replicates=1,
-            base_seed=7,
             top_k=3,
             records=(record,),
         )

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from heavyspec import spectral
 from heavyspec.linear_filter import (
     CoefficientSequence,
     FilterSpec,
@@ -243,12 +244,13 @@ class TestSpectralNorm:
             ref = np.abs(np.linalg.eigvalsh(a)).max()
             assert abs(spectral_norm(a) - ref) <= 1e-8 * ref
 
-    def test_matches_dense_oracle_20x20(self):
+    def test_matches_dense_oracle_20x20(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_ARPACK_TOL", 1e-10)
         rng = np.random.default_rng(6)
         a = rng.normal(size=(20, 20))
         a = 0.5 * (a + a.T)
         ref = np.abs(np.linalg.eigvalsh(a)).max()
-        assert spectral_norm(a, rel_tol=1e-10) == pytest.approx(ref, rel=1e-9)
+        assert spectral_norm(a) == pytest.approx(ref, rel=1e-9)
 
     def test_clustered_extremes(self):
         # Nearly degenerate top pair; the solver must still resolve the norm.
@@ -272,12 +274,14 @@ class TestSpectralNorm:
         with pytest.raises(ValueError, match="finite"):
             spectral_norm(a)
 
-    def test_iteration_cap_reported(self):
+    def test_iteration_cap_reported(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_ARPACK_TOL", 1e-14)
+        monkeypatch.setattr(spectral, "_MAX_RESTARTS", 1)
         rng = np.random.default_rng(9)
         a = rng.normal(size=(40, 40))
         a = 0.5 * (a + a.T)
         with pytest.raises(SpectralNormError, match="did not converge within 1 restarts"):
-            spectral_norm(a, rel_tol=1e-14, max_iter=1)
+            spectral_norm(a)
 
     def test_power_of_two_homogeneity_exact(self):
         rng = np.random.default_rng(10)
