@@ -14,6 +14,7 @@ import ctypes
 import json
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -214,6 +215,46 @@ class TrialRecord:
 _BLOCK_ENTRIES = 2**16
 
 
+class _TrialWorkspace:
+    """Every large array a trial of one shape writes, allocated once.
+
+    ``key`` is (panel rows m, panel columns, n, p, block rows).  The m x m
+    ``tg`` and ``terms`` hold T G and its terms in their first p rows while
+    ``centered_covariance`` runs, then the zero-diagonal Gram and its
+    pre-scaled copy in ``offdiag_deviation``; the p x p ``tgt`` holds
+    T G Tᵀ, then the pre-scaled S.
+    """
+
+    def __init__(self, key: tuple[int, int, int, int, int]):
+        m, width, n, p, block_rows = key
+        self.key = key
+        self.noise = (*(np.empty((block_rows, width), np.uint64) for _ in range(3)), np.empty((block_rows, width)))
+        self.block_scratch = np.empty((block_rows, n))
+        self.x_rows = np.empty((m, n))
+        self.d_tilde = np.empty(m)
+        self.gram = np.empty((m, m))
+        self.tg = np.empty((m, m))
+        self.terms = np.empty((m, m))
+        self.tgt = np.empty((p, p))
+        self.s = np.empty((p, p))
+
+
+# One workspace per thread, so that two threads never share buffers; it is
+# replaced when a trial of another shape runs and kept for the process's life.
+_LOCAL = threading.local()
+
+
+def _trial_workspace(key: tuple[int, int, int, int, int]) -> _TrialWorkspace:
+    """This thread's workspace for ``key``, made anew when the key changed."""
+    ws = getattr(_LOCAL, "workspace", None)
+    if ws is None or ws.key != key:
+        # Drop every reference to the old shape's buffers, so that they are
+        # freed before the new ones are allocated.
+        _LOCAL.workspace = ws = None
+        ws = _LOCAL.workspace = _TrialWorkspace(key)
+    return ws
+
+
 def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     """Draw one replicate and reduce it to its record scalars.
 
@@ -223,6 +264,9 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     entries each, so the whole noise panel is never held.  Each noise entry
     depends only on (seed, row, column), and the filter and the diagonal act
     within a row, so the blocks give the same bits as one full panel.
+
+    Every large array lives in this thread's workspace for the trial's
+    shape, so a trial after the first of its shape allocates none.
     """
     model, fspec, p, n, seed = spec.model, spec.filter, spec.p, spec.n, spec.seed
     theta, c = fspec.theta, fspec.c
@@ -233,24 +277,26 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     mu = mu_x_alpha(model, c, a_np)
     r0, r1 = 1 - k_hi, p - k_lo + 1
     cols = (1 - j_hi, n - j_lo + 1)
-    step = max(1, _BLOCK_ENTRIES // (cols[1] - cols[0]))
-    x_rows = np.empty((r1 - r0, n))
-    d_tilde = np.empty(r1 - r0)
+    width = cols[1] - cols[0]
+    step = min(max(1, _BLOCK_ENTRIES // width), r1 - r0)
+    ws = _trial_workspace((r1 - r0, width, n, p, step))
     for lo in range(r0, r1, step):
         hi = min(lo + step, r1)
-        block = build_row_process(sample_noise(model, (lo, hi), cols, seed), c, (lo, hi), n)
-        x_rows[lo - r0 : hi - r0] = block
-        d_tilde[lo - r0 : hi - r0] = centered_gram_diag(block, mu)
-    gram = x_rows @ x_rows.T
+        rows = slice(lo - r0, hi - r0)
+        scratch = ws.block_scratch[: hi - lo]
+        noise = sample_noise(model, (lo, hi), cols, seed, buffers=tuple(b[: hi - lo] for b in ws.noise))
+        block = build_row_process(noise, c, (lo, hi), n, out=ws.x_rows[rows], scratch=scratch)
+        centered_gram_diag(block, mu, out=ws.d_tilde[rows], scratch=scratch)
+    gram = np.matmul(ws.x_rows, ws.x_rows.T, out=ws.gram)
 
-    s = centered_covariance(gram, theta, p, n, mu)
+    s = centered_covariance(gram, theta, p, n, mu, buffers=(ws.tg[:p], ws.terms[:p], ws.tgt, ws.s))
     a2 = a_np * a_np
-    scaled = spectral_norm(s) / a2
-    offdiag = offdiag_deviation(gram, a_np)
+    scaled = spectral_norm(s, out=ws.tgt) / a2
+    offdiag = offdiag_deviation(gram, a_np, buffers=(ws.tg, ws.terms))
 
     ma = np.zeros(p)
     for k, w in zip(theta.lags, theta.values):
-        ma += w * d_tilde[k_hi - k : k_hi - k + p]
+        ma += w * ws.d_tilde[k_hi - k : k_hi - k + p]
     top = np.sort(ma / a2)[::-1][:top_k]
     return TrialRecord(
         n=n,
@@ -726,8 +772,8 @@ def write_checks(checks: dict, out_dir: str) -> str:
 def read_trials_csv(path: str) -> list[TrialRecord]:
     """Reload the trial records that ``emit_report`` wrote; refuses, in one
     line that gives ``path:line``, a header other than ``_TRIAL_COLUMNS`` and
-    top1..topK, a row with another number of cells and a cell that is not a
-    number."""
+    top1..topK, a row with another number of cells, a cell that is not a
+    number and a ``nan`` or ``inf`` cell, which ``run_trial`` never writes."""
     records = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -742,9 +788,12 @@ def read_trials_csv(path: str) -> list[TrialRecord]:
                 raise ValueError(f"{path}:{line_no}: {len(cells)} cells, the header has {len(header)}")
             try:
                 n, p, replicate, seed = (int(c) for c in cells[:4])
-                a_np, scaled_norm, offdiag_dev, *top = (float(c) for c in cells[4:])
+                a_np, scaled_norm, offdiag_dev, *top = reals = [float(c) for c in cells[4:]]
             except ValueError as err:
                 raise ValueError(f"{path}:{line_no}: {err}") from err
+            for name, cell, value in zip(header[4:], cells[4:], reals):
+                if not math.isfinite(value):
+                    raise ValueError(f"{path}:{line_no}: {name} is {cell}, not a finite number")
             records.append(TrialRecord(n, p, replicate, seed, a_np, scaled_norm, offdiag_dev, tuple(top)))
     return records
 

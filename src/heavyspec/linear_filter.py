@@ -105,12 +105,22 @@ def build_row_process(
     c: CoefficientSequence,
     row_range: tuple[int, int],
     n: int,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Time-direction moving average: out[i, t] = sum_j c_j Z[i, t-j], t = 1..n."""
+    """Time-direction moving average: out[i, t] = sum_j c_j Z[i, t-j], t = 1..n.
+
+    ``out`` receives the rows and ``scratch`` holds each lag's term; both
+    have the result's shape and are fresh arrays where they are None.
+    """
     i0, i1 = row_range
-    out = np.zeros((i1 - i0, n))
+    if out is None:
+        out = np.empty((i1 - i0, n))
+    if scratch is None:
+        scratch = np.empty_like(out)
+    out.fill(0.0)
     for j, w in zip(c.lags, c.values):
-        out += w * noise.block((i0, i1), (1 - j, n + 1 - j))
+        out += np.multiply(w, noise.block((i0, i1), (1 - j, n + 1 - j)), out=scratch)
     return out
 
 

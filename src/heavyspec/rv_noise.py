@@ -182,12 +182,16 @@ def _stream_head(seed, tag: int):
     return head
 
 
-def _to_unit(h: np.ndarray) -> np.ndarray:
+def _to_unit(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # The top 53 bits m map to (m + 0.5) * 2**-53, which lies in (0, 1]: never
     # 0, but m = 2**53 - 1 gives exactly 1.0 because 2**53 - 0.5 rounds to
-    # even.  Consumes h (shifted in place).
+    # even.  Consumes h (shifted in place); writes into out when given.
     h >>= _UNIT_SHIFT
-    u = h.astype(np.float64)
+    if out is None:
+        u = h.astype(np.float64)
+    else:
+        u = out
+        np.copyto(u, h, casting="unsafe")
     u += 0.5
     u *= 2.0**-53
     return u
@@ -219,12 +223,17 @@ def _negative_bits(h1: np.ndarray, q: float) -> np.ndarray:
     return h1
 
 
-def _grid_hash(seed: int, row_range, col_range) -> tuple[np.ndarray, np.ndarray]:
+def _grid_hash(seed: int, row_range, col_range, h=None, tmp=None) -> tuple[np.ndarray, np.ndarray]:
     # Lane-0 hash of every (row, col) in the rectangle, keyed by (seed, row, col),
-    # and a scratch buffer of the same shape for further in-place mixing.
+    # written into h, and tmp, a scratch buffer of its shape for further
+    # in-place mixing; either is a fresh array where it is None.
     hr = _finalize(_stream_head(seed, 0) ^ _encode(np.arange(*row_range)))
-    h = hr[:, None] ^ _encode(np.arange(*col_range))[None, :]
-    tmp = np.empty_like(h)
+    cols = _encode(np.arange(*col_range))
+    if h is None:
+        h = np.empty((hr.size, cols.size), np.uint64)
+    np.bitwise_xor(hr[:, None], cols[None, :], out=h)
+    if tmp is None:
+        tmp = np.empty_like(h)
     return _mix_(h, tmp), tmp
 
 
@@ -260,6 +269,7 @@ def sample_noise(
     row_range: tuple[int, int],
     col_range: tuple[int, int],
     seed: int,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> NoisePanel:
     """Fill the logical rectangle with iid draws from ``model``.
 
@@ -267,19 +277,26 @@ def sample_noise(
     extends the panel without reshuffling the overlap.  The magnitude comes
     from the lane-0 hash of (seed, i, t); the sign of the two-sided Pareto
     families from lane 1, that hash salted and mixed once more.
+
+    ``buffers`` are the hash, scratch, sign and value arrays, each of the
+    rectangle's shape, the first three ``uint64`` and the last ``float64``;
+    the panel's values are then the last one.  Without them the same steps
+    run on fresh arrays.
     """
     r0, r1 = row_range
     c0, c1 = col_range
     if r1 <= r0 or c1 <= c0:
         raise ValueError(f"ranges must be nonempty, got rows={row_range} cols={col_range}")
-    h, tmp = _grid_hash(seed, row_range, col_range)
-    sign = None
+    h, tmp, sign, u = buffers or (None, None, None, None)
+    h, tmp = _grid_hash(seed, row_range, col_range, h, tmp)
     if model.family in (PARETO_SYMMETRIC, PARETO_SKEWED):
-        sign = _negative_bits(_mix_(h ^ _LANE_SALT, tmp), model.q)
-    # Drop the scratch before _to_unit allocates the float panel and the hash
-    # once it is consumed: at most three panel-sized buffers live at once.
+        sign = _negative_bits(_mix_(np.bitwise_xor(h, _LANE_SALT, out=sign), tmp), model.q)
+    else:
+        sign = None
+    # Drop the scratch before the float panel is allocated and the hash once
+    # it is consumed: at most three fresh panel-sized arrays live at once.
     del tmp
-    u = _to_unit(h)
+    u = _to_unit(h, u)
     del h
     if model.family == STUDENT_T:
         # The t quantile function that stats.t.ppf calls, so the same bits.

@@ -12,8 +12,9 @@ oracle in the tests.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import toeplitz
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
 from .linear_filter import CoefficientSequence
@@ -50,7 +51,12 @@ def mu_x_alpha(model: TailModel, c: CoefficientSequence, a_np: float) -> float:
 
 
 def centered_covariance(
-    gram: np.ndarray, theta: CoefficientSequence, p: int, n: int, mu: float
+    gram: np.ndarray,
+    theta: CoefficientSequence,
+    p: int,
+    n: int,
+    mu: float,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """S = T G Tᵀ - n * mu * H Hᵀ, symmetrized after assembly.
 
@@ -60,66 +66,110 @@ def centered_covariance(
     centering matrix with H[i, j] = theta_{p-(j-i)} for 0 <= j-i <= 2p, so it
     keeps only the theta lags inside [-p, p]; the two differ when a lag lies
     outside.
+
+    ``buffers`` are arrays for T G (p x m), its terms (p x m), T G Tᵀ
+    (p x p) and S (p x p, returned), m the Gram's order; without them the
+    same steps run on fresh arrays.
     """
     g = np.asarray(gram, dtype=float)
     m = p + len(theta.values) - 1
     if g.shape != (m, m):
         raise ValueError(f"gram must be {m} x {m} for p = {p}, got shape {g.shape}")
+    if buffers is None:
+        buffers = (np.empty((p, m)), np.empty((p, m)), np.empty((p, p)), np.empty((p, p)))
+    tg, terms, s, out = buffers
     offsets = [(theta.max_lag - k, w) for k, w in zip(theta.lags, theta.values)]
-    tg = np.zeros((p, m))
+    tg.fill(0.0)
     for o, w in offsets:
-        tg += w * g[o : o + p]
-    s = np.zeros((p, p))
+        tg += np.multiply(w, g[o : o + p], out=terms)
+    # out holds each term of T G Tᵀ, then S - Sᵀ, before it receives S.
+    s.fill(0.0)
     for o, w in offsets:
-        s += w * tg[:, o : o + p]
+        s += np.multiply(w, tg[:, o : o + p], out=out)
     if mu != 0.0:
-        # H Hᵀ is the symmetric Toeplitz matrix with first row
-        # r[b] = sum_u w[u] * w[u-b], w the reversed window of the theta lags
-        # inside [-p, p].  Summing each r[b] in ascending u fixes the bits of S.
+        # H Hᵀ is the symmetric Toeplitz matrix with r[b] = sum_u w[u] * w[u-b]
+        # on diagonals +-b, w the reversed window of the theta lags inside
+        # [-p, p], and 0 elsewhere, where subtracting it leaves S's bits as
+        # they are.  Summing each r[b] in ascending u fixes the bits of S.
         w = [v for k, v in zip(theta.lags, theta.values) if -p <= k <= p][::-1]
-        r = np.zeros(p)
+        i = np.arange(p)
         for b in range(min(len(w), p)):
+            r = 0.0
             for u in range(b, len(w)):
-                r[b] += w[u] * w[u - b]
-        s -= (n * mu) * toeplitz(r)
-    asym = float(np.abs(s - s.T).max())
-    scale = float(np.abs(s).max())
+                r += w[u] * w[u - b]
+            v = (n * mu) * r
+            s[i[: p - b], i[b:]] -= v
+            if b:
+                s[i[b:], i[: p - b]] -= v
+    asym = _max_abs(np.subtract(s, s.T, out=out))
+    scale = _max_abs(s)
     if asym > 1e-12 * scale:
         raise ValueError(f"assembled S is asymmetric: |S - Sᵀ| = {asym:g} vs scale {scale:g}")
-    return 0.5 * (s + s.T)
+    out = np.add(s, s.T, out=out)
+    out *= 0.5
+    return out
 
 
-def centered_gram_diag(x: np.ndarray, mu: float) -> np.ndarray:
-    """Row sums of (x^2 - mu): the diagonal of X Xᵀ minus n * mu."""
+def centered_gram_diag(
+    x: np.ndarray, mu: float, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """Row sums of (x^2 - mu): the diagonal of X Xᵀ minus n * mu.
+
+    ``scratch`` (x's shape, C-contiguous) holds the squares and ``out`` (one
+    entry per row) receives the result; both are fresh arrays where they are
+    None.
+    """
     x = np.asarray(x, dtype=float)
-    return (x * x).sum(axis=1) - x.shape[1] * mu
+    d = np.multiply(x, x, out=scratch).sum(axis=1, out=out)
+    d -= x.shape[1] * mu
+    return d
 
 
-def offdiag_deviation(gram: np.ndarray, a_np: float) -> float:
+def offdiag_deviation(
+    gram: np.ndarray, a_np: float, buffers: tuple[np.ndarray, np.ndarray] | None = None
+) -> float:
     """a_np^-2 times the spectral norm of the Gram matrix X Xᵀ with its
-    diagonal zeroed."""
+    diagonal zeroed.
+
+    ``buffers`` are two C-contiguous arrays of the Gram's shape: the first
+    receives the Gram with its diagonal zeroed, the second is
+    ``spectral_norm``'s ``out``.  The Gram itself is never written.
+    """
     if not a_np > 0.0:
         raise ValueError(f"a_np must be positive, got {a_np}")
-    g = np.array(gram, dtype=float)
-    np.fill_diagonal(g, 0.0)
-    return spectral_norm(g) / (a_np * a_np)
+    g = np.asarray(gram, dtype=float)
+    zeroed, scaled = buffers or (np.empty_like(g), None)
+    np.copyto(zeroed, g)
+    np.fill_diagonal(zeroed, 0.0)
+    return spectral_norm(zeroed, out=scaled) / (a_np * a_np)
 
 
-def spectral_norm(m) -> float:
+def _max_abs(a: np.ndarray) -> float:
+    # The largest absolute entry in two passes that write nothing; NaN when a
+    # holds a NaN, inf when it holds an infinity.
+    return max(float(a.max()), -float(a.min()))
+
+
+def spectral_norm(m, out: np.ndarray | None = None) -> float:
     """Largest absolute eigenvalue of a dense symmetric matrix, by ARPACK.
 
     The matrix is pre-scaled by its largest absolute entry, which makes the
     result exactly homogeneous under power-of-two scaling of the input, and
     the start vector is counter-based, so the result is deterministic.
     ARPACK runs at ``_ARPACK_TOL`` with at most ``_MAX_RESTARTS`` restarts.
+
+    ``out``, an array of the matrix's shape other than the matrix itself,
+    holds A - Aᵀ for the symmetry check and then the pre-scaled matrix; it is
+    a fresh array where it is None.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.isfinite(a).all():
+    scale = _max_abs(a)
+    if not math.isfinite(scale):
         raise ValueError("matrix contains non-finite entries")
-    scale = float(np.abs(a).max())
-    asym = float(np.abs(a - a.T).max())
+    out = np.subtract(a, a.T, out=out)
+    asym = _max_abs(out)
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric: |A - Aᵀ| = {asym:g} vs scale {scale:g}")
     if scale == 0.0:
@@ -130,7 +180,7 @@ def spectral_norm(m) -> float:
     v0 = index_uniforms(0, np.arange(dim), tag=_SPECTRAL_TAG) - 0.5
     try:
         w = eigsh(
-            a / scale, k=1, which="LM", v0=v0, tol=_ARPACK_TOL, maxiter=_MAX_RESTARTS,
+            np.divide(a, scale, out=out), k=1, which="LM", v0=v0, tol=_ARPACK_TOL, maxiter=_MAX_RESTARTS,
             return_eigenvectors=False,
         )
     except ArpackNoConvergence as err:

@@ -265,6 +265,9 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
             for name, message in (
                 ("short_row", "short_row/trials.csv:3: 5 cells, the header has 10"),
                 ("bad_int", "bad_int/trials.csv:3: invalid literal for int() with base 10: 'x118'"),
+                ("nan_cell", "nan_cell/trials.csv:3: scaled_norm is nan, not a finite number"),
+                ("inf_cell", "inf_cell/trials.csv:2: offdiag_dev is inf, not a finite number"),
+                ("minus_inf_cell", "minus_inf_cell/trials.csv:3: top1 is -inf, not a finite number"),
             )
         ],
         ("check --config {config} --out {tmp}/bad_header", "bad_header/trials.csv:1: header is not n,p,"),
@@ -311,6 +314,9 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         ("short_row", [header, good, "40,6,1,118,1.5"]),
         ("bad_int", [header, good, "40,6,1,x118,1.5,0.25,0.125,0.5,0.25,0.125"]),
         ("bad_header", [header.replace("replicate", "rep"), good]),
+        ("nan_cell", [header, good, "40,6,1,118,1.5,nan,0.125,0.5,0.25,0.125"]),
+        ("inf_cell", [header, "40,6,0,117,1.5,0.25,inf,0.5,0.25,0.125", good]),
+        ("minus_inf_cell", [header, good, "40,6,1,118,1.5,0.25,0.125,-inf,0.25,0.125"]),
     ):
         (tmp_path / name).mkdir()
         (tmp_path / name / "trials.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

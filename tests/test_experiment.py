@@ -4,6 +4,9 @@ import json
 import math
 import os
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +36,7 @@ from heavyspec.experiment import (
     run_trial,
     validate,
 )
-from heavyspec.experiment import _set_blas_threads
+from heavyspec.experiment import _one_blas_thread, _set_blas_threads
 from heavyspec.limit_law import bound_constants, frechet_cdf, frechet_quantile
 from heavyspec.linear_filter import CoefficientSequence, FilterSpec
 from heavyspec.rv_noise import TailModel, derive_key, sample_noise
@@ -314,9 +317,9 @@ class TestRowBlocks:
 
         calls = []
 
-        def recorder(model, row_range, col_range, seed):
+        def recorder(model, row_range, col_range, seed, buffers=None):
             calls.append((row_range, col_range))
-            return sample_noise(model, row_range, col_range, seed)
+            return sample_noise(model, row_range, col_range, seed, buffers=buffers)
 
         monkeypatch.setattr(experiment, "sample_noise", recorder)
         fspec = _fs((1.0, 0.5), (1.0, 0.5))
@@ -331,6 +334,100 @@ class TestRowBlocks:
         # The row ranges tile the panel rows 0..p: each row drawn exactly once.
         rows = [r for (r0, r1), _ in calls for r in range(r0, r1)]
         assert sorted(rows) == list(range(0, p + 1))
+
+
+def _workspace_arrays(ws) -> list[np.ndarray]:
+    out = []
+    for value in vars(ws).values():
+        out.extend(value if isinstance(value, tuple) else [value])
+    return [a for a in out if isinstance(a, np.ndarray)]
+
+
+class TestTrialWorkspace:
+    """``run_trial`` writes every large array into its thread's workspace."""
+
+    @staticmethod
+    def _poison_before_each_trial(monkeypatch) -> list:
+        # NaN in every float buffer and all-ones bits in every uint64 one,
+        # just before each trial writes them; returns the workspaces handed out.
+        import heavyspec.experiment as experiment
+
+        handed = []
+        original = experiment._trial_workspace
+
+        def poisoned(key):
+            ws = original(key)
+            for a in _workspace_arrays(ws):
+                a.fill(np.iinfo(np.uint64).max if a.dtype == np.uint64 else np.nan)
+            handed.append(ws)
+            return ws
+
+        monkeypatch.setattr(experiment, "_trial_workspace", poisoned)
+        return handed
+
+    @pytest.mark.parametrize("p", [1, 2, 5, 37])
+    @pytest.mark.parametrize("fspec", [SPIKE, TestRowBlocks.LAGGED], ids=["spike", "lagged"])
+    @pytest.mark.parametrize("model", TestRowBlocks.MODELS, ids=lambda m: m.family)
+    def test_poisoned_workspace_leaves_records_equal(self, monkeypatch, p, fspec, model):
+        handed = self._poison_before_each_trial(monkeypatch)
+        n = 45
+        for seed in (derive_key(0x9015, p, 0), derive_key(0x9015, p, 1)):
+            spec = EnsembleSpec(model=model, filter=fspec, p=p, n=n, seed=seed)
+            assert run_trial(spec, top_k=min(3, p)) == _full_panel_trial(spec, min(3, p))
+        assert len(handed) == 2 and handed[0] is handed[1]
+
+    def test_shape_switch_replaces_the_workspace(self, monkeypatch):
+        handed = self._poison_before_each_trial(monkeypatch)
+        model = TailModel("pareto_skewed", alpha=1.2, q=0.3)
+        a = EnsembleSpec(model=model, filter=TestRowBlocks.LAGGED, p=37, n=45, seed=5)
+        b = EnsembleSpec(model=model, filter=SPIKE, p=12, n=60, seed=6)
+        for spec in (a, b, a):
+            assert run_trial(spec) == _full_panel_trial(spec, 3)
+        keys = [ws.key for ws in handed]
+        assert keys[0] == keys[2] != keys[1]
+        assert handed[0] is not handed[2]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor faults as Linux reports them")
+    def test_trials_of_one_shape_fault_in_no_heap(self):
+        import resource
+
+        fspec = _fs((1.0, 0.5), (1.0, 0.5))
+        specs = [EnsembleSpec(model=MODEL15, filter=fspec, p=400, n=1000, seed=seed) for seed in range(7)]
+        with _one_blas_thread():
+            run_trial(specs[0])
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for spec in specs[1:]:
+                run_trial(spec)
+            faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults <= 100 * len(specs[1:])
+
+    def test_threads_get_their_own_workspace(self):
+        import heavyspec.experiment as experiment
+
+        fspec = _fs((1.0, 0.5), (1.0, 0.5))
+        specs = [EnsembleSpec(model=MODEL15, filter=fspec, p=37, n=200, seed=seed) for seed in range(4)]
+        serial = [run_trial(spec) for spec in specs]
+        # The tasks wait for each other, so each runs in a thread of its own;
+        # three threads on a short switch interval interleave their trials.
+        barrier = threading.Barrier(3, timeout=60)
+
+        def task():
+            barrier.wait()
+            return [run_trial(spec) for spec in specs], experiment._LOCAL.workspace
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                results = [f.result(timeout=120) for f in [pool.submit(task) for _ in range(3)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(records == serial for records, _ in results)
+        spaces = [ws for _, ws in results] + [experiment._LOCAL.workspace]
+        assert len({ws.key for ws in spaces}) == 1
+        for i, x in enumerate(spaces):
+            for y in spaces[i + 1 :]:
+                assert not any(np.shares_memory(u, v) for u in _workspace_arrays(x) for v in _workspace_arrays(y))
 
 
 class TestRunBatch:

@@ -208,7 +208,12 @@ class TestOffdiagDeviation:
         rng = np.random.default_rng(3)
         x = rng.integers(-4, 5, size=(5, 8)).astype(float)
         g = x @ x.T
+        before = g.copy()
         got = offdiag_deviation(g, 2.5)
+        # Poisoned buffers give the same bits, and the Gram is never written.
+        buffers = (np.full_like(g, np.nan), np.full_like(g, np.nan))
+        assert offdiag_deviation(g, 2.5, buffers=buffers) == got
+        assert np.array_equal(g, before)
         np.fill_diagonal(g, 0.0)
         ref = np.abs(np.linalg.eigvalsh(g)).max()
         assert got == pytest.approx(ref / 2.5**2, rel=1e-10)
@@ -273,6 +278,13 @@ class TestSpectralNorm:
         a = np.full((2, 2), np.nan)
         with pytest.raises(ValueError, match="finite"):
             spectral_norm(a)
+        # One non-finite entry among finite ones, wherever the largest
+        # finite entry sits and whatever its sign.
+        for bad in (np.nan, np.inf, -np.inf):
+            for big in (5.0, -5.0):
+                a = np.array([[1.0, big, 0.0], [big, 2.0, 0.5], [0.0, 0.5, bad]])
+                with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+                    spectral_norm(a)
 
     def test_iteration_cap_reported(self, monkeypatch):
         monkeypatch.setattr(spectral, "_ARPACK_TOL", 1e-14)
