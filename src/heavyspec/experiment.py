@@ -27,11 +27,12 @@ from .limit_law import (
     frechet_quantile,
     limit_order_statistics,
 )
-from ._config import config_float, config_int, config_key, config_list, config_section
+from ._config import config_float, config_int, config_key, config_known_keys, config_list, config_section
 from .linear_filter import FilterSpec, build_row_process
 from .linear_filter import build_xhat  # noqa: F401  (perfbench's tracer wraps this name)
 from .rv_noise import TailModel, derive_key, mean_value, norming_constant, sample_noise
 from .spectral import (
+    _ARPACK_TOL,
     centered_covariance,
     centered_gram_diag,
     mu_x_alpha,
@@ -135,6 +136,7 @@ class DimensionRule:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DimensionRule":
+        config_known_keys(d, ("beta", "const", "p_max"))
         p_max = d.get("p_max")
         return cls(
             beta=config_float(config_key(d, "beta"), "beta"),
@@ -221,8 +223,9 @@ class _TrialWorkspace:
     ``key`` is (panel rows m, panel columns, n, p, block rows).  The m x m
     ``tg`` and ``terms`` hold T G and its terms in their first p rows while
     ``centered_covariance`` runs, then the zero-diagonal Gram and its
-    pre-scaled copy in ``offdiag_deviation``; the p x p ``tgt`` holds
-    T G Tᵀ, then the pre-scaled S.
+    pre-scaled copy in ``offdiag_deviation``; the p x p ``s`` holds S, and
+    ``scaled_s`` is ``spectral_norm(S)``'s ``out``: S - Sᵀ, then the
+    symmetrized, pre-scaled S.
     """
 
     def __init__(self, key: tuple[int, int, int, int, int]):
@@ -235,7 +238,7 @@ class _TrialWorkspace:
         self.gram = np.empty((m, m))
         self.tg = np.empty((m, m))
         self.terms = np.empty((m, m))
-        self.tgt = np.empty((p, p))
+        self.scaled_s = np.empty((p, p))
         self.s = np.empty((p, p))
 
 
@@ -289,9 +292,9 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
         centered_gram_diag(block, mu, out=ws.d_tilde[rows], scratch=scratch)
     gram = np.matmul(ws.x_rows, ws.x_rows.T, out=ws.gram)
 
-    s = centered_covariance(gram, theta, p, n, mu, buffers=(ws.tg[:p], ws.terms[:p], ws.tgt, ws.s))
+    s = centered_covariance(gram, theta, p, n, mu, buffers=(ws.tg[:p], ws.terms[:p], ws.s))
     a2 = a_np * a_np
-    scaled = spectral_norm(s, out=ws.tgt) / a2
+    scaled = spectral_norm(s, out=ws.scaled_s) / a2
     offdiag = offdiag_deviation(gram, a_np, buffers=(ws.tg, ws.terms))
 
     ma = np.zeros(p)
@@ -398,11 +401,14 @@ def _grid_report(
     model: TailModel, rule: DimensionRule, n_values, replicates: int, top_k: int
 ) -> tuple[ValidationReport, list[tuple[int, int]]]:
     """The admissibility report of a batch and its (n, p) grid; refuses an
-    empty n grid, fewer than one replicate, an n below 1 and a ``top_k``
-    outside ``[1, p]`` at any n, as each record holds exactly ``top_k`` ranks
-    of the p windowed diagonals."""
+    empty n grid, an n given twice, fewer than one replicate, an n below 1
+    and a ``top_k`` outside ``[1, p]`` at any n, as each record holds exactly
+    ``top_k`` ranks of the p windowed diagonals."""
     if not n_values:
         raise ValueError("n_values must be nonempty")
+    repeated = sorted({n for n in n_values if n_values.count(n) > 1})
+    if repeated:
+        raise ValueError(f"n_values repeats {repeated}; each n must appear once")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     grid = []
@@ -680,9 +686,7 @@ class ExperimentConfig:
         """The config a JSON object describes; refuses any key it does not know."""
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {d!r}")
-        unknown = sorted(set(d) - set(_CONFIG_KEYS))
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}; known: {sorted(_CONFIG_KEYS)}")
+        config_known_keys(d, _CONFIG_KEYS)
         flags = d.get("checks", {})
         if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
             raise ValueError(f"checks must map check names to true or false, got {flags!r}")
@@ -798,9 +802,9 @@ def read_trials_csv(path: str) -> list[TrialRecord]:
     return records
 
 
-# spectral._ARPACK_TOL, the ARPACK tolerance: a rerun on another BLAS build may
-# differ from the stored record in the last bits of the Gram product.
-_RERUN_REL_TOL = 1e-8
+# The ARPACK tolerance: a rerun on another BLAS build may differ from the
+# stored record in the last bits of the Gram product.
+_RERUN_REL_TOL = _ARPACK_TOL
 
 
 def _mismatch(detail: str) -> ValueError:
@@ -817,17 +821,17 @@ def batch_from_records(config: ExperimentConfig, records) -> TrialBatch:
     ``offdiag_dev`` and top values (relative to the largest |top|) must
     match the stored row to ``_RERUN_REL_TOL``; this refuses records that
     another filter made."""
-    _grid_report(config.model, config.rule, config.n_values, config.replicates, config.top_k)
+    _, grid = _grid_report(config.model, config.rule, config.n_values, config.replicates, config.top_k)
+    p_at = dict(grid)
     records = tuple(records)
-    grid = {(n, r) for n in config.n_values for r in range(config.replicates)}
+    cells = {(n, r) for n in p_at for r in range(config.replicates)}
     found = [(rec.n, rec.replicate) for rec in records]
-    missing, extra = sorted(grid - set(found)), sorted(set(found) - grid)
-    if missing or extra or len(found) != len(grid):
+    missing, extra = sorted(cells - set(found)), sorted(set(found) - cells)
+    if missing or extra or len(found) != len(cells):
         raise ValueError(
             f"records do not match the config's (n, replicate) grid: {len(missing)} missing "
             f"{missing[:1]}, {len(extra)} extra {extra[:1]}, {len(found) - len(set(found))} duplicates"
         )
-    p_at = {n: config.rule.p_for(n) for n in config.n_values}
     a_np = {n: norming_constant(config.model, n * p) for n, p in p_at.items()}
     for rec in records:
         where = f"at (n, replicate) = ({rec.n}, {rec.replicate})"

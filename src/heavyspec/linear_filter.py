@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import config_float, config_int, config_list, config_section
+from ._config import config_float, config_int, config_known_keys, config_list, config_section
 from .rv_noise import NoisePanel
 
 __all__ = [
@@ -65,6 +65,7 @@ class CoefficientSequence:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CoefficientSequence":
+        config_known_keys(d, ("min_lag", "values"))
         min_lag = config_int(d.get("min_lag", 0), "min_lag")
         values = tuple(config_float(v, "coefficient value") for v in config_list(d, "values"))
         return cls(values=values, min_lag=min_lag)
@@ -79,6 +80,8 @@ class FilterSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FilterSpec":
+        # Keys other than c and theta are ignored, unlike in every other
+        # section: perfbench's configs still carry a filter.delta.
         return cls(
             c=config_section(d, "c", CoefficientSequence.from_dict),
             theta=config_section(d, "theta", CoefficientSequence.from_dict),

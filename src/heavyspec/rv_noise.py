@@ -14,14 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._config import config_float, config_key
+from ._config import config_float, config_key, config_known_keys
 
 __all__ = [
     "FAMILIES",
     "NoiseCoverageError",
     "NoisePanel",
     "TailModel",
-    "abs_survival",
     "derive_key",
     "index_uniforms",
     "mean_value",
@@ -76,6 +75,7 @@ class TailModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TailModel":
+        config_known_keys(d, ("family", "alpha", "q", "scale"))
         return cls(
             family=config_key(d, "family"),
             alpha=config_float(config_key(d, "alpha"), "alpha"),
@@ -309,17 +309,6 @@ def sample_noise(
         bits = u.view(np.uint64)
         bits ^= sign
     return NoisePanel(values=u, row_offset=r0, col_offset=c0)
-
-
-def abs_survival(model: TailModel, x) -> np.ndarray | float:
-    """P(|Z| > x), exact for every family."""
-    x = np.asarray(x, dtype=float)
-    if model.is_pareto:
-        out = np.where(x <= model.scale, 1.0, (model.scale / np.maximum(x, model.scale)) ** model.alpha)
-    else:
-        out = 2.0 * special.stdtr(model.alpha, -(np.maximum(x, 0.0) / model.scale))
-        out = np.where(x < 0.0, 1.0, out)
-    return out if out.ndim else float(out)
 
 
 def norming_constant(model: TailModel, m: int) -> float:

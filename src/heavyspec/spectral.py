@@ -56,9 +56,10 @@ def centered_covariance(
     p: int,
     n: int,
     mu: float,
-    buffers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """S = T G Tᵀ - n * mu * H Hᵀ, symmetrized after assembly.
+    """S = T G Tᵀ - n * mu * H Hᵀ, symmetric only up to rounding;
+    ``spectral_norm`` symmetrizes it.
 
     G is the Gram matrix of the time-filtered rows 1 - theta.max_lag through
     p - theta.min_lag, and T applies the full theta window across them, so
@@ -67,25 +68,25 @@ def centered_covariance(
     keeps only the theta lags inside [-p, p]; the two differ when a lag lies
     outside.
 
-    ``buffers`` are arrays for T G (p x m), its terms (p x m), T G Tᵀ
-    (p x p) and S (p x p, returned), m the Gram's order; without them the
-    same steps run on fresh arrays.
+    ``buffers`` are arrays for T G (p x m), its terms (p x m) and S (p x p,
+    returned), m the Gram's order; without them the same steps run on fresh
+    arrays.
     """
     g = np.asarray(gram, dtype=float)
     m = p + len(theta.values) - 1
     if g.shape != (m, m):
         raise ValueError(f"gram must be {m} x {m} for p = {p}, got shape {g.shape}")
     if buffers is None:
-        buffers = (np.empty((p, m)), np.empty((p, m)), np.empty((p, p)), np.empty((p, p)))
-    tg, terms, s, out = buffers
+        buffers = (np.empty((p, m)), np.empty((p, m)), np.empty((p, p)))
+    tg, terms, s = buffers
     offsets = [(theta.max_lag - k, w) for k, w in zip(theta.lags, theta.values)]
     tg.fill(0.0)
     for o, w in offsets:
         tg += np.multiply(w, g[o : o + p], out=terms)
-    # out holds each term of T G Tᵀ, then S - Sᵀ, before it receives S.
+    # T G is summed, so the first p columns of terms hold each term of T G Tᵀ.
     s.fill(0.0)
     for o, w in offsets:
-        s += np.multiply(w, tg[:, o : o + p], out=out)
+        s += np.multiply(w, tg[:, o : o + p], out=terms[:, :p])
     if mu != 0.0:
         # H Hᵀ is the symmetric Toeplitz matrix with r[b] = sum_u w[u] * w[u-b]
         # on diagonals +-b, w the reversed window of the theta lags inside
@@ -101,13 +102,7 @@ def centered_covariance(
             s[i[: p - b], i[b:]] -= v
             if b:
                 s[i[b:], i[: p - b]] -= v
-    asym = _max_abs(np.subtract(s, s.T, out=out))
-    scale = _max_abs(s)
-    if asym > 1e-12 * scale:
-        raise ValueError(f"assembled S is asymmetric: |S - Sᵀ| = {asym:g} vs scale {scale:g}")
-    out = np.add(s, s.T, out=out)
-    out *= 0.5
-    return out
+    return s
 
 
 def centered_gram_diag(
@@ -153,18 +148,23 @@ def _max_abs(a: np.ndarray) -> float:
 def spectral_norm(m, out: np.ndarray | None = None) -> float:
     """Largest absolute eigenvalue of a dense symmetric matrix, by ARPACK.
 
-    The matrix is pre-scaled by its largest absolute entry, which makes the
-    result exactly homogeneous under power-of-two scaling of the input, and
-    the start vector is counter-based, so the result is deterministic.
-    ARPACK runs at ``_ARPACK_TOL`` with at most ``_MAX_RESTARTS`` restarts.
+    The matrix must be finite and symmetric to 1e-12 of its largest absolute
+    entry; it is solved as (A + Aᵀ) / 2, which keeps an exactly symmetric
+    one's bits, pre-scaled by that matrix's largest absolute entry.  The
+    scaling makes the result exactly homogeneous under power-of-two scaling
+    of the input, and the start vector is counter-based, so the result is
+    deterministic.  ARPACK runs at ``_ARPACK_TOL`` with at most
+    ``_MAX_RESTARTS`` restarts.
 
-    ``out``, an array of the matrix's shape other than the matrix itself,
-    holds A - Aᵀ for the symmetry check and then the pre-scaled matrix; it is
-    a fresh array where it is None.
+    ``out``, an array of the matrix's shape that shares no memory with it,
+    holds A - Aᵀ for the symmetry check and then the symmetrized, pre-scaled
+    matrix; it is a fresh array where it is None.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if out is not None and np.shares_memory(a, out):
+        raise ValueError("out shares memory with the matrix")
     scale = _max_abs(a)
     if not math.isfinite(scale):
         raise ValueError("matrix contains non-finite entries")
@@ -177,6 +177,10 @@ def spectral_norm(m, out: np.ndarray | None = None) -> float:
     dim = a.shape[0]
     if dim == 1:
         return abs(float(a[0, 0]))
+    if asym != 0.0:
+        a = np.add(a, a.T, out=out)
+        a *= 0.5
+        scale = _max_abs(a)
     v0 = index_uniforms(0, np.arange(dim), tag=_SPECTRAL_TAG) - 0.5
     try:
         w = eigsh(

@@ -283,6 +283,13 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
         ("validate --config {tmp}/n_values_int.json", "n_values must be a list, got 1000"),
         ("run --config {tmp}/c_values_float.json --out {tmp}/out", "values must be a list, got 1.0"),
         ("validate --config {tmp}/model_list.json", "model must be a JSON object, got [1]"),
+        *[
+            (f"{command} --config {{tmp}}/n_values_repeated.json{out}", "n_values repeats [40]; each n must appear once")
+            for command, out in (("validate", ""), ("run", " --out {tmp}/out"), ("check", " --out {tmp}/one_row"))
+        ],
+        ("validate --config {tmp}/pmax.json", "unknown config keys ['dimension_rule.pmax']; known: "),
+        ("run --config {tmp}/sclae.json --out {tmp}/out", "unknown config keys ['model.sclae']; known: "),
+        ("validate --config {tmp}/minlag.json", "unknown config keys ['filter.theta.minlag']; known: "),
     ],
 )
 def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys, argv, message):
@@ -298,6 +305,10 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         ("c_values_float", ("filter", "c", "values"), 1.0),
         ("model_list", ("model",), [1]),
         ("n_values_empty", ("n_values",), []),
+        ("n_values_repeated", ("n_values",), [40, 80, 40]),
+        ("pmax", ("dimension_rule", "pmax"), 10),
+        ("sclae", ("model", "sclae"), 2.0),
+        ("minlag", ("filter", "theta", "minlag"), -3),
     ):
         edited = json.loads(json.dumps(config))
         node = edited
@@ -311,6 +322,7 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
     header = "n,p,replicate,seed,a_np,scaled_norm,offdiag_dev,top1,top2,top3"
     good = "40,6,0,117,1.5,0.25,0.125,0.5,0.25,0.125"
     for name, lines in (
+        ("one_row", [header, good]),
         ("short_row", [header, good, "40,6,1,118,1.5"]),
         ("bad_int", [header, good, "40,6,1,x118,1.5,0.25,0.125,0.5,0.25,0.125"]),
         ("bad_header", [header.replace("replicate", "rep"), good]),

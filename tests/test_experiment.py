@@ -119,6 +119,10 @@ class TestDimensionRule:
         d = {"beta": 0.9, "const": 2.0, "p_max": 400}
         assert DimensionRule.from_dict(d) == DimensionRule(beta=0.9, const=2.0, p_max=400)
 
+    def test_from_dict_refuses_unknown_key(self):
+        with pytest.raises(ValueError, match=re.escape("unknown config keys ['pmax']; known: ['beta', 'const', 'p_max']")):
+            DimensionRule.from_dict({"beta": 0.9, "pmax": 10})
+
 
 class TestValidate:
     def test_admissible_case(self):
@@ -509,6 +513,13 @@ class TestRunBatch:
             run_batch(template, rule, [40, 4], 2, base_seed=1, top_k=3)
         assert run_batch(template, rule, [40], 2, base_seed=1, top_k=3).top_matrix().shape == (2, 3)
 
+    def test_rejects_repeated_n(self):
+        # A repeated n used to draw each of its replicates twice, with the
+        # same seeds, into a batch that check then refused as duplicates.
+        template = EnsembleTemplate(model=MODEL15, filter=SPIKE)
+        with pytest.raises(ValueError, match=re.escape("n_values repeats [60]; each n must appear once")):
+            run_batch(template, DimensionRule(beta=0.5, p_max=8), [60, 30, 60], 2, base_seed=2)
+
     def test_records_sorted(self):
         template = EnsembleTemplate(model=MODEL15, filter=SPIKE)
         batch = run_batch(template, DimensionRule(beta=0.5, p_max=8), [60, 30], 3, base_seed=2)
@@ -840,6 +851,8 @@ class TestConfig:
         # A header-only trials.csv under --replicates 0 has no replicate 0 to rerun.
         with pytest.raises(ValueError, match=r"replicates must be >= 1, got 0"):
             batch_from_records(replace(config, replicates=0), [])
+        with pytest.raises(ValueError, match=re.escape("n_values repeats [40]")):
+            batch_from_records(replace(config, n_values=(40, 40)), [rec, _stored(config, 40, 1)] * 2)
 
     def test_batch_from_records_rejects_other_seed_model_or_top_k(self):
         config = ExperimentConfig(
@@ -1012,6 +1025,32 @@ class TestConfig:
         node[path[-1]] = value
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path, known",
+        [
+            (("dimension_rule", "pmax"), "['dimension_rule.beta', 'dimension_rule.const', 'dimension_rule.p_max']"),
+            (("model", "sclae"), "['model.alpha', 'model.family', 'model.q', 'model.scale']"),
+            (("filter", "theta", "minlag"), "['filter.theta.min_lag', 'filter.theta.values']"),
+            (("filter", "c", "value"), "['filter.c.min_lag', 'filter.c.values']"),
+        ],
+    )
+    def test_refuses_unknown_section_key_by_its_path(self, path, known):
+        # A misspelled optional key used to be dropped: "pmax" gave an
+        # uncapped p, "sclae" scale 1 and "minlag" lag 0.
+        d = _minimal_config()
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = 1
+        message = f"unknown config keys ['{'.'.join(path)}']; known: {known}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig.from_dict(d)
+
+    def test_filter_keys_other_than_the_windows_are_ignored(self):
+        d = _minimal_config()
+        d["filter"]["delta"] = 0.9
+        assert ExperimentConfig.from_dict(d).filter == ExperimentConfig.from_dict(_minimal_config()).filter
 
     def test_refuses_config_that_is_not_an_object(self):
         for value in ([_minimal_config()], 5, "config"):

@@ -144,12 +144,12 @@ class TestCenteredCovariance:
         with pytest.raises(ValueError, match="gram must be"):
             centered_covariance(np.zeros((5, 6)), theta, 4, 5, 0.0)
 
-    def test_output_exactly_symmetric(self):
+    def test_output_symmetric_to_rounding(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=(7, 11))
         theta = CoefficientSequence((1.0, 0.5))
         s = centered_covariance(x @ x.T, theta, 6, 11, 0.5)
-        assert np.array_equal(s, s.T)
+        assert np.abs(s - s.T).max() <= 1e-12 * np.abs(s).max()
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])  # mu = 0, truncated, exact
     @pytest.mark.parametrize(
@@ -220,9 +220,8 @@ class TestOffdiagDeviation:
 
     @pytest.mark.parametrize("gram", [[[0.0, 1.0], [0.0, 0.0]], [[2.0, 1.0], [0.0, 3.0]]])
     def test_refuses_asymmetric_gram(self, gram):
-        # A Gram matrix is symmetric: an asymmetric one is refused, as
-        # centered_covariance refuses it, not symmetrized, and the caller's
-        # matrix keeps its diagonal.
+        # A Gram matrix is symmetric: an asymmetric one is refused, not
+        # symmetrized, and the caller's matrix keeps its diagonal.
         g = np.array(gram)
         with pytest.raises(ValueError, match="matrix is not symmetric"):
             offdiag_deviation(g, 1.0)
@@ -271,6 +270,36 @@ class TestSpectralNorm:
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
             spectral_norm(a)
+
+    @pytest.mark.parametrize("p", [6, 37, 120])
+    def test_rounding_asymmetry_solved_as_symmetric_part(self, p):
+        # S summed over a two-lag window is asymmetric in its last bits; the
+        # norm is the symmetric part's, to the bit, and S is not written.
+        theta = CoefficientSequence((1.0, 0.5))
+        rng = np.random.default_rng(p)
+        x = rng.normal(size=(p + 1, 2 * p))
+        s = centered_covariance(x @ x.T, theta, p, 2 * p, 0.0)
+        before = s.copy()
+        assert not np.array_equal(s, s.T)
+        assert spectral_norm(s) == spectral_norm(0.5 * (s + s.T))
+        assert np.array_equal(s, before)
+
+    def test_rejects_asymmetry_beyond_rounding(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(7, 11))
+        s = centered_covariance(x @ x.T, CoefficientSequence((1.0, 0.5)), 6, 11, 0.5)
+        s[0, 1] += 1e-9 * np.abs(s).max()
+        with pytest.raises(ValueError, match="matrix is not symmetric"):
+            spectral_norm(s)
+
+    def test_rejects_out_sharing_memory(self):
+        a = np.eye(4)
+        with pytest.raises(ValueError, match="out shares memory with the matrix"):
+            spectral_norm(a, out=a)
+        buf = np.eye(5)[:, :4].copy()
+        with pytest.raises(ValueError, match="out shares memory with the matrix"):
+            spectral_norm(buf[:4], out=buf[1:])
+        assert np.array_equal(a, np.eye(4))
 
     def test_rejects_nonsquare_and_nonfinite(self):
         with pytest.raises(ValueError, match="square"):
