@@ -1,4 +1,9 @@
-"""Command line interface: validate, run, check, report."""
+"""Command line interface: validate, run, check, report.
+
+``validate`` needs only the config layer; ``run``, ``check`` and ``report``
+import the numeric modules, so numpy and scipy load only for commands that
+draw.
+"""
 
 from __future__ import annotations
 
@@ -8,21 +13,9 @@ import json
 import os
 import sys
 
-import numpy as np
+from ._config import CHECKS, ExperimentConfig, batch_grid, load_config, validate
 
-from .experiment import (
-    CHECKS,
-    ExperimentConfig,
-    TrialBatch,
-    _grid_report,
-    batch_from_records,
-    emit_report,
-    load_config,
-    read_trials_csv,
-    run_batch,
-    run_checks,
-    write_checks,
-)
+__all__ = ["main"]
 
 
 def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
@@ -53,15 +46,18 @@ def _load(args) -> ExperimentConfig:
     return dataclasses.replace(config, **updates) if updates else config
 
 
-def _load_batch(config: ExperimentConfig, out_dir: str) -> TrialBatch:
+def _load_batch(config: ExperimentConfig, out_dir: str):
     """The batch stored in out_dir/trials.csv; raises when it does not match
     the config."""
+    from .experiment import batch_from_records, read_trials_csv
+
     return batch_from_records(config, read_trials_csv(os.path.join(out_dir, "trials.csv")))
 
 
 def _cmd_validate(args) -> int:
     config = _load(args)
-    report, grid = _grid_report(config.model, config.rule, config.n_values, config.replicates, config.top_k)
+    grid = batch_grid(config.rule, config.n_values, config.replicates, config.top_k)
+    report = validate(config.model, config.rule)
     for n, p in grid:
         print(f"n={n} p={p}")
     for line in report.lines():
@@ -71,6 +67,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .experiment import emit_report, run_batch, run_checks
+
     config = _load(args)
     batch = run_batch(
         config.template,
@@ -90,6 +88,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .experiment import run_checks, write_checks
+
     config = _load(args)
     batch = _load_batch(config, args.out)
     checks = run_checks(batch, config)
@@ -99,6 +99,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    import numpy as np
+
     config = _load(args)
     batch = _load_batch(config, args.out)
     print(f"model: {config.model.family} alpha={config.model.alpha} scale={config.model.scale}")

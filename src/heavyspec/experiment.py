@@ -1,5 +1,6 @@
-"""Monte Carlo harness: admissibility validation, trial batches, statistical
-checks against the limit laws, and deterministic result persistence.
+"""Monte Carlo harness: trial batches, statistical checks against the limit
+laws, and deterministic result persistence; it re-exports the config layer
+and its admissibility validation from ``_config``.
 
 A trial batch is a pure function of its configuration: replicate seeds are
 derived from (base_seed, n, replicate), every trial is counter-based, and
@@ -16,7 +17,7 @@ import math
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,10 +28,13 @@ from .limit_law import (
     frechet_quantile,
     limit_order_statistics,
 )
-from ._config import config_float, config_int, config_key, config_known_keys, config_list, config_section
-from .linear_filter import FilterSpec, build_row_process
+from ._config import (
+    CHECKS, DimensionRule, EnsembleSpec, EnsembleTemplate, ExperimentConfig, FilterSpec, TailModel,
+    ValidationError, ValidationReport, batch_grid, beta_limit, load_config, validate,
+)
+from .linear_filter import build_row_process
 from .linear_filter import build_xhat  # noqa: F401  (perfbench's tracer wraps this name)
-from .rv_noise import TailModel, derive_key, mean_value, norming_constant, sample_noise
+from .rv_noise import derive_key, norming_constant, sample_noise
 from .spectral import (
     _ARPACK_TOL,
     centered_covariance,
@@ -69,130 +73,6 @@ __all__ = [
 ]
 
 _SEED_DOMAIN = 0x7B1A15
-
-
-def beta_limit(alpha: float) -> float:
-    """Largest admissible growth exponent for p = O(n^beta) at tail index alpha."""
-    if not 0.0 < alpha < 4.0:
-        raise ValueError(f"alpha must lie in (0, 4), got {alpha}")
-    if alpha <= 1.0:
-        return math.inf
-    if alpha < 2.0:
-        return max((2.0 - alpha) / (alpha - 1.0), 0.5)
-    if alpha < 3.0:
-        return max((4.0 - alpha) / (4.0 * (alpha - 1.0)), 1.0 / 3.0)
-    return (4.0 - alpha) / (3.0 * alpha - 4.0)
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Everything needed to draw one replicate."""
-
-    model: TailModel
-    filter: FilterSpec
-    p: int
-    n: int
-    seed: int
-
-    def __post_init__(self):
-        if self.p < 1 or self.n < 1:
-            raise ValueError(f"p and n must be >= 1, got p={self.p}, n={self.n}")
-
-
-@dataclass(frozen=True)
-class EnsembleTemplate:
-    """The per-batch part of an ensemble spec: noise model plus filter."""
-
-    model: TailModel
-    filter: FilterSpec
-
-    def spec(self, p: int, n: int, seed: int) -> EnsembleSpec:
-        return EnsembleSpec(model=self.model, filter=self.filter, p=p, n=n, seed=seed)
-
-
-@dataclass(frozen=True)
-class DimensionRule:
-    """Row growth rule p = round(const * n^beta), optionally capped."""
-
-    beta: float
-    const: float = 1.0
-    p_max: int | None = None
-
-    def __post_init__(self):
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if not self.const > 0.0:
-            raise ValueError(f"const must be positive, got {self.const}")
-        if self.p_max is not None and self.p_max < 1:
-            raise ValueError(f"p_max must be >= 1, got {self.p_max}")
-
-    def p_for(self, n: int) -> int:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        p = max(1, int(round(self.const * float(n) ** self.beta)))
-        if self.p_max is not None:
-            p = min(p, self.p_max)
-        return p
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DimensionRule":
-        config_known_keys(d, ("beta", "const", "p_max"))
-        p_max = d.get("p_max")
-        return cls(
-            beta=config_float(config_key(d, "beta"), "beta"),
-            const=config_float(d.get("const", 1.0), "const"),
-            p_max=None if p_max is None else config_int(p_max, "p_max"),
-        )
-
-
-@dataclass(frozen=True)
-class ValidationItem:
-    name: str
-    passed: bool
-    margin: float
-    detail: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    items: tuple[ValidationItem, ...]
-
-    @property
-    def ok(self) -> bool:
-        return all(item.passed for item in self.items)
-
-    def lines(self) -> list[str]:
-        out = []
-        for it in self.items:
-            status = "pass" if it.passed else "FAIL"
-            out.append(f"{status:4s}  {it.name:16s} margin={it.margin:+.6g}  {it.detail}")
-        return out
-
-
-class ValidationError(ValueError):
-    def __init__(self, report: ValidationReport):
-        super().__init__("ensemble spec violates admissibility:\n" + "\n".join(report.lines()))
-        self.report = report
-
-
-def validate(model: TailModel, rule: DimensionRule) -> ValidationReport:
-    """Check every admissibility hypothesis; each item reports its margin.
-
-    The hypotheses constrain only the noise and the growth rule, never one
-    n, p or seed. The tail index range (0, 4) is not an item: ``TailModel``
-    refuses any other alpha."""
-    alpha = model.alpha
-    if alpha > 5.0 / 3.0:
-        mean = mean_value(model)
-        detail = f"E(Z)={mean:g} (required zero for alpha in (5/3, 4))"
-        # 0.0 - |mean| rather than -|mean|, so that a zero mean reads +0.
-        zero_mean = ValidationItem("zero_mean", mean == 0.0, 0.0 - abs(mean), detail)
-    else:
-        zero_mean = ValidationItem("zero_mean", True, math.inf, "not required for alpha <= 5/3")
-    limit = beta_limit(alpha)
-    detail = f"beta={rule.beta} < beta_limit({alpha})={limit:g}"
-    beta_admissible = ValidationItem("beta_admissible", rule.beta < limit, limit - rule.beta, detail)
-    return ValidationReport(items=(zero_mean, beta_admissible))
 
 
 @dataclass(frozen=True)
@@ -397,29 +277,6 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _grid_report(
-    model: TailModel, rule: DimensionRule, n_values, replicates: int, top_k: int
-) -> tuple[ValidationReport, list[tuple[int, int]]]:
-    """The admissibility report of a batch and its (n, p) grid; refuses an
-    empty n grid, an n given twice, fewer than one replicate, an n below 1
-    and a ``top_k`` outside ``[1, p]`` at any n, as each record holds exactly
-    ``top_k`` ranks of the p windowed diagonals."""
-    if not n_values:
-        raise ValueError("n_values must be nonempty")
-    repeated = sorted({n for n in n_values if n_values.count(n) > 1})
-    if repeated:
-        raise ValueError(f"n_values repeats {repeated}; each n must appear once")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    grid = []
-    for n in n_values:
-        p = rule.p_for(n)
-        if not 1 <= top_k <= p:
-            raise ValueError(f"top_k must lie in [1, p], got top_k={top_k} with p={p} at n={n}")
-        grid.append((n, p))
-    return validate(model, rule), grid
-
-
 def run_batch(
     template: EnsembleTemplate,
     rule: DimensionRule,
@@ -430,7 +287,7 @@ def run_batch(
     top_k: int = 3,
 ) -> TrialBatch:
     """Validate, then run every replicate at every n; refuses, before any
-    trial runs, what ``_grid_report`` refuses and an inadmissible config.
+    trial runs, what ``batch_grid`` refuses and an inadmissible config.
 
     Replicate seeds depend only on (base_seed, n, replicate); records are
     sorted afterwards so the batch is independent of scheduling.
@@ -445,7 +302,9 @@ def run_batch(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n_values = tuple(int(n) for n in n_values)
-    report, grid = _grid_report(template.model, rule, n_values, replicates, top_k)
+    grid = batch_grid(rule, n_values, replicates, top_k)
+    # validate through this module's name, which perfbench's tracer wraps.
+    report = validate(template.model, rule)
     if not report.ok:
         raise ValidationError(report)
     jobs = []
@@ -647,70 +506,6 @@ def offdiag_trend_check(batch: TrialBatch) -> dict:
     }
 
 
-# Every check, by its key in the config's "checks" and in checks.json, with the
-# name of its function in this module. run_checks looks each function up when
-# it runs, so a wrapper set on the module attribute (perfbench's tracer) sees
-# the call.
-CHECKS = {
-    "envelope": "envelope_check",
-    "ks": "ks_check",
-    "order_stats": "order_stat_check",
-    "offdiag": "offdiag_trend_check",
-}
-
-
-# ---------------------------------------------------------------------------
-# Configuration and persistence.
-
-
-_CONFIG_KEYS = ("model", "filter", "dimension_rule", "n_values", "replicates", "seed", "checks", "top_k")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    model: TailModel
-    filter: FilterSpec
-    rule: DimensionRule
-    n_values: tuple[int, ...]
-    replicates: int
-    seed: int
-    checks: dict = field(default_factory=lambda: dict.fromkeys(CHECKS, True))
-    top_k: int = 3
-
-    @property
-    def template(self) -> EnsembleTemplate:
-        return EnsembleTemplate(model=self.model, filter=self.filter)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """The config a JSON object describes; refuses any key it does not know."""
-        if not isinstance(d, dict):
-            raise ValueError(f"config must be a JSON object, got {d!r}")
-        config_known_keys(d, _CONFIG_KEYS)
-        flags = d.get("checks", {})
-        if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
-            raise ValueError(f"checks must map check names to true or false, got {flags!r}")
-        unknown = sorted(set(flags) - set(CHECKS))
-        if unknown:
-            raise ValueError(f"unknown checks {unknown}; known: {sorted(CHECKS)}")
-        checks = {**dict.fromkeys(CHECKS, True), **flags}
-        return cls(
-            model=config_section(d, "model", TailModel.from_dict),
-            filter=config_section(d, "filter", FilterSpec.from_dict),
-            rule=config_section(d, "dimension_rule", DimensionRule.from_dict),
-            n_values=tuple(config_int(n, "n_values entry") for n in config_list(d, "n_values")),
-            replicates=config_int(config_key(d, "replicates"), "replicates"),
-            seed=config_int(config_key(d, "seed"), "seed"),
-            checks=checks,
-            top_k=config_int(d.get("top_k", 3), "top_k"),
-        )
-
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
-
-
 def run_checks(batch: TrialBatch, config: ExperimentConfig) -> dict:
     """Run each check of ``CHECKS`` that the config enables, on the batch
     alone; overall pass ignores disabled and inapplicable ones."""
@@ -725,6 +520,10 @@ def run_checks(batch: TrialBatch, config: ExperimentConfig) -> dict:
     ]
     out["overall_passed"] = bool(all(verdicts)) if verdicts else True
     return out
+
+
+# ---------------------------------------------------------------------------
+# Persistence.
 
 
 # The leading columns of trials.csv, one per scalar of a record; top1..topK follow.
@@ -821,8 +620,7 @@ def batch_from_records(config: ExperimentConfig, records) -> TrialBatch:
     ``offdiag_dev`` and top values (relative to the largest |top|) must
     match the stored row to ``_RERUN_REL_TOL``; this refuses records that
     another filter made."""
-    _, grid = _grid_report(config.model, config.rule, config.n_values, config.replicates, config.top_k)
-    p_at = dict(grid)
+    p_at = dict(batch_grid(config.rule, config.n_values, config.replicates, config.top_k))
     records = tuple(records)
     cells = {(n, r) for n in p_at for r in range(config.replicates)}
     found = [(rec.n, rec.replicate) for rec in records]

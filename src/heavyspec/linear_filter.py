@@ -1,4 +1,4 @@
-"""Finite-window coefficient sequences and the two-dimensional linear filter.
+"""The two-dimensional linear filter over finite coefficient windows.
 
 The filtered panel is built in two stages: a moving average across rows with
 window ``theta``, then a moving average across time with window ``c``.
@@ -8,12 +8,9 @@ results are exact finite sums with a deterministic summation order.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._config import config_float, config_int, config_known_keys, config_list, config_section
+from ._config import CoefficientSequence, FilterSpec
 from .rv_noise import NoisePanel
 
 __all__ = [
@@ -24,68 +21,6 @@ __all__ = [
     "build_xhat_direct",
     "build_xi",
 ]
-
-
-@dataclass(frozen=True)
-class CoefficientSequence:
-    """A finite real coefficient window; ``values[v]`` sits at lag ``min_lag + v``."""
-
-    values: tuple[float, ...]
-    min_lag: int = 0
-
-    def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        object.__setattr__(self, "values", vals)
-        if not vals:
-            raise ValueError("coefficient window is empty")
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("coefficient window contains non-finite values")
-        if all(v == 0.0 for v in vals):
-            raise ValueError("coefficient window must contain a nonzero value")
-
-    @property
-    def max_lag(self) -> int:
-        return self.min_lag + len(self.values) - 1
-
-    @property
-    def lags(self) -> range:
-        return range(self.min_lag, self.max_lag + 1)
-
-    @property
-    def abs_sum(self) -> float:
-        return float(sum(abs(v) for v in self.values))
-
-    @property
-    def sq_sum(self) -> float:
-        return float(sum(v * v for v in self.values))
-
-    @property
-    def max_abs(self) -> float:
-        return float(max(abs(v) for v in self.values))
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CoefficientSequence":
-        config_known_keys(d, ("min_lag", "values"))
-        min_lag = config_int(d.get("min_lag", 0), "min_lag")
-        values = tuple(config_float(v, "coefficient value") for v in config_list(d, "values"))
-        return cls(values=values, min_lag=min_lag)
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """The pair of windows for the two-dimensional filter."""
-
-    c: CoefficientSequence
-    theta: CoefficientSequence
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FilterSpec":
-        # Keys other than c and theta are ignored, unlike in every other
-        # section: perfbench's configs still carry a filter.delta.
-        return cls(
-            c=config_section(d, "c", CoefficientSequence.from_dict),
-            theta=config_section(d, "theta", CoefficientSequence.from_dict),
-        )
 
 
 def build_xi(

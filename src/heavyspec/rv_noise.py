@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from ._config import config_float, config_key, config_known_keys
+from ._config import FAMILIES, PARETO_SKEWED, PARETO_SYMMETRIC, STUDENT_T, TailModel, mean_value
 
 __all__ = [
     "FAMILIES",
@@ -29,59 +29,6 @@ __all__ = [
     "second_moment",
     "truncated_second_moment",
 ]
-
-PARETO_SYMMETRIC = "pareto_symmetric"
-PARETO_POSITIVE = "pareto_positive"
-PARETO_SKEWED = "pareto_skewed"
-STUDENT_T = "student_t"
-
-FAMILIES = (PARETO_SYMMETRIC, PARETO_POSITIVE, PARETO_SKEWED, STUDENT_T)
-
-_PARETO_FAMILIES = frozenset({PARETO_SYMMETRIC, PARETO_POSITIVE, PARETO_SKEWED})
-
-
-@dataclass(frozen=True)
-class TailModel:
-    """A regularly varying noise distribution with tail index ``alpha``.
-
-    ``q`` is the right-tail balance P(Z > x)/P(|Z| > x) in the limit; it is
-    pinned to 1/2 for the symmetric families, 1 for the positive Pareto, and
-    free in [0, 1] for the skewed Pareto.  ``scale`` is the minimum support
-    point of |Z| for the Pareto families and the scale factor for student_t.
-    """
-
-    family: str
-    alpha: float
-    q: float = 0.5
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
-        if not 0.0 < self.alpha < 4.0:
-            raise ValueError(f"alpha must lie in (0, 4), got {self.alpha}")
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
-        if not 0.0 <= self.q <= 1.0:
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
-        if self.family in (PARETO_SYMMETRIC, STUDENT_T) and self.q != 0.5:
-            raise ValueError(f"{self.family} requires q = 1/2, got {self.q}")
-        if self.family == PARETO_POSITIVE and self.q != 1.0:
-            raise ValueError(f"{self.family} requires q = 1, got {self.q}")
-
-    @property
-    def is_pareto(self) -> bool:
-        return self.family in _PARETO_FAMILIES
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TailModel":
-        config_known_keys(d, ("family", "alpha", "q", "scale"))
-        return cls(
-            family=config_key(d, "family"),
-            alpha=config_float(config_key(d, "alpha"), "alpha"),
-            q=config_float(d.get("q", 0.5), "q"),
-            scale=config_float(d.get("scale", 1.0), "scale"),
-        )
 
 
 class NoiseCoverageError(ValueError):
@@ -345,12 +292,3 @@ def second_moment(model: TailModel) -> float:
     # Pareto: alpha*scale^2/(alpha-2).  student_t with df=alpha: same form.
     return model.alpha * model.scale**2 / (model.alpha - 2.0)
 
-
-def mean_value(model: TailModel) -> float:
-    """E(Z) where defined; NaN for alpha <= 1 (no first moment)."""
-    if model.alpha <= 1.0:
-        return math.nan
-    if model.family == STUDENT_T:
-        return 0.0
-    abs_mean = model.alpha * model.scale / (model.alpha - 1.0)
-    return (2.0 * model.q - 1.0) * abs_mean

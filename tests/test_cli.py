@@ -66,6 +66,21 @@ def test_validate_rejects_bad_alpha_override(config_path, capsys):
     assert "NOT admissible" in capsys.readouterr().out
 
 
+def test_validate_caps_overflowing_growth_at_p_max(config_path, capsys):
+    # 40^400 exceeds the largest float: p is p_max, and beta 400 is not admissible.
+    with open(config_path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["dimension_rule"]["beta"] = 400
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    assert main(["validate", "--config", config_path]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[:2] == ["n=40 p=10", "n=80 p=10"]
+    assert lines[3].startswith("  FAIL  beta_admissible") and lines[4:] == ["NOT admissible"]
+    assert captured.err == ""
+
+
 def test_run_writes_outputs(config_path, tmp_path, capsys):
     out_dir = str(tmp_path / "out")
     rc = main(["run", "--config", config_path, "--out", out_dir])
@@ -283,6 +298,7 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
         ("validate --config {tmp}/n_values_int.json", "n_values must be a list, got 1000"),
         ("run --config {tmp}/c_values_float.json --out {tmp}/out", "values must be a list, got 1.0"),
         ("validate --config {tmp}/model_list.json", "model must be a JSON object, got [1]"),
+        ("validate --config {tmp}/const_huge.json", "dimension_rule overflows at n=40: computing 1e+308 * n^0.5 exceeds"),
         *[
             (f"{command} --config {{tmp}}/n_values_repeated.json{out}", "n_values repeats [40]; each n must appear once")
             for command, out in (("validate", ""), ("run", " --out {tmp}/out"), ("check", " --out {tmp}/one_row"))
@@ -304,6 +320,7 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         ("n_values_int", ("n_values",), 1000),
         ("c_values_float", ("filter", "c", "values"), 1.0),
         ("model_list", ("model",), [1]),
+        ("const_huge", ("dimension_rule",), {"beta": 0.5, "const": 1e308}),
         ("n_values_empty", ("n_values",), []),
         ("n_values_repeated", ("n_values",), [40, 80, 40]),
         ("pmax", ("dimension_rule", "pmax"), 10),

@@ -114,6 +114,25 @@ class TestDimensionRule:
         with pytest.raises(ValueError, match="n must be >= 1, got -5"):
             DimensionRule(beta=0.9).p_for(-5)
 
+    @pytest.mark.parametrize("beta, const", [(400.0, 1.0), (0.9, 1e308), (103.0, 1e-300)])
+    def test_overflowing_product_is_p_max(self, beta, const):
+        # 1000^400, 1e308 * 1000^0.9 and 1000^103 exceed the largest float,
+        # and each product exceeds p_max, even 1e-300 * 1000^103 = 1e9.
+        assert DimensionRule(beta=beta, const=const, p_max=400).p_for(1000) == 400
+
+    @pytest.mark.parametrize(
+        "beta, const, p_max, product",
+        [
+            (400.0, 1.0, None, "1 * n^400"),
+            (0.9, 1e308, None, "1e+308 * n^0.9"),
+            (103.0, 1e-300, 10**20, "1e-300 * n^103"),
+        ],
+    )
+    def test_overflowing_product_refused_without_a_cap_above_it(self, beta, const, p_max, product):
+        message = f"dimension_rule overflows at n=1000: computing {product} exceeds the largest float"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DimensionRule(beta=beta, const=const, p_max=p_max).p_for(1000)
+
     def test_from_dict_defaults(self):
         assert DimensionRule.from_dict({"beta": 0.5}) == DimensionRule(beta=0.5, const=1.0, p_max=None)
         d = {"beta": 0.9, "const": 2.0, "p_max": 400}

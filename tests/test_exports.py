@@ -1,11 +1,16 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export,
-and importing the CLI loads only the scipy subpackages the run path uses."""
+"""Every exported name resolves, so a deletion cannot leave a stale export;
+``validate`` loads neither numpy nor scipy, and the run path loads only the
+scipy subpackages it uses."""
 
 import importlib
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
 
 MODULES = [
     "heavyspec",
@@ -22,19 +27,41 @@ MODULES = [
 @pytest.mark.parametrize("name", MODULES)
 def test_exports_resolve(name):
     module = importlib.import_module(name)
-    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_readme_library_import_resolves():
+    # The import statement of the README's first Python block, as written.
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("```python\n", 1)[1].split("```", 1)[0]
+    statement = re.search(r"^from heavyspec import \(.*?\)$", block, re.M | re.S).group(0)
+    namespace = {}
+    exec(statement, namespace)
+    assert "envelope_check" in namespace
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The modules a fresh interpreter holds after running ``code``."""
+    code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))\n"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=ROOT)
+    return out.stdout.splitlines()[-1].split()
+
+
+def test_validate_loads_neither_numpy_nor_scipy():
+    code = "from heavyspec.cli import main\nassert main(['validate', '--config', 'config.example.json']) == 0"
+    loaded = _loaded_after(code)
+    assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")] == []
+
+
+def test_experiment_import_loads_the_solver():
+    # A run parent loads ARPACK before its pool forks, so workers inherit it.
+    assert "scipy.sparse.linalg" in _loaded_after("import heavyspec.experiment")
 
 
 def test_cli_import_leaves_out_stats_integrate_and_optimize():
     # The package needs only scipy.special, scipy.linalg and scipy.sparse.linalg;
     # scipy.stats alone would pull in integrate and optimize and add about a
-    # second to every CLI start.
-    code = (
-        "import sys\n"
-        "import heavyspec.cli\n"
-        "print(sorted(m for m in sys.modules\n"
-        "             if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'], ['scipy', 'optimize'])))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    # second to every start of run, check and report, which load experiment.
+    loaded = _loaded_after("import heavyspec.cli, heavyspec.experiment")
+    heavy = (["scipy", "stats"], ["scipy", "integrate"], ["scipy", "optimize"])
+    assert [m for m in loaded if m.split(".")[:2] in heavy] == []
