@@ -378,9 +378,10 @@ def validate(model: TailModel, rule: DimensionRule) -> ValidationReport:
 
 def batch_grid(rule: DimensionRule, n_values, replicates: int, top_k: int) -> list[tuple[int, int]]:
     """The (n, p) grid of a batch; refuses an empty n grid, an n given twice,
-    fewer than one replicate, an n below 1 and a ``top_k`` outside ``[1, p]``
-    at any n, as each record holds exactly ``top_k`` ranks of the p windowed
-    diagonals."""
+    fewer than one replicate, an n below 1, n * p = 1, where the norming
+    constant a_np (the 1 - 1/(np) quantile of |Z|) is 0 under ``student_t``,
+    and a ``top_k`` outside ``[1, p]`` at any n, as each record holds exactly
+    ``top_k`` ranks of the p windowed diagonals."""
     if not n_values:
         raise ValueError("n_values must be nonempty")
     repeated = sorted({n for n in n_values if n_values.count(n) > 1})
@@ -391,6 +392,8 @@ def batch_grid(rule: DimensionRule, n_values, replicates: int, top_k: int) -> li
     grid = []
     for n in n_values:
         p = rule.p_for(n)
+        if n * p == 1:
+            raise ValueError(f"n * p must be at least 2, got n={n} and p={p}: a_np is the 1 - 1/(np) quantile of |Z|")
         if not 1 <= top_k <= p:
             raise ValueError(f"top_k must lie in [1, p], got top_k={top_k} with p={p} at n={n}")
         grid.append((n, p))

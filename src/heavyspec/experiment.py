@@ -94,6 +94,8 @@ class TrialRecord:
 # hash scratch and its filtered rows stay in a 2 MB L2 cache.  At p = 400,
 # n = 1000 on a 2-vCPU Xeon, 2**14 to 2**17 took 4.9-6.2 ms for the noise,
 # filter and diagonal against 10.4 ms for one full-panel block (BENCH_4.json).
+# Those times include a squares pass for the diagonal, which now comes from
+# the Gram; the size was kept without a new measurement.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -142,11 +144,12 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     """Draw one replicate and reduce it to its record scalars.
 
     Deterministic given ``spec``; the replicate number is filled by the batch
-    runner.  The noise is drawn, row-filtered and reduced to the centered
-    diagonal one block of rows at a time, about ``_BLOCK_ENTRIES`` noise
-    entries each, so the whole noise panel is never held.  Each noise entry
-    depends only on (seed, row, column), and the filter and the diagonal act
-    within a row, so the blocks give the same bits as one full panel.
+    runner.  The noise is drawn and row-filtered one block of rows at a time,
+    about ``_BLOCK_ENTRIES`` noise entries each, so the whole noise panel is
+    never held.  Each noise entry depends only on (seed, row, column), and the
+    filter acts within a row, so the blocks give the same bits as one full
+    panel.  Every statistic then comes from the one Gram product of the rows:
+    S, the off-diagonal part and the centered diagonal.
 
     Every large array lives in this thread's workspace for the trial's
     shape, so a trial after the first of its shape allocates none.
@@ -166,11 +169,10 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     for lo in range(r0, r1, step):
         hi = min(lo + step, r1)
         rows = slice(lo - r0, hi - r0)
-        scratch = ws.block_scratch[: hi - lo]
         noise = sample_noise(model, (lo, hi), cols, seed, buffers=tuple(b[: hi - lo] for b in ws.noise))
-        block = build_row_process(noise, c, (lo, hi), n, out=ws.x_rows[rows], scratch=scratch)
-        centered_gram_diag(block, mu, out=ws.d_tilde[rows], scratch=scratch)
+        build_row_process(noise, c, (lo, hi), n, out=ws.x_rows[rows], scratch=ws.block_scratch[: hi - lo])
     gram = np.matmul(ws.x_rows, ws.x_rows.T, out=ws.gram)
+    d_tilde = centered_gram_diag(gram, n, mu, out=ws.d_tilde)
 
     s = centered_covariance(gram, theta, p, n, mu, buffers=(ws.tg[:p], ws.terms[:p], ws.s))
     a2 = a_np * a_np
@@ -179,7 +181,7 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
 
     ma = np.zeros(p)
     for k, w in zip(theta.lags, theta.values):
-        ma += w * ws.d_tilde[k_hi - k : k_hi - k + p]
+        ma += w * d_tilde[k_hi - k : k_hi - k + p]
     top = np.sort(ma / a2)[::-1][:top_k]
     return TrialRecord(
         n=n,
@@ -530,6 +532,10 @@ def run_checks(batch: TrialBatch, config: ExperimentConfig) -> dict:
 _TRIAL_COLUMNS = ("n", "p", "replicate", "seed", "a_np", "scaled_norm", "offdiag_dev")
 
 
+def _trials_header(top_k: int) -> list[str]:
+    return [*_TRIAL_COLUMNS, *(f"top{i + 1}" for i in range(top_k))]
+
+
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
@@ -543,7 +549,7 @@ def emit_report(batch: TrialBatch, checks: dict | None, out_dir: str) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     paths = {}
     trials_path = os.path.join(out_dir, "trials.csv")
-    lines = [",".join([*_TRIAL_COLUMNS, *(f"top{i + 1}" for i in range(batch.top_k))])]
+    lines = [",".join(_trials_header(batch.top_k))]
     for rec in batch.records:
         cells = [
             str(rec.n),
@@ -580,8 +586,7 @@ def read_trials_csv(path: str) -> list[TrialRecord]:
     records = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        top_count = len(header) - len(_TRIAL_COLUMNS)
-        if header != [*_TRIAL_COLUMNS, *(f"top{i + 1}" for i in range(top_count))]:
+        if header != _trials_header(len(header) - len(_TRIAL_COLUMNS)):
             raise ValueError(f"{path}:1: header is not {','.join(_TRIAL_COLUMNS)},top1,...,topK")
         for line_no, line in enumerate(fh, 2):
             cells = line.strip().split(",")

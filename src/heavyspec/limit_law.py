@@ -83,11 +83,11 @@ def bound_cdf_upper(x, b: BoundConstants):
     return frechet_cdf(x, b.lower_scale, b.alpha)
 
 
-def _exp_increments(seed, start: int, stop: int) -> np.ndarray:
-    """Unit exponential gaps between the Poisson arrivals start..stop-1, along
-    the last axis, for an int seed or each of a uint64 seed array;
+def _exp_increments(seed, k: int) -> np.ndarray:
+    """Unit exponential gaps between the first k Poisson arrivals, along the
+    last axis, for an int seed or each of a uint64 seed array;
     counter-based, keyed by (seed, index)."""
-    u = index_uniforms(seed, np.arange(start, stop), tag=_GAMMA_TAG)
+    u = index_uniforms(seed, np.arange(k), tag=_GAMMA_TAG)
     return -np.log(u)
 
 
@@ -110,7 +110,7 @@ def limit_order_statistics(spec: FilterSpec, alpha: float, k: int, seed) -> np.n
     theta = np.asarray(spec.theta.values, dtype=float)
     if float(theta.max()) <= 0.0:
         raise ValueError("order-statistic limit needs at least one positive theta weight")
-    gammas = np.cumsum(_exp_increments(seed, 0, k), axis=-1)
+    gammas = np.cumsum(_exp_increments(seed, k), axis=-1)
     points = (gammas ** (-2.0 / alpha))[..., None] * theta * spec.c.sq_sum
     points = np.sort(points.reshape(np.shape(seed) + (-1,)), axis=-1)
     return points[..., ::-1][..., :k].copy()

@@ -1,9 +1,9 @@
 """The two-dimensional linear filter over finite coefficient windows.
 
-The filtered panel is built in two stages: a moving average across rows with
-window ``theta``, then a moving average across time with window ``c``.
-Convolutions are computed directly over the (short) coefficient windows so
-results are exact finite sums with a deterministic summation order.
+The filtered panel is built in two stages: a moving average across time with
+window ``c`` within each row, then a moving average across rows with window
+``theta``.  Convolutions are computed directly over the (short) coefficient
+windows so results are exact finite sums with a deterministic summation order.
 """
 
 from __future__ import annotations
@@ -19,23 +19,7 @@ __all__ = [
     "build_row_process",
     "build_xhat",
     "build_xhat_direct",
-    "build_xi",
 ]
-
-
-def build_xi(
-    noise: NoisePanel,
-    theta: CoefficientSequence,
-    row_range: tuple[int, int],
-    col_range: tuple[int, int],
-) -> np.ndarray:
-    """Row-direction moving average: out[i, t] = sum_k theta_k Z[i-k, t]."""
-    i0, i1 = row_range
-    c0, c1 = col_range
-    out = np.zeros((i1 - i0, c1 - c0))
-    for k, w in zip(theta.lags, theta.values):
-        out += w * noise.block((i0 - k, i1 - k), (c0, c1))
-    return out
 
 
 def build_row_process(
@@ -65,15 +49,16 @@ def build_row_process(
 def build_xhat(noise: NoisePanel, spec: FilterSpec, p: int, n: int) -> np.ndarray:
     """The two-stage filtered p x n panel for rows 1..p and times 1..n.
 
-    Stage one builds the cross-row average xi on the widened time range, stage
-    two applies the time window c; the result equals the direct double sum.
+    Stage one is ``build_row_process`` over rows 1 - theta.max_lag through
+    p - theta.min_lag, stage two applies the row window theta across them;
+    the result equals the direct double sum.
     """
-    cj_min, cj_max = spec.c.min_lag, spec.c.max_lag
-    xi = build_xi(noise, spec.theta, (1, p + 1), (1 - cj_max, n - cj_min + 1))
+    theta = spec.theta
+    k_hi = theta.max_lag
+    x = build_row_process(noise, spec.c, (1 - k_hi, p - theta.min_lag + 1), n)
     out = np.zeros((p, n))
-    for j, w in zip(spec.c.lags, spec.c.values):
-        start = cj_max - j
-        out += w * xi[:, start : start + n]
+    for k, w in zip(theta.lags, theta.values):
+        out += w * x[k_hi - k : k_hi - k + p]
     return out
 
 

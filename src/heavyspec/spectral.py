@@ -2,9 +2,9 @@
 
 Every row of the centering matrix H carries the same short theta window, so
 H Hᵀ is a symmetric banded Toeplitz matrix, built from the window's
-autocorrelation without forming H.  The centered covariance S and the
-off-diagonal deviation are both built from one Gram matrix of the
-time-filtered rows.  Spectral norms of the resulting dense symmetric
+autocorrelation without forming H.  The centered covariance S, the
+off-diagonal deviation and the centered diagonal are all built from one Gram
+matrix of the time-filtered rows.  Spectral norms of the resulting dense symmetric
 matrices come from one ARPACK call (``scipy.sparse.linalg.eigsh``) with a
 deterministic start vector; a dense eigensolve is used only as a cross-check
 oracle in the tests.
@@ -105,19 +105,10 @@ def centered_covariance(
     return s
 
 
-def centered_gram_diag(
-    x: np.ndarray, mu: float, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """Row sums of (x^2 - mu): the diagonal of X Xᵀ minus n * mu.
-
-    ``scratch`` (x's shape, C-contiguous) holds the squares and ``out`` (one
-    entry per row) receives the result; both are fresh arrays where they are
-    None.
-    """
-    x = np.asarray(x, dtype=float)
-    d = np.multiply(x, x, out=scratch).sum(axis=1, out=out)
-    d -= x.shape[1] * mu
-    return d
+def centered_gram_diag(gram: np.ndarray, n: int, mu: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The diagonal of the Gram matrix X Xᵀ minus n * mu, into ``out`` (one
+    entry per row; a fresh array where it is None)."""
+    return np.subtract(np.diagonal(gram), n * mu, out=out)
 
 
 def offdiag_deviation(

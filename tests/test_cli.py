@@ -306,6 +306,8 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
         ("validate --config {tmp}/pmax.json", "unknown config keys ['dimension_rule.pmax']; known: "),
         ("run --config {tmp}/sclae.json --out {tmp}/out", "unknown config keys ['model.sclae']; known: "),
         ("validate --config {tmp}/minlag.json", "unknown config keys ['filter.theta.minlag']; known: "),
+        ("validate --config {tmp}/np_one.json", "n * p must be at least 2, got n=1 and p=1"),
+        ("run --config {tmp}/np_one.json --out {tmp}/out", "n * p must be at least 2, got n=1 and p=1"),
     ],
 )
 def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys, argv, message):
@@ -336,6 +338,9 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         else:
             node[path[-1]] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(edited), encoding="utf-8")
+    # At n * p = 1 the student_t norming constant is 0: refused before any trial.
+    np_one = {**config, "model": {"family": "student_t", "alpha": 1.5}, "n_values": [1], "top_k": 1}
+    (tmp_path / "np_one.json").write_text(json.dumps(np_one), encoding="utf-8")
     header = "n,p,replicate,seed,a_np,scaled_norm,offdiag_dev,top1,top2,top3"
     good = "40,6,0,117,1.5,0.25,0.125,0.5,0.25,0.125"
     for name, lines in (

@@ -213,7 +213,7 @@ class TestRunTrial:
         rec = run_trial(spec, top_k=4)
         noise = sample_noise(MODEL15, (0, 11), (0, 26), 5)
         x = build_row_process(noise, fspec.c, (0, 11), 25)
-        d = centered_gram_diag(x, 0.0)
+        d = centered_gram_diag(x @ x.T, 25, 0.0)
         ma = np.array([d[i] + 0.5 * d[i - 1] for i in range(1, 11)])
         expect = np.sort(ma)[::-1][:4] / rec.a_np**2
         assert np.allclose(rec.top_diag, expect, rtol=1e-13)
@@ -249,8 +249,9 @@ class TestCenteredTrials:
         assert mu == pytest.approx(2.5 / 0.5 * self.FS.c.sq_sum, rel=1e-14)
         noise = sample_noise(model, (0, 200), (0, 2001), seed=8)
         x = build_row_process(noise, self.FS.c, (0, 200), 2000)
-        raw = centered_gram_diag(x, 0.0).mean() / 2000
-        centered = centered_gram_diag(x, mu).mean() / 2000
+        gram = x @ x.T
+        raw = centered_gram_diag(gram, 2000, 0.0).mean() / 2000
+        centered = centered_gram_diag(gram, 2000, mu).mean() / 2000
         assert abs(centered) < 0.05 * raw
 
     def test_batch_admissible_above_two(self):
@@ -270,7 +271,7 @@ class TestCenteredTrials:
 
 def _full_panel_trial(spec: EnsembleSpec, top_k: int) -> TrialRecord:
     """``run_trial`` from one full noise panel: draw and filter every row at
-    once, take the centered diagonal of the whole row process, then reduce as
+    once, take the Gram of the whole row process, then reduce as
     ``run_trial`` does."""
     from heavyspec.linear_filter import build_row_process
     from heavyspec.rv_noise import norming_constant
@@ -282,8 +283,8 @@ def _full_panel_trial(spec: EnsembleSpec, top_k: int) -> TrialRecord:
     x_rows = build_row_process(noise, c, rows, n)
     a_np = norming_constant(model, n * p)
     mu = mu_x_alpha(model, c, a_np)
-    d_tilde = centered_gram_diag(x_rows, mu)
     gram = x_rows @ x_rows.T
+    d_tilde = centered_gram_diag(gram, n, mu)
     a2 = a_np * a_np
     ma = np.zeros(p)
     for k, w in zip(theta.lags, theta.values):
@@ -531,6 +532,15 @@ class TestRunBatch:
         with pytest.raises(ValueError, match=r"got top_k=3 with p=2 at n=4"):
             run_batch(template, rule, [40, 4], 2, base_seed=1, top_k=3)
         assert run_batch(template, rule, [40], 2, base_seed=1, top_k=3).top_matrix().shape == (2, 3)
+
+    @pytest.mark.parametrize("family", ["student_t", "pareto_symmetric"])
+    def test_rejects_n_times_p_one_before_any_trial(self, monkeypatch, family):
+        # At n * p = 1 the student_t norming constant, the 0 quantile of |Z|,
+        # is 0 and the first trial died on it; Pareto's is refused alike.
+        monkeypatch.setattr("heavyspec.experiment.run_trial", None)
+        template = EnsembleTemplate(model=TailModel(family, alpha=1.5), filter=SPIKE)
+        with pytest.raises(ValueError, match=re.escape("n * p must be at least 2, got n=1 and p=1")):
+            run_batch(template, DimensionRule(beta=0.5), [40, 1], 1, base_seed=1, top_k=1)
 
     def test_rejects_repeated_n(self):
         # A repeated n used to draw each of its replicates twice, with the

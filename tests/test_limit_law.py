@@ -97,7 +97,7 @@ class TestBoundCdfs:
 def _arrivals(k: int, seed) -> np.ndarray:
     # The first k Poisson arrival times, as limit_order_statistics draws them,
     # along the last axis for each of a uint64 seed array.
-    return np.cumsum(limit_law._exp_increments(seed, 0, k), axis=-1)
+    return np.cumsum(limit_law._exp_increments(seed, k), axis=-1)
 
 
 class TestSampleGamma:

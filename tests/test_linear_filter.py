@@ -9,9 +9,8 @@ from heavyspec.linear_filter import (
     build_row_process,
     build_xhat,
     build_xhat_direct,
-    build_xi,
 )
-from heavyspec.rv_noise import NoiseCoverageError, NoisePanel, TailModel, sample_noise
+from heavyspec.rv_noise import NoisePanel, TailModel, sample_noise
 
 
 def _int_panel(rows, cols, row_offset=0, col_offset=0, seed=3):
@@ -48,31 +47,6 @@ class TestCoefficientSequence:
         )
 
 
-class TestBuildXi:
-    def test_identity_window(self):
-        panel = _int_panel(5, 6, row_offset=0)
-        out = build_xi(panel, CoefficientSequence((1.0,)), (1, 4), (0, 6))
-        assert np.array_equal(out, panel.values[1:4])
-
-    def test_ma1_window(self):
-        panel = _int_panel(5, 4, row_offset=-1)
-        theta = 0.5
-        out = build_xi(panel, CoefficientSequence((1.0, theta)), (0, 4), (0, 4))
-        expect = panel.values[1:5] + theta * panel.values[0:4]
-        assert np.array_equal(out, expect)
-
-    def test_hand_convolution(self):
-        panel = _int_panel(4, 3, row_offset=-1, seed=11)
-        out = build_xi(panel, CoefficientSequence((2.0, -1.0)), (0, 3), (0, 3))
-        expect = 2.0 * panel.values[1:4] - panel.values[0:3]
-        assert np.array_equal(out, expect)
-
-    def test_missing_coverage_reports_range(self):
-        panel = _int_panel(3, 3, row_offset=0)
-        with pytest.raises(NoiseCoverageError, match="missing rows"):
-            build_xi(panel, CoefficientSequence((1.0, 1.0)), (0, 3), (0, 3))
-
-
 class TestBuildRowProcess:
     def test_identity(self):
         panel = _int_panel(3, 8, col_offset=0)
@@ -89,6 +63,18 @@ class TestBuildRowProcess:
         out = build_row_process(panel, CoefficientSequence((1.0, 2.0)), (0, 2), 3)
         expect = panel.values[:, 1:4] + 2.0 * panel.values[:, 0:3]
         assert np.array_equal(out, expect)
+
+    def test_shift_equivariance(self):
+        # Relabelling the panel's rows by one moves the row process with them.
+        c = CoefficientSequence((1.0, 0.5))
+        model = TailModel("pareto_symmetric", alpha=1.5)
+        panel = sample_noise(model, (-1, 9), (-1, 12), seed=6)
+        shifted = NoisePanel(
+            values=panel.values, row_offset=panel.row_offset + 1, col_offset=panel.col_offset
+        )
+        a = build_row_process(panel, c, (0, 6), 10)
+        b = build_row_process(shifted, c, (1, 7), 10)
+        assert np.array_equal(a, b)
 
 
 class TestBuildXhat:
@@ -155,14 +141,3 @@ class TestBuildXhat:
         a = build_xhat(panel, fs, 6, 10)
         b = build_xhat(panel, fs3, 6, 10)
         assert np.allclose(b, 3.0 * a, rtol=1e-14, atol=0.0)
-
-    def test_shift_equivariance(self):
-        fs = FilterSpec(c=CoefficientSequence((1.0, 0.5)), theta=CoefficientSequence((1.0, 0.5)))
-        model = TailModel("pareto_symmetric", alpha=1.5)
-        panel = sample_noise(model, (-1, 9), (-1, 12), seed=6)
-        shifted = NoisePanel(
-            values=panel.values, row_offset=panel.row_offset + 1, col_offset=panel.col_offset
-        )
-        a = build_xi(panel, fs.theta, (0, 6), (0, 10))
-        b = build_xi(shifted, fs.theta, (1, 7), (0, 10))
-        assert np.array_equal(a, b)

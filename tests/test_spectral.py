@@ -180,21 +180,32 @@ class TestCenteredCovariance:
 
 
 class TestGramDiagonals:
+    """``centered_gram_diag`` reads the diagonal of a Gram X Xᵀ and subtracts n * mu."""
+
+    @staticmethod
+    def _diag(x, mu):
+        x = np.asarray(x, dtype=float)
+        return centered_gram_diag(x @ x.T, x.shape[1], mu)
+
     def test_identity(self):
-        assert np.array_equal(centered_gram_diag(np.eye(3), 0.0), np.ones(3))
+        assert np.array_equal(self._diag(np.eye(3), 0.0), np.ones(3))
 
     def test_hand_values(self):
-        assert np.array_equal(centered_gram_diag(np.array([[1.0, 2.0], [3.0, 4.0]]), 0.0), [5.0, 25.0])
+        assert np.array_equal(self._diag([[1.0, 2.0], [3.0, 4.0]], 0.0), [5.0, 25.0])
 
     def test_zero_row(self):
-        x = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert centered_gram_diag(x, 0.0)[0] == 0.0
+        assert self._diag([[0.0, 0.0], [1.0, 1.0]], 0.0)[0] == 0.0
 
     def test_centered_hand_case(self):
-        assert centered_gram_diag(np.array([[1.0, 1.0]]), 1.0)[0] == 0.0
+        assert self._diag([[1.0, 1.0]], 1.0)[0] == 0.0
 
     def test_centered_can_be_negative(self):
-        assert centered_gram_diag(np.array([[0.1, 0.1]]), 1.0)[0] < 0.0
+        assert self._diag([[0.1, 0.1]], 1.0)[0] < 0.0
+
+    def test_reads_only_the_diagonal_into_out(self):
+        out = np.full(2, np.nan)
+        assert centered_gram_diag(np.array([[1.0, 2.0], [3.0, 4.0]]), 3, 0.5, out=out) is out
+        assert np.array_equal(out, [-0.5, 2.5])
 
 
 class TestOffdiagDeviation:
