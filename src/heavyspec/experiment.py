@@ -246,8 +246,10 @@ def _set_blas_threads(count: int) -> list[tuple[object, int]]:
     """Set every OpenBLAS library loaded in this process to ``count`` threads.
 
     Returns ``(set_num_threads, previous count)`` per library, so the caller
-    can restore them. Does nothing where no OpenBLAS is loaded, or where the
-    process has no ``/proc/self/maps`` to find one in.
+    can restore them. A library already at ``count`` is left alone: in a
+    forked child, ``set_num_threads`` starts anew the helper threads that a
+    fork does not copy, whatever the count. Does nothing where no OpenBLAS
+    is loaded, or where the process has no ``/proc/self/maps`` to find one in.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as fh:
@@ -262,8 +264,10 @@ def _set_blas_threads(count: int) -> list[tuple[object, int]]:
                 get_threads, set_threads = getattr(lib, get_name), getattr(lib, set_name)
                 get_threads.argtypes, get_threads.restype = [], ctypes.c_int
                 set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-                previous.append((set_threads, get_threads()))
-                set_threads(count)
+                current = get_threads()
+                previous.append((set_threads, current))
+                if current != count:
+                    set_threads(count)
                 break
     return previous
 
@@ -295,11 +299,13 @@ def run_batch(
     sorted afterwards so the batch is independent of scheduling.
 
     Every trial runs with one BLAS thread, in pool workers and in the serial
-    loop alike; the serial loop restores the caller's thread count when it
-    ends. The bits of the Gram product depend on the BLAS thread count, and
-    OpenBLAS's default count follows the core count, so this keeps records
-    equal across worker counts and machines. It also stops each pool worker
-    from spinning extra BLAS threads that take the CPU from the others.
+    loop alike. The bits of the Gram product depend on the BLAS thread count,
+    and OpenBLAS's default count follows the core count, so this keeps records
+    equal across worker counts and machines. The caller drops to one thread
+    while the batch runs and gets its own count back when it ends. A forked
+    worker inherits the one thread and starts no BLAS helper thread; the
+    pool's initializer sets the count only in a worker that starts from a
+    fresh interpreter (``spawn``, ``forkserver``) at the library's default.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -313,13 +319,13 @@ def run_batch(
     for n, p in grid:
         for r in range(replicates):
             jobs.append((template.spec(p, n, derive_seed(base_seed, n, r)), r, top_k))
-    if workers > 1:
-        # A pool forks all its workers at once: start no more than there are jobs.
-        workers = min(workers, len(jobs))
-        with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads, initargs=(1,)) as pool:
-            records = list(pool.map(_trial_job, jobs, chunksize=8))
-    else:
-        with _one_blas_thread():
+    with _one_blas_thread():
+        if workers > 1:
+            # A pool forks all its workers at once: start no more than there are jobs.
+            workers = min(workers, len(jobs))
+            with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads, initargs=(1,)) as pool:
+                records = list(pool.map(_trial_job, jobs, chunksize=8))
+        else:
             records = [_trial_job(job) for job in jobs]
     records.sort(key=lambda rec: (rec.n, rec.replicate))
     return TrialBatch(template.model, template.filter, n_values, top_k, tuple(records))

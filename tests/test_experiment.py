@@ -1,13 +1,16 @@
 """Tests for the Monte Carlo harness, checks and persistence."""
 
+import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,6 +54,14 @@ def _fs(c_vals, theta_vals):
         c=CoefficientSequence(tuple(c_vals)),
         theta=CoefficientSequence(tuple(theta_vals)),
     )
+
+
+def _os_threads_job(args):
+    # Stands in for run_batch's trial job: runs the trial, then reports how
+    # many OS threads its process has. run_batch sorts by (n, replicate) alone.
+    spec, replicate, top_k = args
+    run_trial(spec, top_k=top_k)
+    return SimpleNamespace(n=spec.n, replicate=replicate, os_threads=len(os.listdir("/proc/self/task")))
 
 
 def _synthetic_batch(values, fspec, model, n=1000, top=None):
@@ -454,6 +465,50 @@ class TestTrialWorkspace:
                 assert not any(np.shares_memory(u, v) for u in _workspace_arrays(x) for v in _workspace_arrays(y))
 
 
+class TestSetBlasThreads:
+    @staticmethod
+    def _fake_openblas(monkeypatch, maps, threads):
+        # One stand-in OpenBLAS at `threads`, found through a stand-in
+        # /proc/self/maps; returns the counts its setter was called with.
+        import heavyspec.experiment as experiment
+
+        calls = []
+
+        def get_threads():
+            return threads[0]
+
+        def set_threads(count):
+            calls.append(count)
+            threads[0] = count
+
+        lib = SimpleNamespace(openblas_get_num_threads=get_threads, openblas_set_num_threads=set_threads)
+        monkeypatch.setattr(experiment, "open", lambda *args, **kwargs: io.StringIO(maps), raising=False)
+        monkeypatch.setattr(experiment.ctypes, "CDLL", lambda path: lib)
+        return calls
+
+    def test_current_count_calls_no_setter(self, monkeypatch):
+        maps = "7f0000-7f1000 r-xp 00000000 08:01 42 /usr/lib/libopenblas.so.0\n"
+        calls = self._fake_openblas(monkeypatch, maps, threads=[2])
+        assert [count for _, count in _set_blas_threads(1)] == [2]
+        assert [count for _, count in _set_blas_threads(1)] == [1]
+        assert calls == [1]
+
+    def test_no_openblas_loaded_returns_empty(self, monkeypatch):
+        maps = "7f0000-7f1000 r-xp 00000000 08:01 42 /usr/lib/libm.so.6\n"
+        calls = self._fake_openblas(monkeypatch, maps, threads=[2])
+        assert _set_blas_threads(1) == []
+        assert calls == []
+
+    def test_second_call_reads_one(self):
+        saved = _set_blas_threads(1)
+        try:
+            again = _set_blas_threads(1)
+        finally:
+            for set_threads, count in saved:
+                set_threads(count)
+        assert [count for _, count in again] == [1] * len(saved)
+
+
 class TestRunBatch:
     def test_validation_aborts_before_trials(self):
         template = EnsembleTemplate(
@@ -471,11 +526,12 @@ class TestRunBatch:
 
     def test_pool_starts_no_more_workers_than_jobs(self, monkeypatch):
         # A pool forks all its workers at once; a fake pool that maps serially
-        # records how many it was asked for, and starts no process.
-        asked = []
+        # records how many it was asked for, and the BLAS thread counts of the
+        # process it maps in, and starts no process.
+        asked, mapped_at = [], []
 
         class SerialPool:
-            def __init__(self, max_workers, initializer, initargs):
+            def __init__(self, max_workers, **options):
                 asked.append(max_workers)
 
             def __enter__(self):
@@ -485,15 +541,40 @@ class TestRunBatch:
                 return False
 
             def map(self, fn, jobs, chunksize):
+                mapped_at.append([count for _, count in _set_blas_threads(1)])
                 return map(fn, jobs)
 
         template = EnsembleTemplate(model=MODEL15, filter=SPIKE)
         rule = DimensionRule(beta=0.5, p_max=10)
         serial = run_batch(template, rule, [40], 2, base_seed=9, workers=1)
         monkeypatch.setattr("heavyspec.experiment.ProcessPoolExecutor", SerialPool)
-        assert run_batch(template, rule, [40], 2, base_seed=9, workers=3).records == serial.records
-        assert run_batch(template, rule, [40, 80], 2, base_seed=9, workers=3).records[:2] == serial.records
+        saved = _set_blas_threads(2)
+        try:
+            assert run_batch(template, rule, [40], 2, base_seed=9, workers=3).records == serial.records
+            assert run_batch(template, rule, [40, 80], 2, base_seed=9, workers=3).records[:2] == serial.records
+            after = [count for _, count in _set_blas_threads(2)]
+        finally:
+            for set_threads, count in saved:
+                set_threads(count)
         assert asked == [2, 3]
+        # The pool is made and mapped at one thread, so forked workers inherit it.
+        assert mapped_at == [[1] * len(saved)] * 2
+        assert after == [2] * len(saved)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+    def test_forked_workers_run_on_one_os_thread(self, monkeypatch):
+        # Setting the BLAS thread count in a forked worker starts anew the
+        # helper threads a fork does not copy; one that inherits 1 thread has none.
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("needs two cores for a threaded BLAS")
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("pool workers inherit the parent's BLAS state only when forked")
+        monkeypatch.setattr("heavyspec.experiment._trial_job", _os_threads_job)
+        model = TailModel("pareto_symmetric", alpha=3.0)
+        template = EnsembleTemplate(model=model, filter=_fs((1.0, 0.5), (1.0, 0.5)))
+        rule = DimensionRule(beta=0.1, const=100.0, p_max=100)
+        batch = run_batch(template, rule, [300], 4, base_seed=5, workers=2)
+        assert [rec.os_threads for rec in batch.records] == [1] * 4
 
     def test_records_independent_of_caller_blas_threads(self):
         # At p = 100 OpenBLAS threads the Gram product, and its bits follow the
@@ -508,6 +589,8 @@ class TestRunBatch:
         rule = DimensionRule(beta=0.1, const=100.0, p_max=100)
         try:
             two = run_batch(template, rule, [300], 6, base_seed=5, workers=1)
+            assert [count for _, count in _set_blas_threads(2)] == [2] * len(saved)
+            pooled = run_batch(template, rule, [300], 6, base_seed=5, workers=2)
             assert [count for _, count in _set_blas_threads(1)] == [2] * len(saved)
             one = run_batch(template, rule, [300], 6, base_seed=5, workers=1)
             assert [count for _, count in _set_blas_threads(1)] == [1] * len(saved)
@@ -515,7 +598,7 @@ class TestRunBatch:
             for set_threads, count in saved:
                 set_threads(count)
         assert two.records[0].p == 100
-        assert two.records == one.records
+        assert two.records == pooled.records == one.records
 
     def test_seed_derivation_injective_within_batch(self):
         seeds = {derive_seed(7, n, r) for n in (100, 200, 400) for r in range(500)}
