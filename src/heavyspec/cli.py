@@ -107,10 +107,10 @@ def _cmd_report(args) -> int:
     print(f"filter: c={list(config.filter.c.values)} theta={list(config.filter.theta.values)}")
     print(f"{'n':>6} {'p':>5} {'count':>6} {'median scaled_norm':>20} {'median offdiag':>15}")
     for n in sorted(batch.n_values):
-        recs = batch.records_at(n)
-        sn = float(np.median([r.scaled_norm for r in recs]))
-        od = float(np.median([r.offdiag_dev for r in recs]))
-        print(f"{n:>6} {recs[0].p:>5} {len(recs):>6} {sn:>20.6g} {od:>15.6g}")
+        norms = batch.scaled_norms(n)
+        sn = float(np.median(norms))
+        od = float(np.median(batch.offdiag_devs(n)))
+        print(f"{n:>6} {batch.records_at(n)[0].p:>5} {norms.size:>6} {sn:>20.6g} {od:>15.6g}")
     checks_path = os.path.join(args.out, "checks.json")
     if os.path.exists(checks_path):
         with open(checks_path, encoding="utf-8") as fh:

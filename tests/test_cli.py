@@ -2,10 +2,15 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from heavyspec.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture()
@@ -358,8 +363,23 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert not os.path.exists(os.path.join(tmp_path, "out", "trials.csv"))
+
+
+def test_module_entry_point_refuses_in_one_line(config_path, tmp_path):
+    # `python -m heavyspec.cli` maps main's return value to the exit status.
+    with open(config_path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    del config["replicates"]
+    path = tmp_path / "no_replicates.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    argv = [sys.executable, "-m", "heavyspec.cli", "validate", "--config", str(path)]
+    done = subprocess.run(argv, capture_output=True, text=True, cwd=ROOT)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == "config lacks required key 'replicates'\n"
 
 
 def test_check_refuses_other_top_k(config_path, tmp_path, capsys):

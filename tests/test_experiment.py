@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo harness, checks and persistence."""
 
+import functools
 import io
 import json
 import math
@@ -8,7 +9,7 @@ import os
 import re
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -175,6 +176,7 @@ class TestValidate:
 
     def test_zero_mean_margin_is_plus_zero(self):
         report = validate(TailModel("student_t", alpha=2.0), DimensionRule(beta=0.3))
+        assert report.ok
         margin = report.items[0].margin
         assert report.items[0].name == "zero_mean" and margin == 0.0
         assert math.copysign(1.0, margin) == 1.0
@@ -235,17 +237,25 @@ class TestCenteredTrials:
 
     FS = _fs((1.0, 0.5), (1.0, 0.5))
 
-    def test_truncated_centering_at_alpha_two(self):
+    # The truncated second moment at a large cutoff a is 2 log a plus an
+    # offset: exactly for the unit Pareto, and up to 3/a^2 for t_2.
+    @pytest.mark.parametrize(
+        "family, offset",
+        [("pareto_symmetric", 0.0), ("student_t", math.log(2.0) - 2.0)],
+        ids=["pareto_symmetric", "student_t"],
+    )
+    def test_truncated_centering_at_alpha_two(self, family, offset):
         from heavyspec.rv_noise import norming_constant, truncated_second_moment
         from heavyspec.spectral import mu_x_alpha
 
-        model = TailModel("pareto_symmetric", alpha=2.0)
+        model = TailModel(family, alpha=2.0)
         spec = EnsembleSpec(model=model, filter=self.FS, p=20, n=500, seed=4)
         rec = run_trial(spec)
         assert math.isfinite(rec.scaled_norm) and rec.scaled_norm > 0
         a = norming_constant(model, 500 * 20)
         mu = mu_x_alpha(model, self.FS.c, a)
         assert mu == pytest.approx(truncated_second_moment(model, a) * self.FS.c.sq_sum)
+        assert mu / self.FS.c.sq_sum == pytest.approx(2.0 * math.log(a) + offset, abs=1e-3)
         assert mu > 0
         # The truncation level moves with (n, p), so mu is per-trial.
         assert mu != mu_x_alpha(model, self.FS.c, norming_constant(model, 1000 * 30))
@@ -517,11 +527,26 @@ class TestRunBatch:
         with pytest.raises(ValidationError, match="zero_mean"):
             run_batch(template, DimensionRule(beta=0.3), [50], 5, base_seed=1)
 
-    def test_parallel_equals_serial(self):
-        template = EnsembleTemplate(model=MODEL15, filter=SPIKE)
-        rule = DimensionRule(beta=0.5, p_max=10)
-        a = run_batch(template, rule, [40, 80], 4, base_seed=9, workers=1)
-        b = run_batch(template, rule, [40, 80], 4, base_seed=9, workers=2)
+    @pytest.mark.parametrize(
+        "template, rule, n_values, p_values",
+        [
+            (EnsembleTemplate(model=MODEL15, filter=SPIKE), DimensionRule(beta=0.5, p_max=10), [40, 80], [6, 9]),
+            # config.example.json's model at two shapes where OpenBLAS threads
+            # the Gram product: every trial process replaces its workspace at
+            # the shape change, and pool workers start from the one they inherit.
+            (
+                EnsembleTemplate(model=TailModel("pareto_symmetric", alpha=1.2), filter=_fs((1.0, 0.5), (1.0, 0.5))),
+                DimensionRule(beta=0.9, p_max=400),
+                [200, 1000],
+                [118, 400],
+            ),
+        ],
+        ids=["small", "two_shapes"],
+    )
+    def test_parallel_equals_serial(self, template, rule, n_values, p_values):
+        a = run_batch(template, rule, n_values, 4, base_seed=9, workers=1)
+        b = run_batch(template, rule, n_values, 4, base_seed=9, workers=2)
+        assert [r.p for r in a.records[::4]] == p_values
         assert a.records == b.records
 
     def test_pool_starts_no_more_workers_than_jobs(self, monkeypatch):
@@ -575,6 +600,22 @@ class TestRunBatch:
         rule = DimensionRule(beta=0.1, const=100.0, p_max=100)
         batch = run_batch(template, rule, [300], 4, base_seed=5, workers=2)
         assert [rec.os_threads for rec in batch.records] == [1] * 4
+
+    def test_spawned_workers_equal_the_serial_loop(self, monkeypatch):
+        # A spawned worker starts from a fresh interpreter at the library's
+        # default BLAS thread count, and only the pool's initializer drops it
+        # to one; at p = 100 the bits of the Gram product follow that count.
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("needs two cores for a threaded BLAS")
+        spawn = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn"))
+        monkeypatch.setattr("heavyspec.experiment.ProcessPoolExecutor", spawn)
+        model = TailModel("pareto_symmetric", alpha=3.0)
+        template = EnsembleTemplate(model=model, filter=_fs((1.0, 0.5), (1.0, 0.5)))
+        rule = DimensionRule(beta=0.1, const=100.0, p_max=100)
+        pooled = run_batch(template, rule, [300], 6, base_seed=5, workers=2)
+        serial = run_batch(template, rule, [300], 6, base_seed=5, workers=1)
+        assert pooled.records[0].p == 100
+        assert pooled.records == serial.records
 
     def test_records_independent_of_caller_blas_threads(self):
         # At p = 100 OpenBLAS threads the Gram product, and its bits follow the
@@ -736,6 +777,21 @@ class TestKsCheck:
         report = ks_check(batch)
         assert report["applicable"]
         assert report["passed"]
+
+    @pytest.mark.parametrize(
+        "size, factor, seed, passed", [(100, 1.0, 104, True), (1000, 1.3, 101, False)], ids=["exact", "scale_x1.3"]
+    )
+    def test_tolerance_is_the_five_percent_critical_value(self, size, factor, seed, passed):
+        # KS 0.118 on 100 draws of the exact law, 0.076 on 1000 at 1.3 times
+        # its scale: a fixed tolerance of 0.10 gave each the other verdict.
+        model = TailModel("pareto_symmetric", alpha=1.5)
+        b = bound_constants(SPIKE, 1.5)
+        rng = np.random.default_rng(seed)
+        values = factor * frechet_quantile(rng.uniform(size=size), b.lower_scale, 1.5)
+        report = ks_check(_synthetic_batch(values, SPIKE, model))
+        assert report["tol"] == pytest.approx(1.3581 / math.sqrt(size), rel=1e-4)
+        assert report["passed"] is passed
+        assert (report["ks_vs_upper_cdf"] <= 0.10) is not passed
 
     def test_multi_spike_not_applicable(self):
         fspec = _fs((1.0,), (1.0, 0.5))
