@@ -121,21 +121,18 @@ def config_float(value, name: str) -> float:
 PARETO_SYMMETRIC = "pareto_symmetric"
 PARETO_POSITIVE = "pareto_positive"
 PARETO_SKEWED = "pareto_skewed"
-STUDENT_T = "student_t"
 
-FAMILIES = (PARETO_SYMMETRIC, PARETO_POSITIVE, PARETO_SKEWED, STUDENT_T)
-
-_PARETO_FAMILIES = frozenset({PARETO_SYMMETRIC, PARETO_POSITIVE, PARETO_SKEWED})
+FAMILIES = (PARETO_SYMMETRIC, PARETO_POSITIVE, PARETO_SKEWED)
 
 
 @dataclass(frozen=True)
 class TailModel:
-    """A regularly varying noise distribution with tail index ``alpha``.
+    """Pareto noise with tail index ``alpha``: |Z| = scale * U^(-1/alpha),
+    positive with probability ``q`` and negative otherwise.
 
-    ``q`` is the right-tail balance P(Z > x)/P(|Z| > x) in the limit; it is
-    pinned to 1/2 for the symmetric families, 1 for the positive Pareto, and
-    free in [0, 1] for the skewed Pareto.  ``scale`` is the minimum support
-    point of |Z| for the Pareto families and the scale factor for student_t.
+    The family only pins ``q``: to 1/2 for the symmetric Pareto, to 1 for the
+    positive one, and not at all for the skewed one, whose ``q`` is free in
+    [0, 1].  ``scale`` is the minimum support point of |Z|.
     """
 
     family: str
@@ -148,18 +145,19 @@ class TailModel:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if not 0.0 < self.alpha < 4.0:
             raise ValueError(f"alpha must lie in (0, 4), got {self.alpha}")
-        if not self.scale > 0.0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if not 0.0 <= self.q <= 1.0:
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
-        if self.family in (PARETO_SYMMETRIC, STUDENT_T) and self.q != 0.5:
+        if self.family == PARETO_SYMMETRIC and self.q != 0.5:
             raise ValueError(f"{self.family} requires q = 1/2, got {self.q}")
         if self.family == PARETO_POSITIVE and self.q != 1.0:
             raise ValueError(f"{self.family} requires q = 1, got {self.q}")
 
     @property
     def is_pareto(self) -> bool:
-        return self.family in _PARETO_FAMILIES
+        # Every family is a Pareto tail; kept for perfbench's oracle, which reads it.
+        return True
 
     @classmethod
     def from_dict(cls, d: dict) -> "TailModel":
@@ -176,8 +174,6 @@ def mean_value(model: TailModel) -> float:
     """E(Z) where defined; NaN for alpha <= 1 (no first moment)."""
     if model.alpha <= 1.0:
         return math.nan
-    if model.family == STUDENT_T:
-        return 0.0
     abs_mean = model.alpha * model.scale / (model.alpha - 1.0)
     return (2.0 * model.q - 1.0) * abs_mean
 
@@ -379,9 +375,10 @@ def validate(model: TailModel, rule: DimensionRule) -> ValidationReport:
 def batch_grid(rule: DimensionRule, n_values, replicates: int, top_k: int) -> list[tuple[int, int]]:
     """The (n, p) grid of a batch; refuses an empty n grid, an n given twice,
     fewer than one replicate, an n below 1, n * p = 1, where the norming
-    constant a_np (the 1 - 1/(np) quantile of |Z|) is 0 under ``student_t``,
-    and a ``top_k`` outside ``[1, p]`` at any n, as each record holds exactly
-    ``top_k`` ranks of the p windowed diagonals."""
+    constant a_np (the 1 - 1/(np) quantile of |Z|) is the 0 quantile, the
+    bottom of the support rather than a tail level, and a ``top_k`` outside
+    ``[1, p]`` at any n, as each record holds exactly ``top_k`` ranks of the
+    p windowed diagonals."""
     if not n_values:
         raise ValueError("n_values must be nonempty")
     repeated = sorted({n for n in n_values if n_values.count(n) > 1})

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 
@@ -99,7 +98,10 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    """Summarise the stored batch and judge it under the config; writes nothing."""
     import numpy as np
+
+    from .experiment import run_checks
 
     config = _load(args)
     batch = _load_batch(config, args.out)
@@ -111,21 +113,18 @@ def _cmd_report(args) -> int:
         sn = float(np.median(norms))
         od = float(np.median(batch.offdiag_devs(n)))
         print(f"{n:>6} {batch.records_at(n)[0].p:>5} {norms.size:>6} {sn:>20.6g} {od:>15.6g}")
-    checks_path = os.path.join(args.out, "checks.json")
-    if os.path.exists(checks_path):
-        with open(checks_path, encoding="utf-8") as fh:
-            checks = json.load(fh)
-        print("checks:")
-        for name in CHECKS:
-            c = checks.get(name, {})
-            if not c.get("enabled"):
-                status = "disabled"
-            elif not c.get("applicable"):
-                status = "n/a"
-            else:
-                status = "pass" if c.get("passed") else "FAIL"
-            print(f"  {name:12s} {status}")
-        print(f"overall: {'pass' if checks.get('overall_passed') else 'FAIL'}")
+    checks = run_checks(batch, config)
+    print("checks:")
+    for name in CHECKS:
+        c = checks[name]
+        if not c["enabled"]:
+            status = "disabled"
+        elif not c["applicable"]:
+            status = "n/a"
+        else:
+            status = "pass" if c["passed"] else "FAIL"
+        print(f"  {name:12s} {status}")
+    print(f"overall: {'pass' if checks['overall_passed'] else 'FAIL'}")
     return 0
 
 

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
-from ._config import FAMILIES, PARETO_SKEWED, PARETO_SYMMETRIC, STUDENT_T, TailModel, mean_value
+from ._config import FAMILIES, TailModel, mean_value
 
 __all__ = [
     "FAMILIES",
@@ -222,8 +221,9 @@ def sample_noise(
 
     Entry (i, t) depends only on (seed, i, t): enlarging the rectangle
     extends the panel without reshuffling the overlap.  The magnitude comes
-    from the lane-0 hash of (seed, i, t); the sign of the two-sided Pareto
-    families from lane 1, that hash salted and mixed once more.
+    from the lane-0 hash of (seed, i, t); the sign, where ``q < 1``, from
+    lane 1, that hash salted and mixed once more.  At ``q = 1`` lane 1 would
+    set no sign bit, so it is not drawn.
 
     ``buffers`` are the hash, scratch, sign and value arrays, each of the
     rectangle's shape, the first three ``uint64`` and the last ``float64``;
@@ -236,7 +236,7 @@ def sample_noise(
         raise ValueError(f"ranges must be nonempty, got rows={row_range} cols={col_range}")
     h, tmp, sign, u = buffers or (None, None, None, None)
     h, tmp = _grid_hash(seed, row_range, col_range, h, tmp)
-    if model.family in (PARETO_SYMMETRIC, PARETO_SKEWED):
+    if model.q < 1.0:
         sign = _negative_bits(_mix_(np.bitwise_xor(h, _LANE_SALT, out=sign), tmp), model.q)
     else:
         sign = None
@@ -245,11 +245,7 @@ def sample_noise(
     del tmp
     u = _to_unit(h, u)
     del h
-    if model.family == STUDENT_T:
-        # The t quantile function that stats.t.ppf calls, so the same bits.
-        special.stdtrit(model.alpha, u, out=u)
-    else:
-        u **= -1.0 / model.alpha
+    u **= -1.0 / model.alpha
     u *= model.scale
     if sign is not None:
         # Setting the sign bit of a positive magnitude is exactly -1.0 * it.
@@ -262,33 +258,23 @@ def norming_constant(model: TailModel, m: int) -> float:
     """The 1 - 1/m quantile of |Z|, i.e. the solution of m * P(|Z| > a) = 1."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    if model.is_pareto:
-        return model.scale * float(m) ** (1.0 / model.alpha)
-    # |Z|/scale has survival 2*sf_t, so a/scale is minus the t quantile at
-    # 1/(2m); abs, not negation, keeps a = +0.0 at m = 1, as stats.t.isf does.
-    return model.scale * abs(float(special.stdtrit(model.alpha, 0.5 / m)))
+    return model.scale * float(m) ** (1.0 / model.alpha)
 
 
 def truncated_second_moment(model: TailModel, cutoff: float) -> float:
     """E(Z^2 1{|Z| <= cutoff}) at alpha = 2, the one tail index where it
-    centres S; a closed form for both families."""
+    centres S: 2 scale^2 log(cutoff/scale) above the scale, else 0."""
     if model.alpha != 2.0:
         raise ValueError(f"truncated second moment is defined at alpha = 2 only, got {model.alpha}")
     if not cutoff > 0.0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     s = model.scale
-    if model.is_pareto:
-        return 2.0 * s * s * math.log(cutoff / s) if cutoff > s else 0.0
-    # The t_2 density is (2 + u^2)^(-3/2), so the integral of u^2 times it
-    # over [0, u] is asinh(u/sqrt 2) - u/sqrt(2 + u^2).
-    u = cutoff / s
-    return 2.0 * s * s * (math.asinh(u / math.sqrt(2.0)) - u / math.sqrt(2.0 + u * u))
+    return 2.0 * s * s * math.log(cutoff / s) if cutoff > s else 0.0
 
 
 def second_moment(model: TailModel) -> float:
     """E(Z^2); ``math.inf`` flags an infinite second moment (alpha <= 2)."""
     if model.alpha <= 2.0:
         return math.inf
-    # Pareto: alpha*scale^2/(alpha-2).  student_t with df=alpha: same form.
     return model.alpha * model.scale**2 / (model.alpha - 2.0)
 

@@ -164,6 +164,39 @@ def test_report_prints_summary(config_path, tmp_path, capsys):
     assert "overall" in out
 
 
+def test_report_judges_the_batch_under_its_config(config_path, tmp_path, capsys):
+    # The run leaves offdiag off in checks.json; report, given a config that
+    # turns it on, prints check's fresh verdicts and leaves checks.json alone.
+    out_dir = str(tmp_path / "out")
+    assert main(["run", "--config", config_path, "--out", out_dir]) == 0
+    checks_path = os.path.join(out_dir, "checks.json")
+    with open(checks_path, encoding="utf-8") as fh:
+        stored = fh.read()
+    with open(config_path, encoding="utf-8") as fh:
+        config = json.load(fh)
+    config["checks"]["offdiag"] = True
+    with open(config_path, "w", encoding="utf-8") as fh:
+        json.dump(config, fh)
+    capsys.readouterr()
+    assert main(["report", "--config", config_path, "--out", out_dir]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    with open(checks_path, encoding="utf-8") as fh:
+        assert fh.read() == stored
+    assert main(["check", "--config", config_path, "--out", out_dir]) in (0, 2)
+    with open(checks_path, encoding="utf-8") as fh:
+        fresh = json.load(fh)
+    offdiag = "pass" if fresh["offdiag"]["passed"] else "FAIL"
+    overall = "pass" if fresh["overall_passed"] else "FAIL"
+    assert lines[-6:] == [
+        "checks:",
+        "  envelope     disabled",
+        "  ks           disabled",
+        "  order_stats  disabled",
+        f"  offdiag      {offdiag}",
+        f"overall: {overall}",
+    ]
+
+
 def test_replicates_override(config_path, tmp_path):
     out_dir = str(tmp_path / "small")
     assert main(["run", "--config", config_path, "--out", out_dir, "--replicates", "2"]) == 0
@@ -313,6 +346,20 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
         ("validate --config {tmp}/minlag.json", "unknown config keys ['filter.theta.minlag']; known: "),
         ("validate --config {tmp}/np_one.json", "n * p must be at least 2, got n=1 and p=1"),
         ("run --config {tmp}/np_one.json --out {tmp}/out", "n * p must be at least 2, got n=1 and p=1"),
+        *[
+            (
+                f"{command} --config {{tmp}}/student_t.json{out}",
+                "unknown family 'student_t'; expected one of ('pareto_symmetric', 'pareto_positive', 'pareto_skewed')",
+            )
+            for command, out in (
+                ("validate", ""),
+                ("run", " --out {tmp}/out"),
+                ("check", " --out {tmp}/one_row"),
+                ("report", " --out {tmp}/one_row"),
+            )
+        ],
+        ("validate --config {tmp}/scale_inf.json", "scale must be positive and finite, got inf"),
+        ("run --config {tmp}/scale_inf.json --out {tmp}/out", "scale must be positive and finite, got inf"),
     ],
 )
 def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys, argv, message):
@@ -333,6 +380,9 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         ("pmax", ("dimension_rule", "pmax"), 10),
         ("sclae", ("model", "sclae"), 2.0),
         ("minlag", ("filter", "theta", "minlag"), -3),
+        ("student_t", ("model", "family"), "student_t"),
+        # json writes and reads this as the bare token Infinity.
+        ("scale_inf", ("model", "scale"), float("inf")),
     ):
         edited = json.loads(json.dumps(config))
         node = edited
@@ -343,8 +393,8 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         else:
             node[path[-1]] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(edited), encoding="utf-8")
-    # At n * p = 1 the student_t norming constant is 0: refused before any trial.
-    np_one = {**config, "model": {"family": "student_t", "alpha": 1.5}, "n_values": [1], "top_k": 1}
+    # At n * p = 1 a_np is the 0 quantile of |Z|: refused before any trial.
+    np_one = {**config, "n_values": [1], "top_k": 1}
     (tmp_path / "np_one.json").write_text(json.dumps(np_one), encoding="utf-8")
     header = "n,p,replicate,seed,a_np,scaled_norm,offdiag_dev,top1,top2,top3"
     good = "40,6,0,117,1.5,0.25,0.125,0.5,0.25,0.125"

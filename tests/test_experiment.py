@@ -175,7 +175,7 @@ class TestValidate:
         assert not items["zero_mean"].passed
 
     def test_zero_mean_margin_is_plus_zero(self):
-        report = validate(TailModel("student_t", alpha=2.0), DimensionRule(beta=0.3))
+        report = validate(TailModel("pareto_symmetric", alpha=2.0), DimensionRule(beta=0.3))
         assert report.ok
         margin = report.items[0].margin
         assert report.items[0].name == "zero_mean" and margin == 0.0
@@ -237,25 +237,19 @@ class TestCenteredTrials:
 
     FS = _fs((1.0, 0.5), (1.0, 0.5))
 
-    # The truncated second moment at a large cutoff a is 2 log a plus an
-    # offset: exactly for the unit Pareto, and up to 3/a^2 for t_2.
-    @pytest.mark.parametrize(
-        "family, offset",
-        [("pareto_symmetric", 0.0), ("student_t", math.log(2.0) - 2.0)],
-        ids=["pareto_symmetric", "student_t"],
-    )
-    def test_truncated_centering_at_alpha_two(self, family, offset):
+    def test_truncated_centering_at_alpha_two(self):
         from heavyspec.rv_noise import norming_constant, truncated_second_moment
         from heavyspec.spectral import mu_x_alpha
 
-        model = TailModel(family, alpha=2.0)
+        model = TailModel("pareto_symmetric", alpha=2.0)
         spec = EnsembleSpec(model=model, filter=self.FS, p=20, n=500, seed=4)
         rec = run_trial(spec)
         assert math.isfinite(rec.scaled_norm) and rec.scaled_norm > 0
         a = norming_constant(model, 500 * 20)
         mu = mu_x_alpha(model, self.FS.c, a)
         assert mu == pytest.approx(truncated_second_moment(model, a) * self.FS.c.sq_sum)
-        assert mu / self.FS.c.sq_sum == pytest.approx(2.0 * math.log(a) + offset, abs=1e-3)
+        # The truncated second moment of the unit Pareto is exactly 2 log a.
+        assert mu / self.FS.c.sq_sum == pytest.approx(2.0 * math.log(a), abs=1e-3)
         assert mu > 0
         # The truncation level moves with (n, p), so mu is per-trial.
         assert mu != mu_x_alpha(model, self.FS.c, norming_constant(model, 1000 * 30))
@@ -280,14 +274,6 @@ class TestCenteredTrials:
         batch = run_batch(template, DimensionRule(beta=0.3), [500], 5, base_seed=7)
         assert all(math.isfinite(r.scaled_norm) and r.scaled_norm > 0 for r in batch.records)
         assert beta_limit(2.5) == pytest.approx(1.0 / 3.0)
-
-    def test_student_t_noise_end_to_end(self):
-        model = TailModel("student_t", alpha=3.0)
-        spec = EnsembleSpec(model=model, filter=self.FS, p=8, n=200, seed=12)
-        assert validate(model, DimensionRule(beta=0.15)).ok
-        rec = run_trial(spec)
-        assert math.isfinite(rec.scaled_norm) and rec.scaled_norm > 0
-        assert run_trial(spec) == rec
 
 
 def _full_panel_trial(spec: EnsembleSpec, top_k: int) -> TrialRecord:
@@ -331,10 +317,11 @@ class TestRowBlocks:
         c=CoefficientSequence((0.5, 1.0, -0.3), min_lag=-1),
         theta=CoefficientSequence((0.25, 0.7, 1.0, 0.5), min_lag=-2),
     )
+    # The positive Pareto draws no sign lane and, at alpha 3, is centred.
     MODELS = (
         TailModel("pareto_symmetric", alpha=1.5),
         TailModel("pareto_skewed", alpha=1.2, q=0.3),
-        TailModel("student_t", alpha=3.0),
+        TailModel("pareto_positive", alpha=3.0, q=1.0),
     )
 
     @pytest.mark.parametrize("block_rows", [1, 3, 7, None])
@@ -657,12 +644,10 @@ class TestRunBatch:
             run_batch(template, rule, [40, 4], 2, base_seed=1, top_k=3)
         assert run_batch(template, rule, [40], 2, base_seed=1, top_k=3).top_matrix().shape == (2, 3)
 
-    @pytest.mark.parametrize("family", ["student_t", "pareto_symmetric"])
-    def test_rejects_n_times_p_one_before_any_trial(self, monkeypatch, family):
-        # At n * p = 1 the student_t norming constant, the 0 quantile of |Z|,
-        # is 0 and the first trial died on it; Pareto's is refused alike.
+    def test_rejects_n_times_p_one_before_any_trial(self, monkeypatch):
+        # At n * p = 1 the norming constant is the 0 quantile of |Z|.
         monkeypatch.setattr("heavyspec.experiment.run_trial", None)
-        template = EnsembleTemplate(model=TailModel(family, alpha=1.5), filter=SPIKE)
+        template = EnsembleTemplate(model=MODEL15, filter=SPIKE)
         with pytest.raises(ValueError, match=re.escape("n * p must be at least 2, got n=1 and p=1")):
             run_batch(template, DimensionRule(beta=0.5), [40, 1], 1, base_seed=1, top_k=1)
 

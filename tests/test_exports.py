@@ -1,6 +1,6 @@
 """Every exported name resolves, so a deletion cannot leave a stale export;
-``validate`` loads neither numpy nor scipy, and the run path loads only the
-scipy subpackages it uses."""
+``validate`` loads neither numpy nor scipy, the sampler no scipy, and the
+run path only the scipy subpackages it uses."""
 
 import importlib
 import re
@@ -53,15 +53,21 @@ def test_validate_loads_neither_numpy_nor_scipy():
     assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy")] == []
 
 
+def test_sampler_loads_no_scipy():
+    loaded = _loaded_after("import heavyspec.rv_noise")
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
 def test_experiment_import_loads_the_solver():
     # A run parent loads ARPACK before its pool forks, so workers inherit it.
     assert "scipy.sparse.linalg" in _loaded_after("import heavyspec.experiment")
 
 
 def test_cli_import_leaves_out_stats_integrate_and_optimize():
-    # The package needs only scipy.special, scipy.linalg and scipy.sparse.linalg;
-    # scipy.stats alone would pull in integrate and optimize and add about a
-    # second to every start of run, check and report, which load experiment.
+    # The package imports only scipy.special (for kolmogi) and
+    # scipy.sparse.linalg, which loads scipy.linalg itself; scipy.stats alone
+    # would pull in integrate and optimize and add about a second to every
+    # start of run, check and report, which load experiment.
     loaded = _loaded_after("import heavyspec.cli, heavyspec.experiment")
     heavy = (["scipy", "stats"], ["scipy", "integrate"], ["scipy", "optimize"])
     assert [m for m in loaded if m.split(".")[:2] in heavy] == []

@@ -7,7 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from heavyspec import rv_noise as rvn
 from heavyspec.rv_noise import (
@@ -30,7 +29,6 @@ def _models():
         TailModel("pareto_symmetric", alpha=1.5),
         TailModel("pareto_positive", alpha=1.5, q=1.0),
         TailModel("pareto_skewed", alpha=1.5, q=0.3),
-        TailModel("student_t", alpha=3.0),
     ]
 
 
@@ -49,10 +47,9 @@ def _reference_noise(model, row_range, col_range, seed):
     """The allocating formula the in-place sampler must reproduce bit for bit."""
     lane0, lane1 = _lanes(seed, row_range, col_range)
     u = _unit(lane0 >> np.uint64(11))
-    if model.family == "student_t":
-        return model.scale * stats.t.ppf(u, df=model.alpha)
     magnitude = model.scale * u ** (-1.0 / model.alpha)
-    if model.family == "pareto_positive":
+    if model.q == 1.0:
+        # No left tail: not even the top unit value 1.0 gives a negative sign.
         return magnitude
     u_sign = _unit(lane1 >> np.uint64(11))
     return np.where(u_sign < model.q, 1.0, -1.0) * magnitude
@@ -145,12 +142,16 @@ class TestSampleNoise:
         )
         assert out.stdout.strip() == digest
 
-    def test_student_t_matches_reference_distribution(self):
-        model = TailModel("student_t", alpha=3.0, scale=2.0)
-        panel = sample_noise(model, (0, 300), (0, 350), seed=9)
-        ks = stats.kstest(panel.values.ravel() / 2.0, "t", args=(3.0,)).statistic
-        # 99% KS band at n = 105000 is ~1.63/sqrt(n) ~ 0.0050.
-        assert ks < 0.006
+    def test_skewed_at_q_one_is_the_positive_pareto(self, monkeypatch):
+        # The sign lane runs only where q < 1, whatever the family's name.
+        positive = TailModel("pareto_positive", alpha=1.5, q=1.0, scale=2.0)
+        skewed = TailModel("pareto_skewed", alpha=1.5, q=1.0, scale=2.0)
+        rows, cols = (-5, 60), (-3, 80)
+        want = sample_noise(positive, rows, cols, seed=41).values
+        monkeypatch.setattr(rvn, "_negative_bits", None)
+        got = sample_noise(skewed, rows, cols, seed=41).values
+        assert got.tobytes() == want.tobytes()
+        assert np.all(want >= 2.0)
 
     @pytest.mark.parametrize("model", _models(), ids=lambda m: m.family)
     def test_tail_split_matches_q(self, model):
@@ -160,9 +161,8 @@ class TestSampleNoise:
         exceed = flat[np.abs(flat) > x]
         assert exceed.size > 100
         frac_right = np.mean(exceed > 0)
-        q_eff = 0.5 if model.family == "student_t" else model.q
-        se = math.sqrt(max(q_eff * (1 - q_eff), 1e-12) / exceed.size)
-        assert abs(frac_right - q_eff) <= max(4.0 * se, 1e-12)
+        se = math.sqrt(max(model.q * (1 - model.q), 1e-12) / exceed.size)
+        assert abs(frac_right - model.q) <= max(4.0 * se, 1e-12)
 
 
 class TestParetoTailFunction:
@@ -190,30 +190,12 @@ class TestNormingConstant:
             model = TailModel(family, alpha=1.3, q=q, scale=0.7)
             assert norming_constant(model, 1) == pytest.approx(0.7, rel=1e-14)
 
-    def test_student_t_against_empirical_quantile(self):
-        model = TailModel("student_t", alpha=3.0)
-        a = norming_constant(model, 1000)
-        rng = np.random.default_rng(12345)
-        sample = np.abs(rng.standard_t(3.0, size=10_000_000))
-        empirical = np.quantile(sample, 1.0 - 1.0 / 1000)
-        assert abs(a - empirical) / empirical < 0.01
-
     @pytest.mark.parametrize("model", _models(), ids=lambda m: m.family)
     @pytest.mark.parametrize("m", [1, 10, 1000, 10**6])
     def test_defining_equation(self, model, m):
         a = norming_constant(model, m)
-        if model.is_pareto:
-            survival = (model.scale / a) ** model.alpha  # P(|Z| > x) for x >= scale
-        else:
-            survival = 2.0 * stats.t.sf(a / model.scale, df=model.alpha)
+        survival = (model.scale / a) ** model.alpha  # P(|Z| > x) for x >= scale
         assert m * survival == pytest.approx(1.0, rel=1e-9)
-
-    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
-    @pytest.mark.parametrize("m", [1, 10, 1000, 10**6])
-    def test_student_t_same_bits_as_scipy_isf(self, alpha, m):
-        model = TailModel("student_t", alpha=alpha, scale=1.3)
-        expected = 1.3 * float(stats.t.isf(0.5 / m, df=alpha))
-        assert norming_constant(model, m).hex() == expected.hex()
 
     def test_rejects_m_below_one(self):
         with pytest.raises(ValueError, match="m"):
@@ -229,36 +211,18 @@ class TestTruncatedSecondMoment:
         model = TailModel("pareto_positive", alpha=2.0, q=1.0)
         assert truncated_second_moment(model, math.e) == pytest.approx(2.0, rel=1e-14)
 
-    @pytest.mark.parametrize("family", ["pareto_symmetric", "student_t"])
     @pytest.mark.parametrize("alpha", [1.5, 1.999, 2.001, 3.0])
-    def test_rejects_alpha_other_than_two(self, family, alpha):
+    def test_rejects_alpha_other_than_two(self, alpha):
         with pytest.raises(ValueError, match="alpha = 2 only"):
-            truncated_second_moment(TailModel(family, alpha=alpha), 4.0)
-
-    @pytest.mark.parametrize("cutoff", [0.1, 0.5, 1.0, 10.0, 100.0, 1e4, 1e6])
-    def test_student_t_closed_form_matches_quadrature(self, cutoff):
-        from scipy import integrate
-
-        model = TailModel("student_t", alpha=2.0, scale=1.5)
-        value, _ = integrate.quad(
-            lambda u: u * u * stats.t.pdf(u, 2.0), 0.0, cutoff / 1.5,
-            epsabs=0.0, epsrel=1e-13, limit=200,
-        )
-        expected = 2.0 * 1.5**2 * value
-        assert truncated_second_moment(model, cutoff) == pytest.approx(expected, rel=1e-12)
+            truncated_second_moment(TailModel("pareto_symmetric", alpha=alpha), 4.0)
 
     def test_grows_like_two_log_cutoff(self):
         # No second moment at alpha = 2: the truncated one grows without bound,
-        # as 2 log c for the Pareto and 2 log c + log 2 - 2 for t_2.
+        # as 2 log c.
         pareto = TailModel("pareto_positive", alpha=2.0, q=1.0)
-        student = TailModel("student_t", alpha=2.0)
-        cuts = [2.0, 10.0, 100.0, 1e6, 1e12]
-        for model in (pareto, student):
-            vals = [truncated_second_moment(model, c) for c in cuts]
-            assert all(a < b for a, b in zip(vals, vals[1:]))
+        vals = [truncated_second_moment(pareto, c) for c in [2.0, 10.0, 100.0, 1e6, 1e12]]
+        assert all(a < b for a, b in zip(vals, vals[1:]))
         assert truncated_second_moment(pareto, 1e12) == pytest.approx(2.0 * math.log(1e12), rel=1e-14)
-        gap = truncated_second_moment(student, 1e12) - 2.0 * math.log(1e12)
-        assert gap == pytest.approx(math.log(2.0) - 2.0, abs=1e-9)
 
     def test_bounded_cutoff_matches_monte_carlo_pareto(self):
         # Truncation bounds the integrand, so the sample mean has a clean SE
@@ -268,15 +232,6 @@ class TestTruncatedSecondMoment:
         rng = np.random.default_rng(7)
         z = rng.pareto(2.0, size=10_000_000) + 1.0
         kept = np.where(z <= 4.0, z * z, 0.0)
-        se = kept.std() / math.sqrt(kept.size)
-        assert abs(value - kept.mean()) <= 3.0 * se
-
-    def test_student_t_closed_form_matches_monte_carlo(self):
-        model = TailModel("student_t", alpha=2.0)
-        value = truncated_second_moment(model, 2.0)
-        rng = np.random.default_rng(8)
-        z = rng.standard_t(2.0, size=10_000_000)
-        kept = np.where(np.abs(z) <= 2.0, z * z, 0.0)
         se = kept.std() / math.sqrt(kept.size)
         assert abs(value - kept.mean()) <= 3.0 * se
 
@@ -293,31 +248,11 @@ class TestSecondMoment:
     def test_infinite_flag_below_two(self):
         assert math.isinf(second_moment(TailModel("pareto_symmetric", alpha=1.5)))
         assert math.isinf(second_moment(TailModel("pareto_symmetric", alpha=2.0)))
-        assert math.isinf(second_moment(TailModel("student_t", alpha=2.0)))
-
-    def test_student_t_finite_variance(self):
-        # Z^2 has tail index 3/2, so a raw Monte Carlo mean has infinite
-        # variance; split off the bounded part (clean SE) and integrate the
-        # tail with quadrature, both independent of the closed form.
-        from scipy import integrate
-
-        model = TailModel("student_t", alpha=3.0)
-        value = second_moment(model)
-        assert math.isfinite(value)
-        cut = 20.0
-        tail, _ = integrate.quad(lambda x: 2.0 * x * x * stats.t.pdf(x, 3.0), cut, np.inf)
-        rng = np.random.default_rng(9)
-        z = rng.standard_t(3.0, size=10_000_000)
-        kept = np.where(np.abs(z) <= cut, z * z, 0.0)
-        se = kept.std() / math.sqrt(kept.size)
-        assert abs(value - (kept.mean() + tail)) <= 3.0 * se
-        assert abs(value - (kept.mean() + tail)) / value < 0.01
 
 
 class TestMeanValue:
     def test_symmetric_zero(self):
         assert mean_value(TailModel("pareto_symmetric", alpha=2.5)) == 0.0
-        assert mean_value(TailModel("student_t", alpha=2.5)) == 0.0
 
     def test_positive_pareto(self):
         model = TailModel("pareto_positive", alpha=3.0, q=1.0, scale=2.0)
@@ -387,7 +322,6 @@ class TestCounterContract:
             TailModel("pareto_skewed", alpha=1.5, q=0.0, scale=2.5),
             TailModel("pareto_skewed", alpha=1.5, q=0.3, scale=2.5),
             TailModel("pareto_skewed", alpha=2.0, q=1.0),
-            TailModel("student_t", alpha=3.0, scale=2.0),
         ],
         ids=lambda m: f"{m.family}-a{m.alpha}-q{m.q}-s{m.scale}",
     )
@@ -398,8 +332,7 @@ class TestCounterContract:
         assert np.array_equal(panel.values, _reference_noise(model, rows, cols, seed))
 
     def test_unit_range_is_half_open_at_zero_closed_at_one(self):
-        # 2**53 - 0.5 rounds to even, so the largest value is exactly 1.0 (and
-        # under student_t that entry is ppf(1) = inf, a 2**-53 event per entry).
+        # 2**53 - 0.5 rounds to even, so the largest value is exactly 1.0.
         top = (1 << 53) - 1
         # 2**53 - 1.5 rounds down to even, one step below 1.0.
         expected = [1.0, 1.0 - 2.0**-52, 2.0**-54]
