@@ -237,11 +237,16 @@ class TestCenteredTrials:
 
     FS = _fs((1.0, 0.5), (1.0, 0.5))
 
-    def test_truncated_centering_at_alpha_two(self):
+    # The truncated second moment reads only |Z|, so q does not move it.
+    @pytest.mark.parametrize(
+        "model",
+        [TailModel("pareto_symmetric", alpha=2.0), TailModel("pareto_skewed", alpha=2.0, q=0.3)],
+        ids=lambda m: m.family,
+    )
+    def test_truncated_centering_at_alpha_two(self, model):
         from heavyspec.rv_noise import norming_constant, truncated_second_moment
         from heavyspec.spectral import mu_x_alpha
 
-        model = TailModel("pareto_symmetric", alpha=2.0)
         spec = EnsembleSpec(model=model, filter=self.FS, p=20, n=500, seed=4)
         rec = run_trial(spec)
         assert math.isfinite(rec.scaled_norm) and rec.scaled_norm > 0
@@ -317,17 +322,20 @@ class TestRowBlocks:
         c=CoefficientSequence((0.5, 1.0, -0.3), min_lag=-1),
         theta=CoefficientSequence((0.25, 0.7, 1.0, 0.5), min_lag=-2),
     )
-    # The positive Pareto draws no sign lane and, at alpha 3, is centred.
+    # The positive Pareto draws no sign lane and, at alpha 3, is centred by
+    # its second moment; at alpha 2 the centring is the truncated one.
     MODELS = (
         TailModel("pareto_symmetric", alpha=1.5),
         TailModel("pareto_skewed", alpha=1.2, q=0.3),
         TailModel("pareto_positive", alpha=3.0, q=1.0),
+        TailModel("pareto_symmetric", alpha=2.0),
     )
+    MODEL_IDS = ("pareto_symmetric", "pareto_skewed", "pareto_positive", "pareto_symmetric-a2")
 
     @pytest.mark.parametrize("block_rows", [1, 3, 7, None])
     @pytest.mark.parametrize("p", [1, 2, 5, 37])
     @pytest.mark.parametrize("fspec", [SPIKE, LAGGED], ids=["spike", "lagged"])
-    @pytest.mark.parametrize("model", MODELS, ids=lambda m: m.family)
+    @pytest.mark.parametrize("model", MODELS, ids=MODEL_IDS)
     def test_blocks_equal_the_full_panel(self, monkeypatch, block_rows, p, fspec, model):
         import heavyspec.experiment as experiment
 
@@ -399,7 +407,7 @@ class TestTrialWorkspace:
 
     @pytest.mark.parametrize("p", [1, 2, 5, 37])
     @pytest.mark.parametrize("fspec", [SPIKE, TestRowBlocks.LAGGED], ids=["spike", "lagged"])
-    @pytest.mark.parametrize("model", TestRowBlocks.MODELS, ids=lambda m: m.family)
+    @pytest.mark.parametrize("model", TestRowBlocks.MODELS, ids=TestRowBlocks.MODEL_IDS)
     def test_poisoned_workspace_leaves_records_equal(self, monkeypatch, p, fspec, model):
         handed = self._poison_before_each_trial(monkeypatch)
         n = 45
@@ -644,10 +652,15 @@ class TestRunBatch:
             run_batch(template, rule, [40, 4], 2, base_seed=1, top_k=3)
         assert run_batch(template, rule, [40], 2, base_seed=1, top_k=3).top_matrix().shape == (2, 3)
 
-    def test_rejects_n_times_p_one_before_any_trial(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "model",
+        [MODEL15, TailModel("pareto_positive", alpha=1.5, q=1.0), TailModel("pareto_skewed", alpha=1.5, q=0.3)],
+        ids=lambda m: m.family,
+    )
+    def test_rejects_n_times_p_one_before_any_trial(self, monkeypatch, model):
         # At n * p = 1 the norming constant is the 0 quantile of |Z|.
         monkeypatch.setattr("heavyspec.experiment.run_trial", None)
-        template = EnsembleTemplate(model=MODEL15, filter=SPIKE)
+        template = EnsembleTemplate(model=model, filter=SPIKE)
         with pytest.raises(ValueError, match=re.escape("n * p must be at least 2, got n=1 and p=1")):
             run_batch(template, DimensionRule(beta=0.5), [40, 1], 1, base_seed=1, top_k=1)
 

@@ -211,10 +211,11 @@ class TestTruncatedSecondMoment:
         model = TailModel("pareto_positive", alpha=2.0, q=1.0)
         assert truncated_second_moment(model, math.e) == pytest.approx(2.0, rel=1e-14)
 
+    @pytest.mark.parametrize("family", ["pareto_symmetric", "pareto_skewed"])
     @pytest.mark.parametrize("alpha", [1.5, 1.999, 2.001, 3.0])
-    def test_rejects_alpha_other_than_two(self, alpha):
+    def test_rejects_alpha_other_than_two(self, family, alpha):
         with pytest.raises(ValueError, match="alpha = 2 only"):
-            truncated_second_moment(TailModel("pareto_symmetric", alpha=alpha), 4.0)
+            truncated_second_moment(TailModel(family, alpha=alpha), 4.0)
 
     def test_grows_like_two_log_cutoff(self):
         # No second moment at alpha = 2: the truncated one grows without bound,
