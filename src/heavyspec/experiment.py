@@ -33,7 +33,7 @@ from ._config import (
     CHECKS, DimensionRule, EnsembleSpec, EnsembleTemplate, ExperimentConfig, FilterSpec, TailModel,
     ValidationError, ValidationReport, batch_grid, beta_limit, load_config, validate,
 )
-from .linear_filter import build_row_process
+from .linear_filter import build_row_process, window_sum
 from .linear_filter import build_xhat  # noqa: F401  (perfbench's tracer wraps this name)
 from .rv_noise import derive_key, norming_constant, sample_noise
 from .spectral import (
@@ -164,13 +164,11 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     """
     model, fspec, p, n, seed = spec.model, spec.filter, spec.p, spec.n, spec.seed
     theta, c = fspec.theta, fspec.c
-    k_lo, k_hi = theta.min_lag, theta.max_lag
-    j_lo, j_hi = c.min_lag, c.max_lag
 
     a_np = norming_constant(model, n * p)
     mu = mu_x_alpha(model, c, a_np)
-    r0, r1 = 1 - k_hi, p - k_lo + 1
-    cols = (1 - j_hi, n - j_lo + 1)
+    r0, r1 = 1 - theta.max_lag, p - theta.min_lag + 1
+    cols = (1 - c.max_lag, n - c.min_lag + 1)
     width = cols[1] - cols[0]
     step = min(max(1, _BLOCK_ENTRIES // width), r1 - r0)
     ws = _trial_workspace((r1 - r0, width, n, p, step))
@@ -187,10 +185,7 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     scaled = spectral_norm(s, out=ws.scaled_s) / a2
     offdiag = offdiag_deviation(gram, a_np, buffers=(ws.tg, ws.terms))
 
-    ma = np.zeros(p)
-    for k, w in zip(theta.lags, theta.values):
-        ma += w * d_tilde[k_hi - k : k_hi - k + p]
-    top = np.sort(ma / a2)[::-1][:top_k]
+    top = np.sort(window_sum(theta, d_tilde, p) / a2)[::-1][:top_k]
     return TrialRecord(
         n=n,
         p=p,

@@ -2,8 +2,9 @@
 
 The filtered panel is built in two stages: a moving average across time with
 window ``c`` within each row, then a moving average across rows with window
-``theta``.  Convolutions are computed directly over the (short) coefficient
-windows so results are exact finite sums with a deterministic summation order.
+``theta``.  ``window_sum`` applies every window in the package, here and in
+``T G Tᵀ`` and the windowed diagonal, so each result is an exact finite sum
+over the short window in one summation order: ascending lag.
 """
 
 from __future__ import annotations
@@ -19,7 +20,25 @@ __all__ = [
     "build_row_process",
     "build_xhat",
     "build_xhat_direct",
+    "window_sum",
 ]
+
+
+def window_sum(
+    w: CoefficientSequence, a: np.ndarray, size: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """out[i] = sum_k w_k a[w.max_lag - k + i], i < size, along a's first axis:
+    from 0.0, one term per lag into ``scratch``, in ascending lag.  ``out`` and
+    ``scratch`` have shape (size,) + a.shape[1:] and are fresh where None; pass
+    transposed views of all three arrays to sum along the last axis."""
+    if out is None:
+        out = np.empty((size, *a.shape[1:]))
+    if scratch is None:
+        scratch = np.empty_like(out)
+    out.fill(0.0)
+    for k, v in zip(w.lags, w.values):
+        out += np.multiply(v, a[w.max_lag - k : w.max_lag - k + size], out=scratch)
+    return out
 
 
 def build_row_process(
@@ -35,14 +54,10 @@ def build_row_process(
     ``out`` receives the rows and ``scratch`` holds each lag's term; both
     have the result's shape and are fresh arrays where they are None.
     """
-    i0, i1 = row_range
     if out is None:
-        out = np.empty((i1 - i0, n))
-    if scratch is None:
-        scratch = np.empty_like(out)
-    out.fill(0.0)
-    for j, w in zip(c.lags, c.values):
-        out += np.multiply(w, noise.block((i0, i1), (1 - j, n + 1 - j)), out=scratch)
+        out = np.empty((row_range[1] - row_range[0], n))
+    z = noise.block(row_range, (1 - c.max_lag, n - c.min_lag + 1))
+    window_sum(c, z.T, n, out.T, None if scratch is None else scratch.T)
     return out
 
 
@@ -54,12 +69,8 @@ def build_xhat(noise: NoisePanel, spec: FilterSpec, p: int, n: int) -> np.ndarra
     the result equals the direct double sum.
     """
     theta = spec.theta
-    k_hi = theta.max_lag
-    x = build_row_process(noise, spec.c, (1 - k_hi, p - theta.min_lag + 1), n)
-    out = np.zeros((p, n))
-    for k, w in zip(theta.lags, theta.values):
-        out += w * x[k_hi - k : k_hi - k + p]
-    return out
+    x = build_row_process(noise, spec.c, (1 - theta.max_lag, p - theta.min_lag + 1), n)
+    return window_sum(theta, x, p)
 
 
 def build_xhat_direct(noise: NoisePanel, spec: FilterSpec, p: int, n: int) -> np.ndarray:

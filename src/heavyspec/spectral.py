@@ -17,7 +17,7 @@ import math
 import numpy as np
 from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .linear_filter import CoefficientSequence
+from .linear_filter import CoefficientSequence, window_sum
 from .rv_noise import TailModel, index_uniforms, second_moment, truncated_second_moment
 
 __all__ = [
@@ -76,17 +76,10 @@ def centered_covariance(
     m = p + len(theta.values) - 1
     if g.shape != (m, m):
         raise ValueError(f"gram must be {m} x {m} for p = {p}, got shape {g.shape}")
-    if buffers is None:
-        buffers = (np.empty((p, m)), np.empty((p, m)), np.empty((p, p)))
-    tg, terms, s = buffers
-    offsets = [(theta.max_lag - k, w) for k, w in zip(theta.lags, theta.values)]
-    tg.fill(0.0)
-    for o, w in offsets:
-        tg += np.multiply(w, g[o : o + p], out=terms)
-    # T G is summed, so the first p columns of terms hold each term of T G Tᵀ.
-    s.fill(0.0)
-    for o, w in offsets:
-        s += np.multiply(w, tg[:, o : o + p], out=terms[:, :p])
+    tg, terms, s = buffers or (np.empty((p, m)), np.empty((p, m)), np.empty((p, p)))
+    window_sum(theta, g, p, tg, terms)
+    # S = (T (T G)ᵀ)ᵀ; T G is summed, so terms' first p columns hold S's terms.
+    window_sum(theta, tg.T, p, s.T, terms[:, :p].T)
     if mu != 0.0:
         # H Hᵀ is the symmetric Toeplitz matrix with r[b] = sum_u w[u] * w[u-b]
         # on diagonals +-b, w the reversed window of the theta lags inside

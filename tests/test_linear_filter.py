@@ -1,5 +1,7 @@
 """Tests for coefficient windows and the two-stage linear filter."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,9 @@ from heavyspec.linear_filter import (
     build_row_process,
     build_xhat,
     build_xhat_direct,
+    window_sum,
 )
-from heavyspec.rv_noise import NoisePanel, TailModel, sample_noise
+from heavyspec.rv_noise import NoiseCoverageError, NoisePanel, TailModel, sample_noise
 
 
 def _int_panel(rows, cols, row_offset=0, col_offset=0, seed=3):
@@ -47,7 +50,55 @@ class TestCoefficientSequence:
         )
 
 
+class TestWindowSum:
+    # A two-sided window: lags -2 through 1.
+    W = CoefficientSequence((0.3, -1.25, 0.7, 0.5), min_lag=-2)
+
+    @staticmethod
+    def _lag_loop(w, a, size):
+        # out[i] = sum_k w_k a[w.max_lag - k + i], one output row at a time,
+        # from 0.0 in ascending lag.
+        out = np.zeros((size, *a.shape[1:]))
+        for i in range(size):
+            for k, v in zip(w.lags, w.values):
+                out[i] += v * a[w.max_lag - k + i]
+        return out
+
+    def test_hand_computation(self):
+        # Lags -1 and 0: out[i] = 1 * a[i + 1] + 2 * a[i].
+        a = np.arange(5.0)
+        out = window_sum(CoefficientSequence((1.0, 2.0), min_lag=-1), a, 4)
+        assert np.array_equal(out, a[1:] + 2.0 * a[:-1])
+
+    def test_rows_equal_the_lag_loop_bit_for_bit(self):
+        a = sample_noise(TailModel("pareto_skewed", alpha=1.2, q=0.3), (0, 12), (0, 7), seed=5).values
+        expect = self._lag_loop(self.W, a, 9)
+        out, scratch = np.full((9, 7), np.nan), np.full((9, 7), np.nan)
+        assert window_sum(self.W, a, 9, out, scratch) is out
+        assert np.array_equal(out, expect)
+        assert np.array_equal(window_sum(self.W, a, 9), expect)
+
+    def test_transposed_views_equal_the_lag_loop_bit_for_bit(self):
+        # Through transposed views the window runs along the last axis, into
+        # the columns of a C-ordered out.
+        a = sample_noise(TailModel("pareto_symmetric", alpha=1.5), (0, 6), (0, 13), seed=9).values
+        expect = self._lag_loop(self.W, a.T, 10).T
+        out, scratch = np.full((6, 10), np.nan), np.full((6, 10), np.nan)
+        window_sum(self.W, a.T, 10, out.T, scratch.T)
+        assert np.array_equal(out, expect)
+        # A window over a 1-d array, the windowed diagonal's case.
+        assert np.array_equal(window_sum(self.W, a[0], 10), self._lag_loop(self.W, a[0], 10))
+
+
 class TestBuildRowProcess:
+    @pytest.mark.parametrize("cols, missing", [((1, 12), "cols [0, 1)"), ((0, 11), "cols [11, 12)")])
+    def test_refuses_a_panel_missing_a_column(self, cols, missing):
+        # Lags -1 through 1 at n = 10 need columns 0 through 11.
+        c = CoefficientSequence((1.0, 0.5, 0.25), min_lag=-1)
+        panel = _int_panel(3, cols[1] - cols[0], col_offset=cols[0])
+        with pytest.raises(NoiseCoverageError, match=re.escape(f"missing {missing}")):
+            build_row_process(panel, c, (0, 3), 10)
+
     def test_identity(self):
         panel = _int_panel(3, 8, col_offset=0)
         out = build_row_process(panel, CoefficientSequence((1.0,)), (0, 3), 7)
