@@ -28,7 +28,7 @@ _EXPORTS = {
     "envelope_check": "experiment",
     "limit_order_statistics": "limit_law",
     "mu_x_alpha": "spectral",
-    "norming_constant": "rv_noise",
+    "norming_constant": "_config",
     "offdiag_deviation": "spectral",
     "run_batch": "experiment",
     "run_trial": "experiment",

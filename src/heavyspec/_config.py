@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -38,6 +39,7 @@ __all__ = [
     "config_section",
     "load_config",
     "mean_value",
+    "norming_constant",
     "validate",
 ]
 
@@ -170,12 +172,24 @@ class TailModel:
         )
 
 
+def norming_constant(model: TailModel, m: int) -> float:
+    """The 1 - 1/m quantile of |Z|, i.e. the solution of m * P(|Z| > a) = 1."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    return model.scale * float(m) ** (1.0 / model.alpha)
+
+
 def mean_value(model: TailModel) -> float:
     """E(Z) where defined; NaN for alpha <= 1 (no first moment)."""
     if model.alpha <= 1.0:
         return math.nan
     abs_mean = model.alpha * model.scale / (model.alpha - 1.0)
     return (2.0 * model.q - 1.0) * abs_mean
+
+
+# Lags, n and p lie strictly inside (-2**62, 2**62), so that every noise row
+# and column index and its exclusive end lie in int64.
+_INDEX_BOUND = 2**62
 
 
 @dataclass(frozen=True)
@@ -194,6 +208,9 @@ class CoefficientSequence:
             raise ValueError("coefficient window contains non-finite values")
         if all(v == 0.0 for v in vals):
             raise ValueError("coefficient window must contain a nonzero value")
+        if not (-_INDEX_BOUND < self.min_lag and self.max_lag < _INDEX_BOUND):
+            lags = f"{self.min_lag} through {self.max_lag}"
+            raise ValueError(f"min_lag must keep every lag inside (-2**62, 2**62), got lags {lags}")
 
     @property
     def max_lag(self) -> int:
@@ -372,13 +389,15 @@ def validate(model: TailModel, rule: DimensionRule) -> ValidationReport:
     return ValidationReport(items=(zero_mean, beta_admissible))
 
 
-def batch_grid(rule: DimensionRule, n_values, replicates: int, top_k: int) -> list[tuple[int, int]]:
+def batch_grid(model: TailModel, rule: DimensionRule, n_values, replicates: int, top_k: int) -> list[tuple[int, int]]:
     """The (n, p) grid of a batch; refuses an empty n grid, an n given twice,
-    fewer than one replicate, an n below 1, n * p = 1, where the norming
+    fewer than one replicate, an n below 1, an n or p of 2**62 or more,
+    whose noise indices would leave int64, n * p = 1, where the norming
     constant a_np (the 1 - 1/(np) quantile of |Z|) is the 0 quantile, the
-    bottom of the support rather than a tail level, and a ``top_k`` outside
-    ``[1, p]`` at any n, as each record holds exactly ``top_k`` ranks of the
-    p windowed diagonals."""
+    bottom of the support rather than a tail level, an a_np whose square,
+    which scales every statistic, is not a positive normal float, and a
+    ``top_k`` outside ``[1, p]`` at any n, as each record holds exactly
+    ``top_k`` ranks of the p windowed diagonals."""
     if not n_values:
         raise ValueError("n_values must be nonempty")
     repeated = sorted({n for n in n_values if n_values.count(n) > 1})
@@ -389,8 +408,18 @@ def batch_grid(rule: DimensionRule, n_values, replicates: int, top_k: int) -> li
     grid = []
     for n in n_values:
         p = rule.p_for(n)
+        if max(n, p) >= _INDEX_BOUND:
+            detail = f"n_values entry {n} gives p={p}; n and p must be below 2**62"
+            raise ValueError(f"{detail}, so noise indices fit in int64")
         if n * p == 1:
             raise ValueError(f"n * p must be at least 2, got n={n} and p={p}: a_np is the 1 - 1/(np) quantile of |Z|")
+        try:
+            a_np = norming_constant(model, n * p)
+        except OverflowError:
+            a_np = math.inf
+        if not sys.float_info.min <= a_np * a_np < math.inf:
+            detail = f"scale={model.scale:g} and alpha={model.alpha:g} give a_np^2 = {a_np * a_np:g} at n={n}, p={p}"
+            raise ValueError(f"{detail}, not a positive normal float")
         if not 1 <= top_k <= p:
             raise ValueError(f"top_k must lie in [1, p], got top_k={top_k} with p={p} at n={n}")
         grid.append((n, p))

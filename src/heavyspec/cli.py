@@ -55,7 +55,7 @@ def _load_batch(config: ExperimentConfig, out_dir: str):
 
 def _cmd_validate(args) -> int:
     config = _load(args)
-    grid = batch_grid(config.rule, config.n_values, config.replicates, config.top_k)
+    grid = batch_grid(config.model, config.rule, config.n_values, config.replicates, config.top_k)
     report = validate(config.model, config.rule)
     for n, p in grid:
         print(f"n={n} p={p}")

@@ -313,7 +313,7 @@ def run_batch(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n_values = tuple(int(n) for n in n_values)
-    grid = batch_grid(rule, n_values, replicates, top_k)
+    grid = batch_grid(template.model, rule, n_values, replicates, top_k)
     # validate through this module's name, which perfbench's tracer wraps.
     report = validate(template.model, rule)
     if not report.ok:
@@ -637,7 +637,7 @@ def batch_from_records(config: ExperimentConfig, records) -> TrialBatch:
     ``offdiag_dev`` and top values (relative to the largest |top|) must
     match the stored row to ``_RERUN_REL_TOL``; this refuses records that
     another filter made."""
-    p_at = dict(batch_grid(config.rule, config.n_values, config.replicates, config.top_k))
+    p_at = dict(batch_grid(config.model, config.rule, config.n_values, config.replicates, config.top_k))
     records = tuple(records)
     cells = {(n, r) for n in p_at for r in range(config.replicates)}
     found = [(rec.n, rec.replicate) for rec in records]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import FAMILIES, TailModel, mean_value
+from ._config import FAMILIES, TailModel, mean_value, norming_constant
 
 __all__ = [
     "FAMILIES",
@@ -252,13 +252,6 @@ def sample_noise(
         bits = u.view(np.uint64)
         bits ^= sign
     return NoisePanel(values=u, row_offset=r0, col_offset=c0)
-
-
-def norming_constant(model: TailModel, m: int) -> float:
-    """The 1 - 1/m quantile of |Z|, i.e. the solution of m * P(|Z| > a) = 1."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    return model.scale * float(m) ** (1.0 / model.alpha)
 
 
 def truncated_second_moment(model: TailModel, cutoff: float) -> float:

@@ -360,6 +360,38 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
         ],
         ("validate --config {tmp}/scale_inf.json", "scale must be positive and finite, got inf"),
         ("run --config {tmp}/scale_inf.json --out {tmp}/out", "scale must be positive and finite, got inf"),
+        *[
+            (f"{command} --config {{tmp}}/{name}.json{out}", message)
+            for command, out in (
+                ("validate", ""),
+                ("run", " --out {tmp}/out"),
+                ("check", " --out {tmp}/one_row"),
+                ("report", " --out {tmp}/one_row"),
+            )
+            for name, message in (
+                (
+                    "c_min_lag_huge",
+                    "min_lag must keep every lag inside (-2**62, 2**62), got lags -10000000000000000000 through "
+                    "-9999999999999999999",
+                ),
+                (
+                    "theta_min_lag_huge",
+                    "min_lag must keep every lag inside (-2**62, 2**62), got lags 10000000000000000000 through "
+                    "10000000000000000001",
+                ),
+                (
+                    "n_huge",
+                    "n_values entry 9223372036854775808 gives p=10; n and p must be below 2**62, so noise indices "
+                    "fit in int64",
+                ),
+                ("scale_tiny", "scale=1e-300 and alpha=1.5 give a_np^2 = 0 at n=40, p=6, not a positive normal float"),
+                (
+                    "scale_subnormal",
+                    "scale=1e-160 and alpha=1.5 give a_np^2 = 1.49147e-317 at n=40, p=6, not a positive normal float",
+                ),
+                ("scale_huge", "scale=1e+300 and alpha=1.5 give a_np^2 = inf at n=40, p=6, not a positive normal float"),
+            )
+        ],
     ],
 )
 def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys, argv, message):
@@ -383,6 +415,14 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         ("student_t", ("model", "family"), "student_t"),
         # json writes and reads this as the bare token Infinity.
         ("scale_inf", ("model", "scale"), float("inf")),
+        # Noise indices and seed keys past int64, and an a_np^2 that is 0, a
+        # subnormal or inf.
+        ("c_min_lag_huge", ("filter", "c", "min_lag"), -(10**19)),
+        ("theta_min_lag_huge", ("filter", "theta", "min_lag"), 10**19),
+        ("n_huge", ("n_values",), [2**63]),
+        ("scale_tiny", ("model", "scale"), 1e-300),
+        ("scale_subnormal", ("model", "scale"), 1e-160),
+        ("scale_huge", ("model", "scale"), 1e300),
     ):
         edited = json.loads(json.dumps(config))
         node = edited
