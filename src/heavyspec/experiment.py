@@ -322,10 +322,10 @@ def run_batch(
     for n, p in grid:
         for r in range(replicates):
             jobs.append((template.spec(p, n, derive_seed(base_seed, n, r)), r, top_k))
+    # A pool forks all its workers at once: start no more than there are jobs.
+    workers = min(workers, len(jobs))
     with _one_blas_thread():
         if workers > 1:
-            # A pool forks all its workers at once: start no more than there are jobs.
-            workers = min(workers, len(jobs))
             with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads, initargs=(1,)) as pool:
                 records = list(pool.map(_trial_job, jobs, chunksize=8))
         else:

@@ -570,6 +570,8 @@ class TestRunBatch:
         monkeypatch.setattr("heavyspec.experiment.ProcessPoolExecutor", SerialPool)
         saved = _set_blas_threads(2)
         try:
+            # One job runs in the serial loop: no pool is made for it.
+            assert run_batch(template, rule, [40], 1, base_seed=9, workers=3).records == serial.records[:1]
             assert run_batch(template, rule, [40], 2, base_seed=9, workers=3).records == serial.records
             assert run_batch(template, rule, [40, 80], 2, base_seed=9, workers=3).records[:2] == serial.records
             after = [count for _, count in _set_blas_threads(2)]
