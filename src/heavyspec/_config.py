@@ -389,15 +389,41 @@ def validate(model: TailModel, rule: DimensionRule) -> ValidationReport:
     return ValidationReport(items=(zero_mean, beta_admissible))
 
 
-def batch_grid(model: TailModel, rule: DimensionRule, n_values, replicates: int, top_k: int) -> list[tuple[int, int]]:
+# Slack on _gram_bound for the rounding of its pow and products.
+_GRAM_BOUND_SLACK = 1.0 + 2.0**-40
+
+
+def _gram_bound(template: EnsembleTemplate, n: int, p: int) -> float:
+    """m n (sum|c| sum|theta| scale 2^(54/alpha))^2, m = p + len(theta) - 1,
+    with a little slack; inf where it exceeds the largest float.
+
+    The unit map's least uniform is 2**-54, so |Z| <= scale 2^(54/alpha).
+    Then n (sum|c| |Z|max)^2 bounds every entry of the Gram G of the
+    filtered rows, (sum|theta|)^2 times that every entry of T G Tᵀ, and m
+    times an entry bound the norm of an m x m or smaller matrix: this bounds
+    G, |S| and the off-diagonal norm."""
+    c, theta, model = template.filter.c, template.filter.theta, template.model
+    try:
+        z_max = model.scale * 2.0 ** (54.0 / model.alpha)
+    except OverflowError:
+        return math.inf
+    entry = c.abs_sum * theta.abs_sum * z_max
+    return float(p + len(theta.values) - 1) * float(n) * entry * entry * _GRAM_BOUND_SLACK
+
+
+def batch_grid(
+    template: EnsembleTemplate, rule: DimensionRule, n_values, replicates: int, top_k: int
+) -> list[tuple[int, int]]:
     """The (n, p) grid of a batch; refuses an empty n grid, an n given twice,
     fewer than one replicate, an n below 1, an n or p of 2**62 or more,
     whose noise indices would leave int64, n * p = 1, where the norming
     constant a_np (the 1 - 1/(np) quantile of |Z|) is the 0 quantile, the
     bottom of the support rather than a tail level, an a_np whose square,
-    which scales every statistic, is not a positive normal float, and a
-    ``top_k`` outside ``[1, p]`` at any n, as each record holds exactly
-    ``top_k`` ranks of the p windowed diagonals."""
+    which scales every statistic, is not a positive normal float, a Gram
+    matrix that can overflow (``_gram_bound``), and a ``top_k`` outside
+    ``[1, p]`` at any n, as each record holds exactly ``top_k`` ranks of the
+    p windowed diagonals."""
+    model = template.model
     if not n_values:
         raise ValueError("n_values must be nonempty")
     repeated = sorted({n for n in n_values if n_values.count(n) > 1})
@@ -420,6 +446,10 @@ def batch_grid(model: TailModel, rule: DimensionRule, n_values, replicates: int,
         if not sys.float_info.min <= a_np * a_np < math.inf:
             detail = f"scale={model.scale:g} and alpha={model.alpha:g} give a_np^2 = {a_np * a_np:g} at n={n}, p={p}"
             raise ValueError(f"{detail}, not a positive normal float")
+        bound = _gram_bound(template, n, p)
+        if not bound < math.inf:
+            detail = f"scale={model.scale:g} and alpha={model.alpha:g} bound |S| by {bound:g} at n={n}, p={p}"
+            raise ValueError(f"{detail}: a Gram product can overflow")
         if not 1 <= top_k <= p:
             raise ValueError(f"top_k must lie in [1, p], got top_k={top_k} with p={p} at n={n}")
         grid.append((n, p))

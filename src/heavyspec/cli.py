@@ -55,7 +55,7 @@ def _load_batch(config: ExperimentConfig, out_dir: str):
 
 def _cmd_validate(args) -> int:
     config = _load(args)
-    grid = batch_grid(config.model, config.rule, config.n_values, config.replicates, config.top_k)
+    grid = batch_grid(config.template, config.rule, config.n_values, config.replicates, config.top_k)
     report = validate(config.model, config.rule)
     for n, p in grid:
         print(f"n={n} p={p}")
@@ -149,6 +149,15 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:  # ValueError includes ValidationError
         path = getattr(err, "filename", None)
         print(f"{path}: {err.strerror}" if path else str(err), file=sys.stderr)
+        return 1
+    except RuntimeError as err:
+        # Only the commands that draw raise a solver failure, and they have
+        # loaded the solver already; validate loads no numeric module.
+        from .spectral import SpectralNormError
+
+        if not isinstance(err, SpectralNormError):
+            raise
+        print(err, file=sys.stderr)
         return 1
 
 

@@ -38,6 +38,7 @@ from .linear_filter import build_xhat  # noqa: F401  (perfbench's tracer wraps t
 from .rv_noise import derive_key, norming_constant, sample_noise
 from .spectral import (
     _ARPACK_TOL,
+    SpectralNormError,
     centered_covariance,
     centered_gram_diag,
     mu_x_alpha,
@@ -111,25 +112,19 @@ class _TrialWorkspace:
     """Every large array a trial of one shape writes, allocated once.
 
     ``key`` is (panel rows m, panel columns, n, p, block rows).  The m x m
-    ``tg`` and ``terms`` hold T G and its terms in their first p rows while
-    ``centered_covariance`` runs, then the zero-diagonal Gram and its
-    pre-scaled copy in ``offdiag_deviation``; the p x p ``s`` holds S, and
-    ``scaled_s`` is ``spectral_norm(S)``'s ``out``: S - Sᵀ, then the
-    symmetrized, pre-scaled S.
+    Gram is the only square array: S is an operator on it, whose products
+    need only vectors, and ``offdiag_deviation`` zeroes the diagonal of a
+    copy of it in the scratch array of its symmetry check.
     """
 
     def __init__(self, key: tuple[int, int, int, int, int]):
-        m, width, n, p, block_rows = key
+        m, width, n, _, block_rows = key
         self.key = key
         self.noise = (*(np.empty((block_rows, width), np.uint64) for _ in range(3)), np.empty((block_rows, width)))
         self.block_scratch = np.empty((block_rows, n))
         self.x_rows = np.empty((m, n))
         self.d_tilde = np.empty(m)
         self.gram = np.empty((m, m))
-        self.tg = np.empty((m, m))
-        self.terms = np.empty((m, m))
-        self.scaled_s = np.empty((p, p))
-        self.s = np.empty((p, p))
 
 
 # One workspace per thread, so that two threads never share buffers; it is
@@ -180,10 +175,9 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     gram = np.matmul(ws.x_rows, ws.x_rows.T, out=ws.gram)
     d_tilde = centered_gram_diag(gram, n, mu, out=ws.d_tilde)
 
-    s = centered_covariance(gram, theta, p, n, mu, buffers=(ws.tg[:p], ws.terms[:p], ws.s))
     a2 = a_np * a_np
-    scaled = spectral_norm(s, out=ws.scaled_s) / a2
-    offdiag = offdiag_deviation(gram, a_np, buffers=(ws.tg, ws.terms))
+    scaled = spectral_norm(centered_covariance(gram, theta, p, n, mu)) / a2
+    offdiag = offdiag_deviation(gram, a_np)
 
     top = np.sort(window_sum(theta, d_tilde, p) / a2)[::-1][:top_k]
     return TrialRecord(
@@ -233,7 +227,12 @@ class TrialBatch:
 
 def _trial_job(args: tuple[EnsembleSpec, int, int]) -> TrialRecord:
     spec, replicate, top_k = args
-    return replace(run_trial(spec, top_k=top_k), replicate=replicate)
+    try:
+        record = run_trial(spec, top_k=top_k)
+    except SpectralNormError as err:
+        where = f"trial (n, replicate, seed) = ({spec.n}, {replicate}, {spec.seed})"
+        raise SpectralNormError(f"{where}: {err}") from err
+    return replace(record, replicate=replicate)
 
 
 # Thread-count calls of the OpenBLAS builds numpy and scipy bundle (the 64-bit
@@ -313,7 +312,7 @@ def run_batch(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     n_values = tuple(int(n) for n in n_values)
-    grid = batch_grid(template.model, rule, n_values, replicates, top_k)
+    grid = batch_grid(template, rule, n_values, replicates, top_k)
     # validate through this module's name, which perfbench's tracer wraps.
     report = validate(template.model, rule)
     if not report.ok:
@@ -637,7 +636,7 @@ def batch_from_records(config: ExperimentConfig, records) -> TrialBatch:
     ``offdiag_dev`` and top values (relative to the largest |top|) must
     match the stored row to ``_RERUN_REL_TOL``; this refuses records that
     another filter made."""
-    p_at = dict(batch_grid(config.model, config.rule, config.n_values, config.replicates, config.top_k))
+    p_at = dict(batch_grid(config.template, config.rule, config.n_values, config.replicates, config.top_k))
     records = tuple(records)
     cells = {(n, r) for n in p_at for r in range(config.replicates)}
     found = [(rec.n, rec.replicate) for rec in records]

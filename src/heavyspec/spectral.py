@@ -1,13 +1,17 @@
 """Centering algebra and spectral norms.
 
-Every row of the centering matrix H carries the same short theta window, so
-H Hᵀ is a symmetric banded Toeplitz matrix, built from the window's
-autocorrelation without forming H.  The centered covariance S, the
-off-diagonal deviation and the centered diagonal are all built from one Gram
-matrix of the time-filtered rows.  Spectral norms of the resulting dense symmetric
-matrices come from one ARPACK call (``scipy.sparse.linalg.eigsh``) with a
-deterministic start vector; a dense eigensolve is used only as a cross-check
-oracle in the tests.
+The centered covariance S = T G Tᵀ - n mu H Hᵀ is a linear operator on the
+Gram matrix G of the time-filtered rows: S is never formed, and a product
+S v costs one product with G plus a few short window sums.  Every row of the
+centering matrix H carries the same short theta window, so H Hᵀ is a
+symmetric banded Toeplitz matrix whose product with a vector is one window
+sum of the window's autocorrelation, without forming H.  The off-diagonal
+part is G with its diagonal zeroed, in the scratch array of G's symmetry
+check, and the centered diagonal is read off G.  Spectral norms of these
+operators and of dense symmetric matrices come from one ARPACK call
+(``scipy.sparse.linalg.eigsh``), which needs only matrix-vector products, with
+a deterministic start vector; a dense eigensolve is used only as a
+cross-check oracle in the tests.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .linear_filter import CoefficientSequence, window_sum
 from .rv_noise import TailModel, index_uniforms, second_moment, truncated_second_moment
@@ -50,77 +54,18 @@ def mu_x_alpha(model: TailModel, c: CoefficientSequence, a_np: float) -> float:
     return second_moment(model) * c.sq_sum
 
 
-def centered_covariance(
-    gram: np.ndarray,
-    theta: CoefficientSequence,
-    p: int,
-    n: int,
-    mu: float,
-    buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """S = T G Tᵀ - n * mu * H Hᵀ, symmetric only up to rounding;
-    ``spectral_norm`` symmetrizes it.
+class _SymmetricOperator(LinearOperator):
+    """A real symmetric operator: ``product(v)`` returns A v as a fresh array,
+    and ``bound`` bounds the absolute entries of A's matrix (0 only where A is
+    zero); ``spectral_norm`` pre-scales by the power of two above it."""
 
-    G is the Gram matrix of the time-filtered rows 1 - theta.max_lag through
-    p - theta.min_lag, and T applies the full theta window across them, so
-    T G Tᵀ equals Xhat Xhatᵀ for the filtered p x n panel.  H is the p x 3p
-    centering matrix with H[i, j] = theta_{p-(j-i)} for 0 <= j-i <= 2p, so it
-    keeps only the theta lags inside [-p, p]; the two differ when a lag lies
-    outside.
+    def __init__(self, dim: int, product, bound: float):
+        super().__init__(np.dtype(float), (dim, dim))
+        self.product = product
+        self.bound = bound
 
-    ``buffers`` are arrays for T G (p x m), its terms (p x m) and S (p x p,
-    returned), m the Gram's order; without them the same steps run on fresh
-    arrays.
-    """
-    g = np.asarray(gram, dtype=float)
-    m = p + len(theta.values) - 1
-    if g.shape != (m, m):
-        raise ValueError(f"gram must be {m} x {m} for p = {p}, got shape {g.shape}")
-    tg, terms, s = buffers or (np.empty((p, m)), np.empty((p, m)), np.empty((p, p)))
-    window_sum(theta, g, p, tg, terms)
-    # S = (T (T G)ᵀ)ᵀ; T G is summed, so terms' first p columns hold S's terms.
-    window_sum(theta, tg.T, p, s.T, terms[:, :p].T)
-    if mu != 0.0:
-        # H Hᵀ is the symmetric Toeplitz matrix with r[b] = sum_u w[u] * w[u-b]
-        # on diagonals +-b, w the reversed window of the theta lags inside
-        # [-p, p], and 0 elsewhere, where subtracting it leaves S's bits as
-        # they are.  Summing each r[b] in ascending u fixes the bits of S.
-        w = [v for k, v in zip(theta.lags, theta.values) if -p <= k <= p][::-1]
-        i = np.arange(p)
-        for b in range(min(len(w), p)):
-            r = 0.0
-            for u in range(b, len(w)):
-                r += w[u] * w[u - b]
-            v = (n * mu) * r
-            s[i[: p - b], i[b:]] -= v
-            if b:
-                s[i[b:], i[: p - b]] -= v
-    return s
-
-
-def centered_gram_diag(gram: np.ndarray, n: int, mu: float, out: np.ndarray | None = None) -> np.ndarray:
-    """The diagonal of the Gram matrix X Xᵀ minus n * mu, into ``out`` (one
-    entry per row; a fresh array where it is None)."""
-    return np.subtract(np.diagonal(gram), n * mu, out=out)
-
-
-def offdiag_deviation(
-    gram: np.ndarray, a_np: float, buffers: tuple[np.ndarray, np.ndarray] | None = None
-) -> float:
-    """a_np^-2 times the spectral norm of the Gram matrix X Xᵀ with its
-    diagonal zeroed.
-
-    ``buffers`` are two C-contiguous arrays of the Gram's shape: the first
-    receives the Gram with its diagonal zeroed, the second is
-    ``spectral_norm``'s ``out``.  The Gram itself is never written.
-    """
-    if not a_np > 0.0:
-        raise ValueError(f"a_np must be positive, got {a_np}")
-    g = np.asarray(gram, dtype=float)
-    zeroed, scaled = buffers or (np.empty_like(g), None)
-    np.copyto(zeroed, g)
-    np.fill_diagonal(zeroed, 0.0)
-    return spectral_norm(zeroed, out=scaled) / (a_np * a_np)
+    def _matvec(self, v):
+        return self.product(np.ravel(v))
 
 
 def _max_abs(a: np.ndarray) -> float:
@@ -129,50 +74,164 @@ def _max_abs(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min()))
 
 
-def spectral_norm(m, out: np.ndarray | None = None) -> float:
-    """Largest absolute eigenvalue of a dense symmetric matrix, by ARPACK.
-
-    The matrix must be finite and symmetric to 1e-12 of its largest absolute
-    entry; it is solved as (A + Aᵀ) / 2, which keeps an exactly symmetric
-    one's bits, pre-scaled by that matrix's largest absolute entry.  The
-    scaling makes the result exactly homogeneous under power-of-two scaling
-    of the input, and the start vector is counter-based, so the result is
-    deterministic.  ARPACK runs at ``_ARPACK_TOL`` with at most
-    ``_MAX_RESTARTS`` restarts.
-
-    ``out``, an array of the matrix's shape that shares no memory with it,
-    holds A - Aᵀ for the symmetry check and then the symmetrized, pre-scaled
-    matrix; it is a fresh array where it is None.
-    """
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if out is not None and np.shares_memory(a, out):
-        raise ValueError("out shares memory with the matrix")
+def _checked_scale(a: np.ndarray, out: np.ndarray | None = None) -> tuple[float, float]:
+    """The largest absolute entries of A and of A - Aᵀ, which is written into
+    ``out`` (a fresh array where it is None); refuses a non-finite A and one
+    not symmetric to 1e-12 of its largest absolute entry."""
     scale = _max_abs(a)
     if not math.isfinite(scale):
         raise ValueError("matrix contains non-finite entries")
-    out = np.subtract(a, a.T, out=out)
-    asym = _max_abs(out)
+    asym = _max_abs(np.subtract(a, a.T, out=out))
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric: |A - Aᵀ| = {asym:g} vs scale {scale:g}")
-    if scale == 0.0:
+    return scale, asym
+
+
+def centered_covariance(
+    gram: np.ndarray, theta: CoefficientSequence, p: int, n: int, mu: float
+) -> LinearOperator:
+    """S = T G Tᵀ - n * mu * H Hᵀ as a symmetric p x p operator on the Gram
+    matrix G, which must be finite and symmetric to 1e-12 of its largest
+    absolute entry; ``S @ np.eye(p)`` forms it.
+
+    G is the Gram matrix of the time-filtered rows 1 - theta.max_lag through
+    p - theta.min_lag, and T applies the full theta window across them, so
+    T G Tᵀ equals Xhat Xhatᵀ for the filtered p x n panel.  H is the p x 3p
+    centering matrix with H[i, j] = theta_{p-(j-i)} for 0 <= j-i <= 2p, so it
+    keeps only the theta lags inside [-p, p]; the two differ when a lag lies
+    outside.
+
+    A product S v pads v by L - 1 zeros at both ends, L the window's length,
+    and takes three window sums over it: Tᵀ v with the reversed window, T of
+    the Gram product, and H Hᵀ v with the window's autocorrelation.  G is
+    never written.
+    """
+    g = np.asarray(gram, dtype=float)
+    m = p + len(theta.values) - 1
+    if g.shape != (m, m):
+        raise ValueError(f"gram must be {m} x {m} for p = {p}, got shape {g.shape}")
+    g_max, _ = _checked_scale(g)
+    pad = len(theta.values) - 1
+    reversed_theta = CoefficientSequence(theta.values[::-1], min_lag=-theta.max_lag)
+    # H Hᵀ is the symmetric Toeplitz matrix with r[b] = sum_u w[u] * w[u-b]
+    # on diagonals +-b, w the reversed window of the theta lags inside
+    # [-p, p], summed in ascending u; lags of r beyond w's length are 0.
+    w = [v for k, v in zip(theta.lags, theta.values) if -p <= k <= p][::-1]
+    r = [0.0] * (pad + 1)
+    for b in range(len(w)):
+        for u in range(b, len(w)):
+            r[b] += w[u] * w[u - b]
+    band = [(n * mu) * v for v in r]
+    hht = CoefficientSequence((*band[:0:-1], *band), min_lag=-pad) if any(band) else None
+    # Entries of T G Tᵀ are at most (sum |theta|)^2 max|G|, and of the band
+    # n |mu| r[0]. The bound is inf where max|G| nears the largest float.
+    abs_sum = theta.abs_sum
+    bound = abs_sum * abs_sum * g_max + abs(n * mu) * r[0]
+
+    padded, t_v, gram_v = np.zeros(p + 2 * pad), np.empty(m), np.empty(m)
+    scratch_m, scratch_p, hht_v = np.empty(m), np.empty(p), np.empty(p)
+
+    def product(v):
+        padded[pad : pad + p] = v
+        np.matmul(g, window_sum(reversed_theta, padded, m, t_v, scratch_m), out=gram_v)
+        s_v = window_sum(theta, gram_v, p, None, scratch_p)
+        if hht is not None:
+            s_v -= window_sum(hht, padded, p, hht_v, scratch_p)
+        return s_v
+
+    return _SymmetricOperator(p, product, bound)
+
+
+def centered_gram_diag(gram: np.ndarray, n: int, mu: float, out: np.ndarray | None = None) -> np.ndarray:
+    """The diagonal of the Gram matrix X Xᵀ minus n * mu, into ``out`` (one
+    entry per row; a fresh array where it is None)."""
+    return np.subtract(np.diagonal(gram), n * mu, out=out)
+
+
+def offdiag_deviation(gram: np.ndarray, a_np: float) -> float:
+    """a_np^-2 times the spectral norm of the Gram matrix X Xᵀ with its
+    diagonal zeroed.
+
+    The Gram must be square, finite and symmetric to 1e-12 of its largest
+    absolute entry; it is never written.  The array that holds G - Gᵀ for
+    that check then holds G with its diagonal zeroed: a product G v -
+    diag(G) v would lose the off-diagonal sums, which heavy tails make far
+    smaller than the diagonal, to the rounding of the diagonal terms.
+    """
+    if not a_np > 0.0:
+        raise ValueError(f"a_np must be positive, got {a_np}")
+    g = np.asarray(gram, dtype=float)
+    if g.ndim != 2 or g.shape[0] != g.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {g.shape}")
+    zeroed = np.empty_like(g)
+    g_max, _ = _checked_scale(g, zeroed)
+    np.copyto(zeroed, g)
+    np.fill_diagonal(zeroed, 0.0)
+    return spectral_norm(_SymmetricOperator(g.shape[0], zeroed.__matmul__, g_max)) / (a_np * a_np)
+
+
+def _prescale_exponent(bound: float) -> int:
+    # The least e with bound < 2**e, clipped to [-1021, 1022] so that 2**e
+    # and 2**-e are normal floats; an infinite bound takes 1022.
+    e = math.frexp(bound)[1] if bound < math.inf else 1022
+    return min(max(e, -1021), 1022)
+
+
+def spectral_norm(m, out: np.ndarray | None = None) -> float:
+    """Largest absolute eigenvalue of a symmetric operator from
+    ``centered_covariance`` or ``offdiag_deviation``, or of a dense symmetric
+    matrix, by ARPACK.
+
+    A dense matrix must be finite and symmetric to 1e-12 of its largest
+    absolute entry, and is solved as (A + Aᵀ) / 2, which keeps an exactly
+    symmetric one's bits; its bound is that matrix's largest absolute entry.
+    Either operator is solved as 2**-e A for the least power of two 2**e
+    above the bound on A's entries, applied to each vector before its
+    product with a matrix, so that no product overflows and the result is
+    exactly homogeneous under power-of-two scaling of the input.  The start
+    vector is counter-based, so the result is deterministic.  ARPACK runs at
+    ``_ARPACK_TOL`` with at most ``_MAX_RESTARTS`` restarts.
+
+    ``out``, for a dense matrix, is an array of its shape that shares no
+    memory with it: it holds A - Aᵀ for the symmetry check and then the
+    symmetrized matrix; it is a fresh array where it is None.
+    """
+    if isinstance(m, _SymmetricOperator):
+        op = m
+    else:
+        a = np.asarray(m, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if out is not None and np.shares_memory(a, out):
+            raise ValueError("out shares memory with the matrix")
+        scale, asym = _checked_scale(a, out)
+        if asym != 0.0:
+            a = np.add(a, a.T, out=out)
+            a *= 0.5
+            scale = _max_abs(a)
+        op = _SymmetricOperator(a.shape[0], a.__matmul__, scale)
+    if op.bound == 0.0:
         return 0.0
-    dim = a.shape[0]
+    e = _prescale_exponent(op.bound)
+    down, up = math.ldexp(1.0, -e), math.ldexp(1.0, e)
+    dim = op.shape[0]
     if dim == 1:
-        return abs(float(a[0, 0]))
-    if asym != 0.0:
-        a = np.add(a, a.T, out=out)
-        a *= 0.5
-        scale = _max_abs(a)
+        return abs(float(op.product(np.array([down]))[0])) * up
     v0 = index_uniforms(0, np.arange(dim), tag=_SPECTRAL_TAG) - 0.5
+    scaled = LinearOperator(op.shape, matvec=lambda v: op.product(v * down), dtype=float)
     try:
         w = eigsh(
-            np.divide(a, scale, out=out), k=1, which="LM", v0=v0, tol=_ARPACK_TOL, maxiter=_MAX_RESTARTS,
-            return_eigenvectors=False,
+            scaled, k=1, which="LM", v0=v0, tol=_ARPACK_TOL, maxiter=_MAX_RESTARTS, return_eigenvectors=False
         )
     except ArpackNoConvergence as err:
         raise SpectralNormError(
             f"ARPACK did not converge within {_MAX_RESTARTS} restarts at tolerance {_ARPACK_TOL:g}"
         ) from err
-    return scale * abs(float(w[0]))
+    except ArpackError:
+        # ARPACK stops where the start vector maps to zero; v0 has no zero
+        # entry, so that is the zero operator, such as a diagonal Gram's
+        # off-diagonal part.
+        if np.any(op.product(v0 * down)):
+            raise
+        return 0.0
+    return abs(float(w[0])) * up

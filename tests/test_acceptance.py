@@ -66,7 +66,7 @@ def test_criterion_1_exact_algebra():
     def hht(theta_vals, p, min_lag=0):
         m = p + len(theta_vals) - 1
         theta = CoefficientSequence(theta_vals, min_lag=min_lag)
-        return centered_covariance(np.zeros((m, m)), theta, p, 4, 0.5) / -2.0
+        return centered_covariance(np.zeros((m, m)), theta, p, 4, 0.5) @ np.eye(p) / -2.0
 
     ok = np.array_equal(hht((1.0,), 5), np.eye(5))
     ok &= np.array_equal(

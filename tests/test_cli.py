@@ -390,6 +390,10 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
                     "scale=1e-160 and alpha=1.5 give a_np^2 = 1.49147e-317 at n=40, p=6, not a positive normal float",
                 ),
                 ("scale_huge", "scale=1e+300 and alpha=1.5 give a_np^2 = inf at n=40, p=6, not a positive normal float"),
+                # config.example.json at a scale whose Gram product overflows
+                # mid-run; the fixture's config at a tail index below the floor.
+                ("example_scale_1e148", "scale=1e+148 and alpha=1.2 bound |S| by inf at n=1000, p=400: a Gram"),
+                ("alpha_below_floor", "scale=1 and alpha=0.1 bound |S| by inf at n=40, p=6: a Gram product can"),
             )
         ],
     ],
@@ -423,6 +427,7 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         ("scale_tiny", ("model", "scale"), 1e-300),
         ("scale_subnormal", ("model", "scale"), 1e-160),
         ("scale_huge", ("model", "scale"), 1e300),
+        ("alpha_below_floor", ("model", "alpha"), 0.1),
     ):
         edited = json.loads(json.dumps(config))
         node = edited
@@ -433,6 +438,9 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         else:
             node[path[-1]] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(edited), encoding="utf-8")
+    example = json.loads((ROOT / "config.example.json").read_text(encoding="utf-8"))
+    example["model"]["scale"] = 1e148
+    (tmp_path / "example_scale_1e148.json").write_text(json.dumps(example), encoding="utf-8")
     # At n * p = 1 a_np is the 0 quantile of |Z|: refused before any trial.
     np_one = {**config, "n_values": [1], "top_k": 1}
     (tmp_path / "np_one.json").write_text(json.dumps(np_one), encoding="utf-8")
@@ -456,6 +464,28 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     assert not os.path.exists(os.path.join(tmp_path, "out", "trials.csv"))
+
+
+def test_solver_failure_names_the_trial_in_one_line(tmp_path, capsys, monkeypatch):
+    # A Lanczos run that cannot converge stops the run with the trial's
+    # (n, replicate, seed), so that it can be rerun alone.
+    import re
+
+    from heavyspec import spectral
+    from heavyspec.experiment import derive_seed
+
+    monkeypatch.setattr(spectral, "_MAX_RESTARTS", 1)
+    monkeypatch.setattr(spectral, "_ARPACK_TOL", 1e-300)
+    argv = ["run", "--config", str(ROOT / "config.example.json"), "--out", str(tmp_path / "out")]
+    assert main([*argv, "--n", "300", "--replicates", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    found = re.fullmatch(
+        r"trial \(n, replicate, seed\) = \(300, ([01]), (\d+)\): "
+        r"ARPACK did not converge within 1 restarts at tolerance 1e-300\n",
+        captured.err,
+    )
+    assert found and int(found.group(2)) == derive_seed(7, 300, int(found.group(1)))
 
 
 def test_module_entry_point_refuses_in_one_line(config_path, tmp_path):

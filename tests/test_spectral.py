@@ -11,6 +11,7 @@ from heavyspec.linear_filter import (
     FilterSpec,
     build_row_process,
     build_xhat,
+    window_sum,
 )
 from heavyspec.rv_noise import TailModel, norming_constant, sample_noise
 from heavyspec.spectral import (
@@ -21,6 +22,13 @@ from heavyspec.spectral import (
     offdiag_deviation,
     spectral_norm,
 )
+
+
+# The two functions that take a Gram matrix, each on a 2 x 2 one.
+GRAM_FUNCTIONS = [
+    pytest.param(lambda g: offdiag_deviation(g, 1.0), id="offdiag_deviation"),
+    pytest.param(lambda g: centered_covariance(g, CoefficientSequence((1.0,)), 2, 3, 0.0), id="centered_covariance"),
+]
 
 
 def _brute_H(theta: CoefficientSequence, p: int) -> np.ndarray:
@@ -36,7 +44,7 @@ def _brute_H(theta: CoefficientSequence, p: int) -> np.ndarray:
 def _hht_from_centering(theta: CoefficientSequence, p: int) -> np.ndarray:
     # With a zero Gram, S = -n * mu * H Hᵀ; n * mu = 2 keeps the scaling exact.
     m = p + len(theta.values) - 1
-    return centered_covariance(np.zeros((m, m)), theta, p, 4, 0.5) / -2.0
+    return centered_covariance(np.zeros((m, m)), theta, p, 4, 0.5) @ np.eye(p) / -2.0
 
 
 class TestBuildH:
@@ -126,14 +134,14 @@ class TestCenteredCovariance:
     def test_zero_mu_is_gram(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 9))
-        s = centered_covariance(x @ x.T, self.SPIKE, 4, 9, 0.0)
+        s = centered_covariance(x @ x.T, self.SPIKE, 4, 9, 0.0) @ np.eye(4)
         assert np.allclose(s, x @ x.T, rtol=1e-15)
         # Gram matrix is positive semidefinite.
         assert np.linalg.eigvalsh(s).min() >= -1e-10
 
     def test_scalar_hand_case(self):
         gram = np.array([[5.0]])  # Gram of the 1 x 2 panel (1, 2)
-        s = centered_covariance(gram, self.SPIKE, 1, 2, 1.0)
+        s = centered_covariance(gram, self.SPIKE, 1, 2, 1.0) @ np.eye(1)
         assert s.shape == (1, 1)
         assert s[0, 0] == 5.0 - 2.0 * 1.0 * 1.0
 
@@ -148,7 +156,7 @@ class TestCenteredCovariance:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(7, 11))
         theta = CoefficientSequence((1.0, 0.5))
-        s = centered_covariance(x @ x.T, theta, 6, 11, 0.5)
+        s = centered_covariance(x @ x.T, theta, 6, 11, 0.5) @ np.eye(6)
         assert np.abs(s - s.T).max() <= 1e-12 * np.abs(s).max()
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])  # mu = 0, truncated, exact
@@ -173,7 +181,7 @@ class TestCenteredCovariance:
         a_np = norming_constant(model, n * p)
         mu = mu_x_alpha(model, c, a_np)
         assert (mu == 0.0) == (alpha < 2.0)
-        got = centered_covariance(x_rows @ x_rows.T, theta, p, n, mu)
+        got = centered_covariance(x_rows @ x_rows.T, theta, p, n, mu) @ np.eye(p)
         h = _brute_H(theta, p)
         ref = xhat @ xhat.T - n * mu * (h @ h.T)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -221,22 +229,49 @@ class TestOffdiagDeviation:
         g = x @ x.T
         before = g.copy()
         got = offdiag_deviation(g, 2.5)
-        # Poisoned buffers give the same bits, and the Gram is never written.
-        buffers = (np.full_like(g, np.nan), np.full_like(g, np.nan))
-        assert offdiag_deviation(g, 2.5, buffers=buffers) == got
+        # The Gram is never written.
         assert np.array_equal(g, before)
         np.fill_diagonal(g, 0.0)
         ref = np.abs(np.linalg.eigvalsh(g)).max()
         assert got == pytest.approx(ref / 2.5**2, rel=1e-10)
 
+    @pytest.mark.parametrize("function", GRAM_FUNCTIONS)
     @pytest.mark.parametrize("gram", [[[0.0, 1.0], [0.0, 0.0]], [[2.0, 1.0], [0.0, 3.0]]])
-    def test_refuses_asymmetric_gram(self, gram):
+    def test_refuses_asymmetric_gram(self, gram, function):
         # A Gram matrix is symmetric: an asymmetric one is refused, not
         # symmetrized, and the caller's matrix keeps its diagonal.
         g = np.array(gram)
         with pytest.raises(ValueError, match="matrix is not symmetric"):
-            offdiag_deviation(g, 1.0)
+            function(g)
         assert np.array_equal(g, gram)
+
+    @pytest.mark.parametrize("function", GRAM_FUNCTIONS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_nonfinite_gram(self, bad, function):
+        # Wherever the non-finite entry sits: on the diagonal, which the
+        # off-diagonal part leaves out, or off it.
+        for i, j in ((0, 0), (0, 1)):
+            g = np.array([[4.0, 1.0], [1.0, 3.0]])
+            g[i, j] = g[j, i] = bad
+            with pytest.raises(ValueError, match="matrix contains non-finite entries"):
+                function(g)
+
+    def test_gram_near_the_largest_float(self):
+        # |S| and the off-diagonal norm are finite, but T G Tᵀ v overflows
+        # unless v is pre-scaled before the Gram product: Tᵀ v sums v's two
+        # entries into the middle one, where G holds -b.
+        b, c = 1.5e308, 1e307
+        g = np.array([[b, c, 0.0], [c, -b, c], [0.0, c, b]])
+        theta = CoefficientSequence((1.0, 1.0))
+        s = np.array([[2 * c, 2 * c - b], [2 * c - b, 2 * c]])
+        zeroed = g - np.diag(np.diag(g))
+        for got, ref in (
+            (spectral_norm(centered_covariance(g, theta, 2, 1, 0.0)), s),
+            (offdiag_deviation(g, 1.0), zeroed),
+        ):
+            want = np.abs(np.linalg.eigvalsh(ref)).max()
+            assert math.isfinite(got)
+            assert got == pytest.approx(want, rel=1e-10)
 
 
 class TestSpectralNorm:
@@ -289,7 +324,7 @@ class TestSpectralNorm:
         theta = CoefficientSequence((1.0, 0.5))
         rng = np.random.default_rng(p)
         x = rng.normal(size=(p + 1, 2 * p))
-        s = centered_covariance(x @ x.T, theta, p, 2 * p, 0.0)
+        s = window_sum(theta, window_sum(theta, x @ x.T, p).T, p)
         before = s.copy()
         assert not np.array_equal(s, s.T)
         assert spectral_norm(s) == spectral_norm(0.5 * (s + s.T))
@@ -298,7 +333,7 @@ class TestSpectralNorm:
     def test_rejects_asymmetry_beyond_rounding(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(7, 11))
-        s = centered_covariance(x @ x.T, CoefficientSequence((1.0, 0.5)), 6, 11, 0.5)
+        s = centered_covariance(x @ x.T, CoefficientSequence((1.0, 0.5)), 6, 11, 0.5) @ np.eye(6)
         s[0, 1] += 1e-9 * np.abs(s).max()
         with pytest.raises(ValueError, match="matrix is not symmetric"):
             spectral_norm(s)
@@ -345,8 +380,9 @@ class TestSpectralNorm:
         theta = CoefficientSequence((1.0, 0.5))
         rng = np.random.default_rng(11)
         x = rng.pareto(0.75, size=(13, 36)) * rng.choice([-1.0, 1.0], size=(13, 36))
-        s = centered_covariance(x @ x.T, theta, 12, 36, 3.0)
-        assert spectral_norm(s) <= np.abs(s).sum(axis=1).max() * (1.0 + 1e-8)
+        op = centered_covariance(x @ x.T, theta, 12, 36, 3.0)
+        s = op @ np.eye(12)
+        assert spectral_norm(op) <= np.abs(s).sum(axis=1).max() * (1.0 + 1e-8)
 
     def test_weyl_inequality(self):
         rng = np.random.default_rng(12)
