@@ -120,7 +120,7 @@ class _TrialWorkspace:
     def __init__(self, key: tuple[int, int, int, int, int]):
         m, width, n, _, block_rows = key
         self.key = key
-        self.noise = (*(np.empty((block_rows, width), np.uint64) for _ in range(3)), np.empty((block_rows, width)))
+        self.noise = (*(np.empty((block_rows, width), np.uint64) for _ in range(2)), np.empty((block_rows, width)))
         self.block_scratch = np.empty((block_rows, n))
         self.x_rows = np.empty((m, n))
         self.d_tilde = np.empty(m)

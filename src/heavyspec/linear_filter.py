@@ -4,7 +4,8 @@ The filtered panel is built in two stages: a moving average across time with
 window ``c`` within each row, then a moving average across rows with window
 ``theta``.  ``window_sum`` applies every window in the package, here and in
 ``T G Tᵀ`` and the windowed diagonal, so each result is an exact finite sum
-over the short window in one summation order: ascending lag.
+over the short window in one summation order: ascending lag, from the first
+lag's term (the sum from 0.0, but for the sign of a sum of zeros).
 """
 
 from __future__ import annotations
@@ -28,16 +29,13 @@ def window_sum(
     w: CoefficientSequence, a: np.ndarray, size: int, out: np.ndarray | None = None, scratch: np.ndarray | None = None
 ) -> np.ndarray:
     """out[i] = sum_k w_k a[w.max_lag - k + i], i < size, along a's first axis:
-    from 0.0, one term per lag into ``scratch``, in ascending lag.  ``out`` and
-    ``scratch`` have shape (size,) + a.shape[1:] and are fresh where None; pass
-    transposed views of all three arrays to sum along the last axis."""
-    if out is None:
-        out = np.empty((size, *a.shape[1:]))
-    if scratch is None:
-        scratch = np.empty_like(out)
-    out.fill(0.0)
-    for k, v in zip(w.lags, w.values):
-        out += np.multiply(v, a[w.max_lag - k : w.max_lag - k + size], out=scratch)
+    the first lag's term, then each later one added from ``scratch``.  ``out``
+    and ``scratch`` have shape (size,) + a.shape[1:] and are fresh where None;
+    pass transposed views of all three arrays to sum along the last axis."""
+    lagged = [a[w.max_lag - k : w.max_lag - k + size] for k in w.lags]
+    out = np.multiply(w.values[0], lagged[0], out=out)
+    for v, x in zip(w.values[1:], lagged[1:]):
+        out += np.multiply(v, x, out=scratch)
     return out
 
 

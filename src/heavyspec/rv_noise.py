@@ -85,11 +85,11 @@ class NoisePanel:
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
-_LANE_SALT = np.uint64(0xD6E8FEB86659FD93)
 _TAG_SALT = np.uint64(0x2545F4914F6CDD1D)
 
 _U64_MASK = (1 << 64) - 1
 _SIGN_BIT = np.uint64(1 << 63)
+_HALF = 1 << 52
 _UNIT_SHIFT = np.uint64(11)
 
 
@@ -133,11 +133,8 @@ def _to_unit(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     # 0, but m = 2**53 - 1 gives exactly 1.0 because 2**53 - 0.5 rounds to
     # even.  Consumes h (shifted in place); writes into out when given.
     h >>= _UNIT_SHIFT
-    if out is None:
-        u = h.astype(np.float64)
-    else:
-        u = out
-        np.copyto(u, h, casting="unsafe")
+    u = np.empty(np.shape(h)) if out is None else out
+    np.copyto(u, h, casting="unsafe")
     u += 0.5
     u *= 2.0**-53
     return u
@@ -159,28 +156,39 @@ def _sign_threshold(q: float) -> int:
     return lo
 
 
-def _negative_bits(h1: np.ndarray, q: float) -> np.ndarray:
-    # Consumes the lane-1 hash h1: its unit value is < q exactly when its top
-    # 53 bits m are < T, and the sign bit of (T - 1) - m, wrapping, is set
-    # exactly when m >= T.  Returns that sign bit per entry.
-    h1 >>= _UNIT_SHIFT
-    np.subtract(np.uint64((_sign_threshold(q) - 1) & _U64_MASK), h1, out=h1)
-    h1 &= _SIGN_BIT
-    return h1
+def _mixture_unit(m: np.ndarray, t: int, sign: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # Inverts the two-part mixture on the hash's top 53 bits m (shifted in
+    # place): m < t gives a positive entry with u = (m + 0.5) / t, m >= t a
+    # negative one with u = (m - t + 0.5) / (2**53 - t).  Writes the sign bits
+    # into sign: that of (t - 1) - m, wrapping, is set exactly when m >= t.
+    m >>= _UNIT_SHIFT
+    np.subtract(np.uint64((t - 1) & _U64_MASK), m, out=sign)
+    sign &= _SIGN_BIT
+    if t == _HALF:
+        # Both branches hold 2**52 values: m - t clears bit 52, and one power
+        # of two divides below, so every step is exact.
+        m &= np.uint64(_HALF - 1)
+    else:
+        flag = u.view(np.uint64)
+        m -= np.multiply(np.right_shift(sign, np.uint64(63), out=flag), np.uint64(t), out=flag)
+    np.copyto(u, m, casting="unsafe")
+    u += 0.5
+    if t == _HALF:
+        u *= 2.0**-52
+    else:
+        # The divisor 2**52 -+ (2**52 - t), with the entry's sign: exact.
+        div = np.copysign(1.0, sign.view(np.float64), out=m.view(np.float64))
+        div *= float(_HALF - t)
+        u /= np.subtract(float(_HALF), div, out=div)
+    return u
 
 
-def _grid_hash(seed: int, row_range, col_range, h=None, tmp=None) -> tuple[np.ndarray, np.ndarray]:
-    # Lane-0 hash of every (row, col) in the rectangle, keyed by (seed, row, col),
-    # written into h, and tmp, a scratch buffer of its shape for further
-    # in-place mixing; either is a fresh array where it is None.
+def _grid_hash(seed: int, row_range, col_range, h: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    # The hash of every (row, col) in the rectangle, keyed by (seed, row, col),
+    # written into h; tmp is scratch of h's shape.
     hr = _finalize(_stream_head(seed, 0) ^ _encode(np.arange(*row_range)))
-    cols = _encode(np.arange(*col_range))
-    if h is None:
-        h = np.empty((hr.size, cols.size), np.uint64)
-    np.bitwise_xor(hr[:, None], cols[None, :], out=h)
-    if tmp is None:
-        tmp = np.empty_like(h)
-    return _mix_(h, tmp), tmp
+    np.bitwise_xor(hr[:, None], _encode(np.arange(*col_range))[None, :], out=h)
+    return _mix_(h, tmp)
 
 
 def index_uniforms(seed, idx, tag: int = 0) -> np.ndarray:
@@ -215,39 +223,33 @@ def sample_noise(
     row_range: tuple[int, int],
     col_range: tuple[int, int],
     seed: int,
-    buffers: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> NoisePanel:
     """Fill the logical rectangle with iid draws from ``model``.
 
     Entry (i, t) depends only on (seed, i, t): enlarging the rectangle
-    extends the panel without reshuffling the overlap.  The magnitude comes
-    from the lane-0 hash of (seed, i, t); the sign, where ``q < 1``, from
-    lane 1, that hash salted and mixed once more.  At ``q = 1`` lane 1 would
-    set no sign bit, so it is not drawn.
+    extends the panel without reshuffling the overlap.  One hash of
+    (seed, i, t) gives the sign and the magnitude, by inversion of the
+    two-part mixture: its top 53 bits m are positive below ``T(q)``, negative
+    from it on, and each branch maps m to a uniform of its own.  At ``q = 1``
+    no sign is drawn.
 
-    ``buffers`` are the hash, scratch, sign and value arrays, each of the
-    rectangle's shape, the first three ``uint64`` and the last ``float64``;
-    the panel's values are then the last one.  Without them the same steps
-    run on fresh arrays.
+    ``buffers`` are the hash, sign and value arrays of the rectangle's shape,
+    ``uint64``, ``uint64`` and ``float64``; the panel's values are then the
+    last one.  Without them the same steps run on fresh arrays.
     """
     r0, r1 = row_range
     c0, c1 = col_range
     if r1 <= r0 or c1 <= c0:
         raise ValueError(f"ranges must be nonempty, got rows={row_range} cols={col_range}")
-    h, tmp, sign, u = buffers or (None, None, None, None)
-    h, tmp = _grid_hash(seed, row_range, col_range, h, tmp)
-    if model.q < 1.0:
-        sign = _negative_bits(_mix_(np.bitwise_xor(h, _LANE_SALT, out=sign), tmp), model.q)
-    else:
-        sign = None
-    # Drop the scratch before the float panel is allocated and the hash once
-    # it is consumed: at most three fresh panel-sized arrays live at once.
-    del tmp
-    u = _to_unit(h, u)
-    del h
+    shape = (r1 - r0, c1 - c0)
+    h, sign, u = buffers or (np.empty(shape, np.uint64), np.empty(shape, np.uint64), np.empty(shape))
+    h = _grid_hash(seed, row_range, col_range, h, sign)
+    two_sided = model.q < 1.0
+    u = _mixture_unit(h, _sign_threshold(model.q), sign, u) if two_sided else _to_unit(h, u)
     u **= -1.0 / model.alpha
     u *= model.scale
-    if sign is not None:
+    if two_sided:
         # Setting the sign bit of a positive magnitude is exactly -1.0 * it.
         bits = u.view(np.uint64)
         bits ^= sign

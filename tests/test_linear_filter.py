@@ -191,4 +191,13 @@ class TestBuildXhat:
         panel = sample_noise(model, (-1, 8), (-1, 12), seed=4)
         a = build_xhat(panel, fs, 6, 10)
         b = build_xhat(panel, fs3, 6, 10)
-        assert np.allclose(b, 3.0 * a, rtol=1e-14, atol=0.0)
+        # Terms may cancel, so no bound relative to an entry holds.  The exact
+        # b is 3 times the exact a, and each panel, two rounded two-term sums,
+        # is within gamma_4 (4u to first order, u = 2**-53) of its exact value
+        # relative to the sum of its terms' magnitudes; 3.0 * a rounds once
+        # more.  So |b - 3a| <= (2 gamma_4 + u) * terms, about 9u * terms.
+        terms = build_xhat(NoisePanel(np.abs(panel.values), -1, -1), fs3, 6, 10)
+        bound = 10 * 2.0**-53 * terms
+        assert np.all(np.abs(b - 3.0 * a) <= bound)
+        off = FilterSpec(c=CoefficientSequence((3.0 * (1 + 1e-12), 1.5)), theta=fs.theta)
+        assert not np.all(np.abs(build_xhat(panel, off, 6, 10) - 3.0 * a) <= bound)

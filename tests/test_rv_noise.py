@@ -32,10 +32,10 @@ def _models():
     ]
 
 
-def _lanes(seed, row_range, col_range):
-    """The lane-0 and lane-1 uint64 grid hashes that ``sample_noise`` draws from."""
-    h, tmp = rvn._grid_hash(seed, row_range, col_range)
-    return h.copy(), rvn._mix_(h ^ rvn._LANE_SALT, tmp)
+def _grid_hashes(seed, row_range, col_range):
+    """The uint64 grid hash that ``sample_noise`` draws both sign and magnitude from."""
+    shape = (row_range[1] - row_range[0], col_range[1] - col_range[0])
+    return rvn._grid_hash(seed, row_range, col_range, np.empty(shape, np.uint64), np.empty(shape, np.uint64))
 
 
 def _unit(m):
@@ -44,15 +44,19 @@ def _unit(m):
 
 
 def _reference_noise(model, row_range, col_range, seed):
-    """The allocating formula the in-place sampler must reproduce bit for bit."""
-    lane0, lane1 = _lanes(seed, row_range, col_range)
-    u = _unit(lane0 >> np.uint64(11))
-    magnitude = model.scale * u ** (-1.0 / model.alpha)
+    """The allocating formula the in-place sampler must reproduce bit for bit:
+    the top 53 bits m are positive below T = T(q) with u = (m + 0.5) / T, and
+    negative from T on with u = (m - T + 0.5) / (2**53 - T)."""
+    m = _grid_hashes(seed, row_range, col_range) >> np.uint64(11)
     if model.q == 1.0:
         # No left tail: not even the top unit value 1.0 gives a negative sign.
-        return magnitude
-    u_sign = _unit(lane1 >> np.uint64(11))
-    return np.where(u_sign < model.q, 1.0, -1.0) * magnitude
+        return model.scale * _unit(m) ** (-1.0 / model.alpha)
+    t = rvn._sign_threshold(model.q)
+    negative = m >= np.uint64(t)
+    offset = np.where(negative, np.uint64(t), np.uint64(0))
+    u = ((m - offset).astype(np.float64) + 0.5) / np.where(negative, float(2**53 - t), float(t))
+    magnitude = model.scale * u ** (-1.0 / model.alpha)
+    return np.where(negative, -magnitude, magnitude)
 
 
 class TestTailModel:
@@ -143,12 +147,13 @@ class TestSampleNoise:
         assert out.stdout.strip() == digest
 
     def test_skewed_at_q_one_is_the_positive_pareto(self, monkeypatch):
-        # The sign lane runs only where q < 1, whatever the family's name.
+        # The sign and the mixture's two branches are drawn only where q < 1,
+        # whatever the family's name.
         positive = TailModel("pareto_positive", alpha=1.5, q=1.0, scale=2.0)
         skewed = TailModel("pareto_skewed", alpha=1.5, q=1.0, scale=2.0)
         rows, cols = (-5, 60), (-3, 80)
         want = sample_noise(positive, rows, cols, seed=41).values
-        monkeypatch.setattr(rvn, "_negative_bits", None)
+        monkeypatch.setattr(rvn, "_mixture_unit", None)
         got = sample_noise(skewed, rows, cols, seed=41).values
         assert got.tobytes() == want.tobytes()
         assert np.all(want >= 2.0)
@@ -273,16 +278,25 @@ class TestIndexedUniforms:
         base = index_uniforms(3, idx)
         assert not np.array_equal(base, index_uniforms(3, idx, tag=1))
         assert not np.array_equal(base, index_uniforms(4, idx))
-        lane0, lane1 = _lanes(3, (0, 30), (0, 30))
-        assert not np.array_equal(lane0, lane1)
+        # The grid hash keys (row, column) apart from the indexed stream of
+        # the same seed.
+        grid = rvn._to_unit(_grid_hashes(3, (0, 1), (0, 1000)))[0]
+        assert not np.any(grid == base)
 
     def test_grid_not_symmetric_in_row_col(self):
-        g = rvn._to_unit(_lanes(3, (0, 50), (0, 50))[0])
+        g = rvn._to_unit(_grid_hashes(3, (0, 50), (0, 50)))
         assert not np.allclose(g, g.T)
 
     def test_uniform_moments(self):
-        for lane in _lanes(11, (0, 1000), (0, 1000)):
-            u = rvn._to_unit(lane).ravel()
+        # The unit value of the grid hash, and the uniform of each branch of
+        # the mixture at q 0.3 and 0.5: each is uniform on (0, 1].
+        branches = [rvn._to_unit(_grid_hashes(11, (0, 1000), (0, 1000))).ravel()]
+        for q in (0.3, 0.5):
+            h = _grid_hashes(11, (0, 1000), (0, 1000))
+            sign = np.empty_like(h)
+            u = rvn._mixture_unit(h, rvn._sign_threshold(q), sign, np.empty(h.shape))
+            branches += [u[sign == 0], u[sign != 0]]
+        for u in branches:
             se = 1.0 / math.sqrt(12.0 * u.size)
             assert abs(u.mean() - 0.5) <= 4.0 * se
             assert abs(np.mean(u * u) - 1.0 / 3.0) <= 4.0 * math.sqrt(4.0 / 45.0 / u.size)
@@ -302,17 +316,15 @@ class TestIndexedUniforms:
 
 
 class TestCounterContract:
-    # Digests of the little-endian uint64 lane hashes for seed 20240607 on
-    # rows [-3, 37) x cols [-5, 52).  Integer arithmetic only, so they hold on
-    # every machine; a change here changes every panel ever drawn.
+    # Digest of the little-endian uint64 grid hash for seed 20240607 on rows
+    # [-3, 37) x cols [-5, 52).  Integer arithmetic only, so it holds on every
+    # machine; a change here changes every panel ever drawn.
     LANE0_SHA256 = "e2a62621eef16547cad736425cc112170db2bc31fd8470bb63aaac1409faedf2"
-    LANE1_SHA256 = "a34401f0468f6225800bd141d73a04726bc9a5adba170764b9cc0462d9829ba2"
 
     def test_lane_hash_digests(self):
-        lane0, lane1 = _lanes(20240607, (-3, 37), (-5, 52))
+        lane0 = _grid_hashes(20240607, (-3, 37), (-5, 52))
         assert lane0.shape == (40, 57)
         assert hashlib.sha256(lane0.astype("<u8").tobytes()).hexdigest() == self.LANE0_SHA256
-        assert hashlib.sha256(lane1.astype("<u8").tobytes()).hexdigest() == self.LANE1_SHA256
 
     @pytest.mark.parametrize(
         "model",
@@ -322,6 +334,7 @@ class TestCounterContract:
             TailModel("pareto_positive", alpha=3.0, q=1.0, scale=0.7),
             TailModel("pareto_skewed", alpha=1.5, q=0.0, scale=2.5),
             TailModel("pareto_skewed", alpha=1.5, q=0.3, scale=2.5),
+            TailModel("pareto_skewed", alpha=0.8, q=0.7),
             TailModel("pareto_skewed", alpha=2.0, q=1.0),
         ],
         ids=lambda m: f"{m.family}-a{m.alpha}-q{m.q}-s{m.scale}",
@@ -331,6 +344,18 @@ class TestCounterContract:
         rows, cols = (-7, 33), (-12, 50)
         panel = sample_noise(model, rows, cols, seed)
         assert np.array_equal(panel.values, _reference_noise(model, rows, cols, seed))
+
+    @pytest.mark.parametrize("q", [0.0, 1.0])
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5])
+    def test_one_sided_panels_keep_the_unit_value_of_the_hash(self, q, seed):
+        # At q = 0 every entry is negative with u = (m + 0.5) / 2**53, and at
+        # q = 1 every entry is positive with that u: the panels drawn while
+        # the sign came from a hash of its own, bit for bit.
+        model = TailModel("pareto_skewed", alpha=1.3, q=q, scale=1.5)
+        rows, cols = (-7, 33), (-12, 50)
+        magnitude = model.scale * _unit(_grid_hashes(seed, rows, cols) >> np.uint64(11)) ** (-1.0 / model.alpha)
+        want = magnitude if q == 1.0 else -magnitude
+        assert sample_noise(model, rows, cols, seed).values.tobytes() == want.tobytes()
 
     def test_unit_range_is_half_open_at_zero_closed_at_one(self):
         # 2**53 - 0.5 rounds to even, so the largest value is exactly 1.0.
@@ -369,8 +394,66 @@ class TestSignThreshold:
         )
         u = _unit(m)
         assert np.array_equal(m >= np.uint64(t), u >= q)
-        # The sampler's sign bit is set exactly where the old rule gave -1,
-        # whatever the 11 low bits that the unit map drops.
+        # The sampler's sign bit is set exactly where the float rule on the
+        # unit value of m gives a negative entry, whatever the 11 low bits of
+        # the hash that m drops.
         low = rng.integers(0, 2048, size=m.size, dtype=np.uint64)
-        negative = rvn._negative_bits((m << np.uint64(11)) | low, q) == np.uint64(1 << 63)
+        sign = np.empty_like(m)
+        rvn._mixture_unit((m << np.uint64(11)) | low, t, sign, np.empty(m.shape))
+        negative = sign == np.uint64(1 << 63)
         assert np.array_equal(negative, ~(u < q))
+
+
+class TestMixtureLaw:
+    """One uniform gives both the sign and the magnitude: the sign is
+    negative with probability 1 - q, and |Z| has the same law given either
+    sign."""
+
+    @staticmethod
+    def _magnitudes_by_sign(model, seed, draws):
+        # |Z| of the positive and of the negative entries, each sorted, from
+        # `draws` entries in blocks of 10**6.
+        positive, negative = [], []
+        for lo in range(0, draws // 1000, 1000):
+            z = sample_noise(model, (lo, lo + 1000), (0, 1000), seed).values.ravel()
+            positive.append(z[z > 0.0])
+            negative.append(-z[z < 0.0])
+        return [np.sort(np.concatenate(part)) for part in (positive, negative)]
+
+    @pytest.mark.parametrize("q", [0.3, 0.5])
+    def test_sign_frequency_and_magnitude_law_given_sign(self, q):
+        from scipy.special import kolmogorov
+
+        family = "pareto_symmetric" if q == 0.5 else "pareto_skewed"
+        model = TailModel(family, alpha=1.2, q=q, scale=1.5)
+        draws = 10**7
+        pos, neg = self._magnitudes_by_sign(model, 29, draws)
+        assert pos.size + neg.size == draws
+        assert abs(neg.size / draws - (1.0 - q)) <= 4.0 * math.sqrt(q * (1.0 - q) / draws)
+        # Two-sample KS distance: the largest gap between the two ECDFs, which
+        # is reached at one of the sample points.
+        gap = max(
+            np.abs(np.searchsorted(a, a, "right") / a.size - np.searchsorted(b, a, "right") / b.size).max()
+            for a, b in ((pos, neg), (neg, pos))
+        )
+        p_value = kolmogorov(math.sqrt(pos.size * neg.size / draws) * gap)
+        assert p_value > 1e-3, (gap, p_value)
+        assert pos[0] >= model.scale and neg[0] >= model.scale
+
+    @pytest.mark.parametrize("q", [0.0, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("alpha", [0.5, 1.2, 3.0])
+    def test_extreme_hashes_stay_in_the_overflow_bound(self, monkeypatch, q, alpha):
+        # The least and the greatest m of each branch: |Z| lies in
+        # [scale, scale 2**(54/alpha)], the bound batch_grid's overflow
+        # refusal rests on (with its 1 + 2**-40 slack), since the least
+        # uniform is 0.5 / max(T, 2**53 - T) >= 2**-54.
+        t = rvn._sign_threshold(q) if q < 1.0 else 1 << 53
+        ends = [m for lo, hi in ((0, t), (t, 1 << 53)) if lo < hi for m in (lo, hi - 1)]
+        hashes = np.array([[(m << 11) | low for m in ends for low in (0, 2047)]], dtype=np.uint64)
+        monkeypatch.setattr(rvn, "_grid_hash", lambda *args: hashes.copy())
+        family = {0.5: "pareto_symmetric", 1.0: "pareto_positive"}.get(q, "pareto_skewed")
+        model = TailModel(family, alpha=alpha, q=q, scale=2.5)
+        z = sample_noise(model, (0, 1), (0, hashes.size), seed=0).values[0]
+        assert np.all(np.abs(z) >= model.scale)
+        assert np.all(np.abs(z) <= model.scale * 2.0 ** (54.0 / alpha) * (1.0 + 2.0**-40))
+        assert np.array_equal(z < 0.0, np.repeat([m >= t for m in ends], 2))
