@@ -39,6 +39,7 @@ from .rv_noise import derive_key, norming_constant, sample_noise
 from .spectral import (
     _ARPACK_TOL,
     SpectralNormError,
+    _checked_scale,
     centered_covariance,
     centered_gram_diag,
     mu_x_alpha,
@@ -92,19 +93,21 @@ class TrialRecord:
     top_diag: tuple[float, ...]
 
 
-# Noise entries per row block of a trial (512 KiB of float64): one block, its
-# hash scratch and its filtered rows stay in a 2 MB L2 cache.  The noise and
-# row filter of one pareto_symmetric trial at p = 400, n = 1000,
-# c = theta = (1, .5), one BLAS thread, on a 2-vCPU Xeon (OpenBLAS 0.3.31,
-# numpy 2.4.6), in ms, median of 101 (interquartile range):
+# Noise entries per row block of a trial (512 KiB of float64): the block's
+# hash, sign and value buffers and the row filter's scratch take 2 MiB, about
+# one L2 cache.  The one-hash noise and row filter of one pareto_symmetric
+# trial at p = 400, n = 1000, c = theta = (1, .5), one BLAS thread, on a
+# 2-vCPU Xeon (OpenBLAS 0.3.31, numpy 2.4.6), in ms, median of 101 rounds
+# alternating the sizes (interquartile range):
 #
-#   entries  rows  alpha 1.2            alpha 3
-#   2**14     16   11.32 (10.99-11.72)  7.49 (7.24-8.91)
-#   2**15     32    9.91 (9.62-10.20)   6.73 (6.58-7.64)
-#   2**16     65    9.93 (9.59-10.16)   7.06 (6.83-8.05)
-#   2**17    130   10.15 (9.67-10.98)   8.29 (7.35-8.83)
+#   entries  rows  alpha 1.2          alpha 3
+#   2**14     16   7.70 (6.00-8.54)   7.92 (6.25-8.49)
+#   2**15     32   6.74 (5.42-7.35)   6.80 (5.32-7.27)
+#   2**16     65   6.45 (5.35-6.95)   6.51 (5.60-6.87)
+#   2**17    130   6.61 (5.83-7.19)   6.78 (5.95-7.36)
 #
-# 2**15 and 2**16 tie within the spread; smaller and larger blocks are slower.
+# 2**16 had the lowest median at both alphas, here and in a second run of
+# 101 rounds; 2**15 and 2**17 lie within its spread, 2**14 is slower.
 _BLOCK_ENTRIES = 2**16
 
 
@@ -112,9 +115,10 @@ class _TrialWorkspace:
     """Every large array a trial of one shape writes, allocated once.
 
     ``key`` is (panel rows m, panel columns, n, p, block rows).  The m x m
-    Gram is the only square array: S is an operator on it, whose products
-    need only vectors, and ``offdiag_deviation`` zeroes the diagonal of a
-    copy of it in the scratch array of its symmetry check.
+    Gram and one m x m scratch array are the only square arrays: S is an
+    operator on the Gram, whose products need only vectors; the scratch
+    holds G - Gᵀ for the Gram's one symmetry check, and then the copy of G
+    whose diagonal ``offdiag_deviation`` zeroes.
     """
 
     def __init__(self, key: tuple[int, int, int, int, int]):
@@ -125,6 +129,7 @@ class _TrialWorkspace:
         self.x_rows = np.empty((m, n))
         self.d_tilde = np.empty(m)
         self.gram = np.empty((m, m))
+        self.gram_scratch = np.empty((m, m))
 
 
 # One workspace per thread, so that two threads never share buffers; it is
@@ -152,7 +157,9 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     never held.  Each noise entry depends only on (seed, row, column), and the
     filter acts within a row, so the blocks give the same bits as one full
     panel.  Every statistic then comes from the one Gram product of the rows:
-    S, the off-diagonal part and the centered diagonal.
+    S, the off-diagonal part and the centered diagonal.  The Gram is checked
+    once, finite and symmetric to 1e-12 of its largest absolute entry, and
+    both operators take its checked bound instead of checking it again.
 
     Every large array lives in this thread's workspace for the trial's
     shape, so a trial after the first of its shape allocates none.
@@ -175,9 +182,13 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     gram = np.matmul(ws.x_rows, ws.x_rows.T, out=ws.gram)
     d_tilde = centered_gram_diag(gram, n, mu, out=ws.d_tilde)
 
+    g_max, _ = _checked_scale(gram, ws.gram_scratch)
+    # Both operators take the checked bound.  They are called through this
+    # module's names, with the Gram first: perfbench's tracer wraps them and
+    # reads the Gram's shape.
     a2 = a_np * a_np
-    scaled = spectral_norm(centered_covariance(gram, theta, p, n, mu)) / a2
-    offdiag = offdiag_deviation(gram, a_np)
+    scaled = spectral_norm(centered_covariance(gram, theta, p, n, mu, gram_max=g_max)) / a2
+    offdiag = offdiag_deviation(gram, a_np, gram_max=g_max, out=ws.gram_scratch)
 
     top = np.sort(window_sum(theta, d_tilde, p) / a2)[::-1][:top_k]
     return TrialRecord(

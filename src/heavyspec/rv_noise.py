@@ -8,6 +8,7 @@ in parallel without coordination.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,11 +141,14 @@ def _to_unit(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return u
 
 
+@functools.lru_cache(maxsize=64)
 def _sign_threshold(q: float) -> int:
     """Least m in [0, 2**53) whose unit value (m + 0.5) * 2**-53 is >= q.
 
     The unit map is non-decreasing in m, so ``unit(m) < q`` holds exactly when
     ``m < _sign_threshold(q)``; m = 2**53 - 1 maps to 1.0, so q <= 1 has one.
+    Cached per q: a trial samples one row block at a time, each with the
+    model's q, and the bisection takes 53 steps.
     """
     lo, hi = 0, (1 << 53) - 1
     while lo < hi:

@@ -6,16 +6,21 @@ S v costs one product with G plus a few short window sums.  Every row of the
 centering matrix H carries the same short theta window, so H Hᵀ is a
 symmetric banded Toeplitz matrix whose product with a vector is one window
 sum of the window's autocorrelation, without forming H.  The off-diagonal
-part is G with its diagonal zeroed, in the scratch array of G's symmetry
-check, and the centered diagonal is read off G.  Spectral norms of these
-operators and of dense symmetric matrices come from one ARPACK call
-(``scipy.sparse.linalg.eigsh``), which needs only matrix-vector products, with
-a deterministic start vector; a dense eigensolve is used only as a
-cross-check oracle in the tests.
+part is G with its diagonal zeroed, in a scratch array of G's shape, and the
+centered diagonal is read off G.  Both operators check that G is finite and
+symmetric to 1e-12 of its largest entry, unless the caller hands them the
+bound ``gram_max`` of that check made already, as ``run_trial`` does once per
+trial.  Spectral norms of these operators and of dense symmetric matrices
+come from one ARPACK call (``scipy.sparse.linalg.eigsh``), which needs only
+matrix-vector products, at ``_ARPACK_NCV`` Lanczos vectors per restart cycle,
+chosen by measurement, with a counter-based start vector computed once per
+dimension; a dense eigensolve is used only as a cross-check oracle in the
+tests.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -35,6 +40,24 @@ __all__ = [
 
 _SPECTRAL_TAG = 0x51
 _ARPACK_TOL = 1e-8
+# Lanczos vectors ARPACK keeps per restart cycle; eigsh clips it to the
+# dimension.  Its default, 20, builds 20 vectors before the first restart
+# whether the norm needs them or not.  Both norms of 24 trial Grams at
+# p = 400, n = 1000, c = theta = (1, .5), one BLAS thread on a 2-vCPU Xeon
+# (OpenBLAS 0.3.31, scipy 1.17.1), 60 rounds alternating the values: ARPACK
+# products per trial (||S|| plus the off-diagonal norm), and time as the
+# median of each round's ratio to the default's:
+#
+#   ncv   alpha 1.2         alpha 3
+#    6    33.3  0.79        104.1  1.13
+#    8    28.1  0.72         87.2  0.99
+#   10    29.3  0.74         81.3  0.96
+#   12    30.5  0.77         80.2  0.95
+#   20    42.8  1            81.1  1
+#
+# 10 loses in neither regime: 8 ties at alpha 3 on more products than the
+# default, 6 loses there, and 12 is slower at alpha 1.2.
+_ARPACK_NCV = 10
 _MAX_RESTARTS = 10_000
 
 
@@ -88,11 +111,12 @@ def _checked_scale(a: np.ndarray, out: np.ndarray | None = None) -> tuple[float,
 
 
 def centered_covariance(
-    gram: np.ndarray, theta: CoefficientSequence, p: int, n: int, mu: float
+    gram: np.ndarray, theta: CoefficientSequence, p: int, n: int, mu: float, *, gram_max: float | None = None
 ) -> LinearOperator:
     """S = T G Tᵀ - n * mu * H Hᵀ as a symmetric p x p operator on the Gram
     matrix G, which must be finite and symmetric to 1e-12 of its largest
-    absolute entry; ``S @ np.eye(p)`` forms it.
+    absolute entry; ``S @ np.eye(p)`` forms it.  ``gram_max`` is max|G| from
+    a caller that checked G so already; without it, this function checks.
 
     G is the Gram matrix of the time-filtered rows 1 - theta.max_lag through
     p - theta.min_lag, and T applies the full theta window across them, so
@@ -110,7 +134,7 @@ def centered_covariance(
     m = p + len(theta.values) - 1
     if g.shape != (m, m):
         raise ValueError(f"gram must be {m} x {m} for p = {p}, got shape {g.shape}")
-    g_max, _ = _checked_scale(g)
+    g_max = _checked_scale(g)[0] if gram_max is None else gram_max
     pad = len(theta.values) - 1
     reversed_theta = CoefficientSequence(theta.values[::-1], min_lag=-theta.max_lag)
     # H Hᵀ is the symmetric Toeplitz matrix with r[b] = sum_u w[u] * w[u-b]
@@ -148,23 +172,30 @@ def centered_gram_diag(gram: np.ndarray, n: int, mu: float, out: np.ndarray | No
     return np.subtract(np.diagonal(gram), n * mu, out=out)
 
 
-def offdiag_deviation(gram: np.ndarray, a_np: float) -> float:
+def offdiag_deviation(
+    gram: np.ndarray, a_np: float, *, gram_max: float | None = None, out: np.ndarray | None = None
+) -> float:
     """a_np^-2 times the spectral norm of the Gram matrix X Xᵀ with its
     diagonal zeroed.
 
     The Gram must be square, finite and symmetric to 1e-12 of its largest
-    absolute entry; it is never written.  The array that holds G - Gᵀ for
-    that check then holds G with its diagonal zeroed: a product G v -
-    diag(G) v would lose the off-diagonal sums, which heavy tails make far
-    smaller than the diagonal, to the rounding of the diagonal terms.
+    absolute entry; it is never written.  ``gram_max`` is max|G| from a
+    caller that checked G so already; without it, this function checks, with
+    G - Gᵀ in ``out``.  ``out``, an array of G's shape that shares no memory
+    with it (a fresh one where it is None), then holds G with its diagonal
+    zeroed: a product G v - diag(G) v would lose the off-diagonal sums, which
+    heavy tails make far smaller than the diagonal, to the rounding of the
+    diagonal terms.
     """
     if not a_np > 0.0:
         raise ValueError(f"a_np must be positive, got {a_np}")
     g = np.asarray(gram, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {g.shape}")
-    zeroed = np.empty_like(g)
-    g_max, _ = _checked_scale(g, zeroed)
+    if out is not None and np.shares_memory(g, out):
+        raise ValueError("out shares memory with the matrix")
+    zeroed = np.empty_like(g) if out is None else out
+    g_max = _checked_scale(g, zeroed)[0] if gram_max is None else gram_max
     np.copyto(zeroed, g)
     np.fill_diagonal(zeroed, 0.0)
     return spectral_norm(_SymmetricOperator(g.shape[0], zeroed.__matmul__, g_max)) / (a_np * a_np)
@@ -175,6 +206,15 @@ def _prescale_exponent(bound: float) -> int:
     # and 2**-e are normal floats; an infinite bound takes 1022.
     e = math.frexp(bound)[1] if bound < math.inf else 1022
     return min(max(e, -1021), 1022)
+
+
+@functools.lru_cache(maxsize=16)
+def _start_vector(dim: int) -> np.ndarray:
+    # The counter-based start vector of a dim-dimensional norm, read-only:
+    # it depends on dim alone, and eigsh copies it.
+    v0 = index_uniforms(0, np.arange(dim), tag=_SPECTRAL_TAG) - 0.5
+    v0.flags.writeable = False
+    return v0
 
 
 def spectral_norm(m, out: np.ndarray | None = None) -> float:
@@ -190,7 +230,8 @@ def spectral_norm(m, out: np.ndarray | None = None) -> float:
     product with a matrix, so that no product overflows and the result is
     exactly homogeneous under power-of-two scaling of the input.  The start
     vector is counter-based, so the result is deterministic.  ARPACK runs at
-    ``_ARPACK_TOL`` with at most ``_MAX_RESTARTS`` restarts.
+    ``_ARPACK_TOL`` with ``_ARPACK_NCV`` Lanczos vectors and at most
+    ``_MAX_RESTARTS`` restarts.
 
     ``out``, for a dense matrix, is an array of its shape that shares no
     memory with it: it holds A - Aᵀ for the symmetry check and then the
@@ -217,11 +258,12 @@ def spectral_norm(m, out: np.ndarray | None = None) -> float:
     dim = op.shape[0]
     if dim == 1:
         return abs(float(op.product(np.array([down]))[0])) * up
-    v0 = index_uniforms(0, np.arange(dim), tag=_SPECTRAL_TAG) - 0.5
+    v0 = _start_vector(dim)
     scaled = LinearOperator(op.shape, matvec=lambda v: op.product(v * down), dtype=float)
     try:
         w = eigsh(
-            scaled, k=1, which="LM", v0=v0, tol=_ARPACK_TOL, maxiter=_MAX_RESTARTS, return_eigenvectors=False
+            scaled, k=1, which="LM", v0=v0, ncv=_ARPACK_NCV, tol=_ARPACK_TOL, maxiter=_MAX_RESTARTS,
+            return_eigenvectors=False,
         )
     except ArpackNoConvergence as err:
         raise SpectralNormError(

@@ -232,6 +232,100 @@ class TestRunTrial:
         assert np.allclose(rec.top_diag, expect, rtol=1e-13)
 
 
+class TestNormStage:
+    """``run_trial`` checks its Gram once and hands both operators the bound."""
+
+    SPEC = EnsembleSpec(model=MODEL15, filter=_fs((1.0, 0.5), (1.0, 0.5)), p=37, n=80, seed=13)
+
+    def test_gram_is_checked_once_per_trial(self, monkeypatch):
+        import heavyspec.experiment as experiment
+        from heavyspec import spectral
+
+        calls = []
+
+        def counting(where):
+            original = where._checked_scale
+
+            def checked(a, out=None):
+                calls.append((where.__name__, a.shape))
+                return original(a, out)
+
+            monkeypatch.setattr(where, "_checked_scale", checked)
+
+        counting(experiment)
+        counting(spectral)
+        record = run_trial(self.SPEC)
+        assert calls == [("heavyspec.experiment", (38, 38))]
+        monkeypatch.undo()
+        assert record == run_trial(self.SPEC)
+
+    def test_nan_row_is_refused_by_the_one_check(self, monkeypatch):
+        # A NaN in the row process poisons its Gram; the trial stops at the
+        # run path's check, before either operator is built.
+        import heavyspec.experiment as experiment
+
+        build = experiment.build_row_process
+
+        def poisoned(noise, c, rows, n, out=None, scratch=None):
+            x = build(noise, c, rows, n, out=out, scratch=scratch)
+            if rows[0] <= 5 < rows[1]:
+                x[5 - rows[0], 3] = np.nan
+            return x
+
+        def unreached(*args, **kwargs):
+            raise AssertionError("an operator was built on a non-finite Gram")
+
+        monkeypatch.setattr(experiment, "build_row_process", poisoned)
+        monkeypatch.setattr(experiment, "centered_covariance", unreached)
+        monkeypatch.setattr(experiment, "offdiag_deviation", unreached)
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            run_trial(self.SPEC)
+
+    def test_norm_of_s_takes_fewer_products_than_at_the_default_ncv(self, monkeypatch):
+        # config.example.json's replicate 0: ||S|| takes fewer ARPACK products
+        # at the module's ncv than at eigsh's default of 20.
+        import heavyspec.experiment as experiment
+        from heavyspec import spectral
+        from heavyspec.experiment import load_config
+
+        config = load_config(os.path.join(os.path.dirname(__file__), "..", "config.example.json"))
+        [(n, p)] = experiment.batch_grid(config.template, config.rule, config.n_values, 1, config.top_k)
+        operators = []
+        build = experiment.centered_covariance
+
+        def keep(*args, **kwargs):
+            operators.append(build(*args, **kwargs))
+            return operators[-1]
+
+        monkeypatch.setattr(experiment, "centered_covariance", keep)
+        record = run_trial(config.template.spec(p, n, derive_seed(config.seed, n, 0)))
+        # The operator reads the workspace's Gram, which no later trial has
+        # overwritten.
+        [op] = operators
+        a2 = record.a_np * record.a_np
+        products = []
+
+        def count_products(ncv):
+            monkeypatch.setattr(spectral, "_ARPACK_NCV", ncv)
+            count, product = [0], op.product
+
+            def counted(v):
+                count[0] += 1
+                return product(v)
+
+            op.product = counted
+            try:
+                norm = spectral_norm(op)
+            finally:
+                op.product = product
+            products.append(count[0])
+            return norm
+
+        assert count_products(spectral._ARPACK_NCV) / a2 == record.scaled_norm
+        assert count_products(None) / a2 == pytest.approx(record.scaled_norm, rel=1e-12)
+        assert products[0] < products[1]
+
+
 class TestCenteredTrials:
     """Trials in the regimes that require nonzero centering."""
 

@@ -379,6 +379,14 @@ class TestSignThreshold:
         if t > 0:
             assert _unit([t - 1])[0] < q
 
+    def test_bisection_runs_once_per_q(self):
+        # A trial samples one row block at a time, all at its model's q.
+        rvn._sign_threshold.cache_clear()
+        model = TailModel("pareto_skewed", alpha=1.2, q=0.3)
+        for rows in ((0, 3), (3, 9), (9, 10)):
+            sample_noise(model, rows, (0, 5), seed=1)
+        assert rvn._sign_threshold.cache_info().misses == 1
+
     @pytest.mark.parametrize("q", QS + [0.123456789, 0.75, 2.0**-54, 1e-300])
     def test_integer_test_agrees_with_float_rule(self, q):
         t = rvn._sign_threshold(q)

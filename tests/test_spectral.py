@@ -235,6 +235,29 @@ class TestOffdiagDeviation:
         ref = np.abs(np.linalg.eigvalsh(g)).max()
         assert got == pytest.approx(ref / 2.5**2, rel=1e-10)
 
+    def test_checked_bound_and_out_give_the_same_norms(self):
+        # A caller that checked the Gram passes max|G| and a scratch array:
+        # the same bits as each function's own check, and out holds the
+        # zero-diagonal copy.
+        rng = np.random.default_rng(13)
+        x = rng.standard_t(1.5, size=(9, 30))
+        g = x @ x.T
+        theta = CoefficientSequence((1.0, 0.5))
+        g_max = np.abs(g).max()
+        out = np.full_like(g, np.nan)
+        assert offdiag_deviation(g, 2.0, gram_max=g_max, out=out) == offdiag_deviation(g, 2.0)
+        assert np.array_equal(out, g - np.diag(np.diag(g)))
+        s = centered_covariance(g, theta, 8, 30, 0.5)
+        checked = centered_covariance(g, theta, 8, 30, 0.5, gram_max=g_max)
+        assert checked.bound == s.bound
+        assert spectral_norm(checked) == spectral_norm(s)
+
+    def test_refuses_out_sharing_memory(self):
+        g = np.array([[4.0, 1.0], [1.0, 3.0]])
+        with pytest.raises(ValueError, match="out shares memory with the matrix"):
+            offdiag_deviation(g, 1.0, out=g)
+        assert np.array_equal(g, [[4.0, 1.0], [1.0, 3.0]])
+
     @pytest.mark.parametrize("function", GRAM_FUNCTIONS)
     @pytest.mark.parametrize("gram", [[[0.0, 1.0], [0.0, 0.0]], [[2.0, 1.0], [0.0, 3.0]]])
     def test_refuses_asymmetric_gram(self, gram, function):
@@ -302,15 +325,38 @@ class TestSpectralNorm:
         ref = np.abs(np.linalg.eigvalsh(a)).max()
         assert spectral_norm(a) == pytest.approx(ref, rel=1e-9)
 
-    def test_clustered_extremes(self):
-        # Nearly degenerate top pair; the solver must still resolve the norm.
-        d = np.concatenate([[1.0, 1.0 - 1e-6], np.linspace(0.0, 0.9, 48)])
+    @pytest.mark.parametrize("dim", [4, spectral._ARPACK_NCV, spectral._ARPACK_NCV + 2, 50])
+    def test_clustered_extremes(self, dim):
+        # Nearly degenerate top pair; the solver must still resolve the norm,
+        # also where eigsh clips ncv to the dimension.
+        d = np.concatenate([[1.0, 1.0 - 1e-6], np.linspace(0.0, 0.9, dim - 2)])
         rng = np.random.default_rng(8)
-        q, _ = np.linalg.qr(rng.normal(size=(50, 50)))
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
         a = (q * d) @ q.T
         a = 0.5 * (a + a.T)
         ref = np.abs(np.linalg.eigvalsh(a)).max()
         assert abs(spectral_norm(a) - ref) <= 1e-8 * ref
+
+    @pytest.mark.parametrize("dim", range(2, spectral._ARPACK_NCV + 3))
+    def test_matches_dense_oracle_where_ncv_meets_the_dimension(self, dim):
+        # eigsh clips ncv to the dimension: at and below ncv the Lanczos
+        # basis spans the whole space, above it ARPACK restarts.
+        rng = np.random.default_rng(100 + dim)
+        a = rng.normal(size=(dim, dim))
+        a = 0.5 * (a + a.T)
+        ref = np.abs(np.linalg.eigvalsh(a)).max()
+        assert abs(spectral_norm(a) - ref) <= 1e-8 * ref
+        x = rng.standard_t(1.5, size=(dim, 3 * dim))
+        g = x @ x.T
+        zeroed = g - np.diag(np.diag(g))
+        ref = np.abs(np.linalg.eigvalsh(zeroed)).max()
+        assert abs(offdiag_deviation(g, 1.0) - ref) <= 1e-8 * ref
+
+    def test_start_vector_is_cached_and_read_only(self):
+        v0 = spectral._start_vector(7)
+        assert spectral._start_vector(7) is v0
+        assert not v0.flags.writeable
+        assert np.array_equal(v0, spectral.index_uniforms(0, np.arange(7), tag=spectral._SPECTRAL_TAG) - 0.5)
 
     def test_rejects_asymmetric(self):
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
