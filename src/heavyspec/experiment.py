@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.linalg.blas import dsyrk
 from scipy.special import kolmogi
 
 from .limit_law import (
@@ -39,7 +40,7 @@ from .rv_noise import derive_key, norming_constant, sample_noise
 from .spectral import (
     _ARPACK_TOL,
     SpectralNormError,
-    _checked_scale,
+    _diagonal_bound,
     centered_covariance,
     centered_gram_diag,
     mu_x_alpha,
@@ -115,10 +116,10 @@ class _TrialWorkspace:
     """Every large array a trial of one shape writes, allocated once.
 
     ``key`` is (panel rows m, panel columns, n, p, block rows).  The m x m
-    Gram and one m x m scratch array are the only square arrays: S is an
-    operator on the Gram, whose products need only vectors; the scratch
-    holds G - Gᵀ for the Gram's one symmetry check, and then the copy of G
-    whose diagonal ``offdiag_deviation`` zeroes.
+    Gram and one m x m scratch array are the only square arrays, both
+    F-ordered and used by their lower triangles alone: S is an operator on
+    the Gram, whose products need only vectors, and the scratch holds the
+    copy of G whose diagonal ``offdiag_deviation`` zeroes.
     """
 
     def __init__(self, key: tuple[int, int, int, int, int]):
@@ -128,8 +129,8 @@ class _TrialWorkspace:
         self.block_scratch = np.empty((block_rows, n))
         self.x_rows = np.empty((m, n))
         self.d_tilde = np.empty(m)
-        self.gram = np.empty((m, m))
-        self.gram_scratch = np.empty((m, m))
+        self.gram = np.empty((m, m), order="F")
+        self.gram_scratch = np.empty((m, m), order="F")
 
 
 # One workspace per thread, so that two threads never share buffers; it is
@@ -156,10 +157,11 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     about ``_BLOCK_ENTRIES`` noise entries each, so the whole noise panel is
     never held.  Each noise entry depends only on (seed, row, column), and the
     filter acts within a row, so the blocks give the same bits as one full
-    panel.  Every statistic then comes from the one Gram product of the rows:
-    S, the off-diagonal part and the centered diagonal.  The Gram is checked
-    once, finite and symmetric to 1e-12 of its largest absolute entry, and
-    both operators take its checked bound instead of checking it again.
+    panel.  Every statistic then comes from the one Gram product of the rows,
+    BLAS ``dsyrk`` into the lower triangle of the workspace's Gram: S, the
+    off-diagonal part and the centered diagonal.  The Gram is checked once,
+    in O(m): its largest diagonal entry must be finite, and it bounds every
+    entry, so both operators take it instead of checking G again.
 
     Every large array lives in this thread's workspace for the trial's
     shape, so a trial after the first of its shape allocates none.
@@ -179,13 +181,16 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
         rows = slice(lo - r0, hi - r0)
         noise = sample_noise(model, (lo, hi), cols, seed, buffers=tuple(b[: hi - lo] for b in ws.noise))
         build_row_process(noise, c, (lo, hi), n, out=ws.x_rows[rows], scratch=ws.block_scratch[: hi - lo])
-    gram = np.matmul(ws.x_rows, ws.x_rows.T, out=ws.gram)
+    # With trans=1, dsyrk forms Aᵀ A for A = Xᵀ, the F-ordered view of the
+    # rows: X Xᵀ, written into the workspace in place with no copy of either
+    # array; the upper triangle keeps what it held.
+    gram = dsyrk(1.0, ws.x_rows.T, trans=1, lower=1, c=ws.gram, overwrite_c=1)
     d_tilde = centered_gram_diag(gram, n, mu, out=ws.d_tilde)
 
-    g_max, _ = _checked_scale(gram, ws.gram_scratch)
-    # Both operators take the checked bound.  They are called through this
-    # module's names, with the Gram first: perfbench's tracer wraps them and
-    # reads the Gram's shape.
+    g_max = _diagonal_bound(gram)
+    # Both operators take the bound and read the lower triangle alone.  They
+    # are called through this module's names, with the Gram first:
+    # perfbench's tracer wraps them and reads the Gram's shape.
     a2 = a_np * a_np
     scaled = spectral_norm(centered_covariance(gram, theta, p, n, mu, gram_max=g_max)) / a2
     offdiag = offdiag_deviation(gram, a_np, gram_max=g_max, out=ws.gram_scratch)
@@ -336,6 +341,18 @@ def run_batch(
     workers = min(workers, len(jobs))
     with _one_blas_thread():
         if workers > 1:
+            # Jobs per pool task: run_batch's trials per second on 2 workers
+            # (2-vCPU Xeon, OpenBLAS 0.3.31, one BLAS thread), chunk size 1
+            # against 8 in alternating pairs, two runs each, median
+            # [quartiles]:
+            #
+            #   batch                      pairs  chunk 1               chunk 8               1 faster
+            #   48 trials, p 400, alpha 1.2   20  130.0 [123.1, 136.1]  128.8 [124.2, 132.5]  11/20
+            #                                 30  122.1 [119.0, 129.5]  121.0 [115.1, 126.7]  17/30
+            #   config.example.json, 500       5  157.3 [151.7, 158.4]  156.8 [147.9, 164.8]   3/5
+            #                                  6  148.3 [138.3, 163.5]  168.5 [155.6, 179.2]   1/6
+            #
+            # 1 ties 8 on the short batch and lost on the long one, so 8 stays.
             with ProcessPoolExecutor(max_workers=workers, initializer=_set_blas_threads, initargs=(1,)) as pool:
                 records = list(pool.map(_trial_job, jobs, chunksize=8))
         else:

@@ -7,11 +7,19 @@ centering matrix H carries the same short theta window, so H Hᵀ is a
 symmetric banded Toeplitz matrix whose product with a vector is one window
 sum of the window's autocorrelation, without forming H.  The off-diagonal
 part is G with its diagonal zeroed, in a scratch array of G's shape, and the
-centered diagonal is read off G.  Both operators check that G is finite and
-symmetric to 1e-12 of its largest entry, unless the caller hands them the
-bound ``gram_max`` of that check made already, as ``run_trial`` does once per
-trial.  Spectral norms of these operators and of dense symmetric matrices
-come from one ARPACK call (``scipy.sparse.linalg.eigsh``), which needs only
+centered diagonal is read off G.
+
+Every product with G, or with a dense symmetric matrix, is one BLAS
+``dsymv`` on the lower triangle of an F-ordered array: the operator ARPACK
+sees is symmetric by construction, and the upper triangle is never read.  A
+C-ordered symmetric matrix goes in as its F-ordered transpose view, so the
+run path's Gram, which ``run_trial`` writes as one lower triangle with
+``dsyrk``, and a library caller's full one take the same product.  Both
+operators check that G is finite and symmetric to 1e-12 of its largest
+entry, unless the caller hands them a bound ``gram_max`` on its entries, as
+``run_trial`` does once per trial from G's diagonal alone (``_diagonal_bound``).
+Spectral norms of these operators and of dense symmetric matrices come from
+one ARPACK call (``scipy.sparse.linalg.eigsh``), which needs only
 matrix-vector products, at ``_ARPACK_NCV`` Lanczos vectors per restart cycle,
 chosen by measurement, with a counter-based start vector computed once per
 dimension; a dense eigensolve is used only as a cross-check oracle in the
@@ -24,6 +32,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .linear_filter import CoefficientSequence, window_sum
@@ -110,13 +119,42 @@ def _checked_scale(a: np.ndarray, out: np.ndarray | None = None) -> tuple[float,
     return scale, asym
 
 
+def _diagonal_bound(gram: np.ndarray) -> float:
+    """max diag G, which bounds every entry of a Gram matrix G = X Xᵀ, since
+    |G_ij| <= √(G_ii G_jj); refuses a non-finite diagonal.  A non-finite
+    entry of X makes its row's diagonal entry non-finite, so this O(m) pass
+    refuses every Gram that holds one."""
+    bound = float(np.diagonal(gram).max())
+    if not math.isfinite(bound):
+        raise ValueError("matrix contains non-finite entries")
+    return bound
+
+
+def _lower(a: np.ndarray) -> np.ndarray:
+    # A as an F-ordered array whose lower triangle dsymv reads: A itself,
+    # the transpose view of a C-ordered A (A's upper triangle, so A must be
+    # symmetric), or an F-ordered copy of a strided one.
+    if a.flags.f_contiguous:
+        return a
+    return a.T if a.flags.c_contiguous else np.asfortranarray(a)
+
+
+def _symv(lower: np.ndarray):
+    # v -> A v from the lower triangle of the F-ordered array ``lower``, into
+    # a fresh array.
+    return functools.partial(dsymv, 1.0, lower, lower=1)
+
+
 def centered_covariance(
     gram: np.ndarray, theta: CoefficientSequence, p: int, n: int, mu: float, *, gram_max: float | None = None
 ) -> LinearOperator:
     """S = T G Tᵀ - n * mu * H Hᵀ as a symmetric p x p operator on the Gram
     matrix G, which must be finite and symmetric to 1e-12 of its largest
-    absolute entry; ``S @ np.eye(p)`` forms it.  ``gram_max`` is max|G| from
-    a caller that checked G so already; without it, this function checks.
+    absolute entry; ``S @ np.eye(p)`` forms it.  ``gram_max`` is a bound on
+    |G| from a caller that checked G already, such as ``_diagonal_bound``'s;
+    without it, this function checks.  Products read only the lower
+    triangle of an F-ordered G (the upper one of a C-ordered G), so a caller
+    that passes ``gram_max`` may leave the other triangle unset.
 
     G is the Gram matrix of the time-filtered rows 1 - theta.max_lag through
     p - theta.min_lag, and T applies the full theta window across them, so
@@ -127,14 +165,15 @@ def centered_covariance(
 
     A product S v pads v by L - 1 zeros at both ends, L the window's length,
     and takes three window sums over it: Tᵀ v with the reversed window, T of
-    the Gram product, and H Hᵀ v with the window's autocorrelation.  G is
-    never written.
+    the Gram product (``dsymv``), and H Hᵀ v with the window's
+    autocorrelation.  G is never written.
     """
     g = np.asarray(gram, dtype=float)
     m = p + len(theta.values) - 1
     if g.shape != (m, m):
         raise ValueError(f"gram must be {m} x {m} for p = {p}, got shape {g.shape}")
     g_max = _checked_scale(g)[0] if gram_max is None else gram_max
+    lower = _lower(g)
     pad = len(theta.values) - 1
     reversed_theta = CoefficientSequence(theta.values[::-1], min_lag=-theta.max_lag)
     # H Hᵀ is the symmetric Toeplitz matrix with r[b] = sum_u w[u] * w[u-b]
@@ -157,8 +196,9 @@ def centered_covariance(
 
     def product(v):
         padded[pad : pad + p] = v
-        np.matmul(g, window_sum(reversed_theta, padded, m, t_v, scratch_m), out=gram_v)
-        s_v = window_sum(theta, gram_v, p, None, scratch_p)
+        tt_v = window_sum(reversed_theta, padded, m, t_v, scratch_m)
+        g_v = dsymv(1.0, lower, tt_v, y=gram_v, overwrite_y=1, lower=1)
+        s_v = window_sum(theta, g_v, p, None, scratch_p)
         if hht is not None:
             s_v -= window_sum(hht, padded, p, hht_v, scratch_p)
         return s_v
@@ -179,13 +219,15 @@ def offdiag_deviation(
     diagonal zeroed.
 
     The Gram must be square, finite and symmetric to 1e-12 of its largest
-    absolute entry; it is never written.  ``gram_max`` is max|G| from a
-    caller that checked G so already; without it, this function checks, with
-    G - Gᵀ in ``out``.  ``out``, an array of G's shape that shares no memory
-    with it (a fresh one where it is None), then holds G with its diagonal
-    zeroed: a product G v - diag(G) v would lose the off-diagonal sums, which
-    heavy tails make far smaller than the diagonal, to the rounding of the
-    diagonal terms.
+    absolute entry; it is never written.  ``gram_max`` is a bound on |G|
+    from a caller that checked G already, such as ``_diagonal_bound``'s;
+    without it, this function checks, with G - Gᵀ in ``out``.  ``out``, an
+    array of G's shape that shares no memory with it (a fresh F-ordered one
+    where it is None), then holds G with its diagonal zeroed: a product
+    G v - diag(G) v would lose the off-diagonal sums, which heavy tails make
+    far smaller than the diagonal, to the rounding of the diagonal terms.
+    As in ``centered_covariance``, products read one triangle of G, so with
+    ``gram_max`` the other may be unset.
     """
     if not a_np > 0.0:
         raise ValueError(f"a_np must be positive, got {a_np}")
@@ -194,11 +236,13 @@ def offdiag_deviation(
         raise ValueError(f"expected a square matrix, got shape {g.shape}")
     if out is not None and np.shares_memory(g, out):
         raise ValueError("out shares memory with the matrix")
-    zeroed = np.empty_like(g) if out is None else out
+    zeroed = np.empty(g.shape, order="F") if out is None else out
     g_max = _checked_scale(g, zeroed)[0] if gram_max is None else gram_max
-    np.copyto(zeroed, g)
-    np.fill_diagonal(zeroed, 0.0)
-    return spectral_norm(_SymmetricOperator(g.shape[0], zeroed.__matmul__, g_max)) / (a_np * a_np)
+    # The copy goes in F order, where _lower reads it back without a copy.
+    target = zeroed.T if zeroed.flags.c_contiguous else zeroed
+    np.copyto(target, _lower(g))
+    np.fill_diagonal(target, 0.0)
+    return spectral_norm(_SymmetricOperator(g.shape[0], _symv(_lower(target)), g_max)) / (a_np * a_np)
 
 
 def _prescale_exponent(bound: float) -> int:
@@ -224,7 +268,8 @@ def spectral_norm(m, out: np.ndarray | None = None) -> float:
 
     A dense matrix must be finite and symmetric to 1e-12 of its largest
     absolute entry, and is solved as (A + Aᵀ) / 2, which keeps an exactly
-    symmetric one's bits; its bound is that matrix's largest absolute entry.
+    symmetric one's bits, with the operators' ``dsymv`` product; its bound
+    is that matrix's largest absolute entry.
     Either operator is solved as 2**-e A for the least power of two 2**e
     above the bound on A's entries, applied to each vector before its
     product with a matrix, so that no product overflows and the result is
@@ -250,7 +295,7 @@ def spectral_norm(m, out: np.ndarray | None = None) -> float:
             a = np.add(a, a.T, out=out)
             a *= 0.5
             scale = _max_abs(a)
-        op = _SymmetricOperator(a.shape[0], a.__matmul__, scale)
+        op = _SymmetricOperator(a.shape[0], _symv(_lower(a)), scale)
     if op.bound == 0.0:
         return 0.0
     e = _prescale_exponent(op.bound)

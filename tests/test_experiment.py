@@ -233,35 +233,55 @@ class TestRunTrial:
 
 
 class TestNormStage:
-    """``run_trial`` checks its Gram once and hands both operators the bound."""
+    """``run_trial`` writes one triangle of its Gram, checks the Gram once in
+    O(m) and hands both operators the bound."""
 
     SPEC = EnsembleSpec(model=MODEL15, filter=_fs((1.0, 0.5), (1.0, 0.5)), p=37, n=80, seed=13)
 
     def test_gram_is_checked_once_per_trial(self, monkeypatch):
+        # The one check reads the Gram's diagonal; no m x m check pass
+        # (finite and symmetric over every entry) runs in a trial.
         import heavyspec.experiment as experiment
         from heavyspec import spectral
 
         calls = []
 
-        def counting(where):
-            original = where._checked_scale
+        def full_pass(a, out=None):
+            raise AssertionError(f"an m x m check pass ran on shape {a.shape}")
 
-            def checked(a, out=None):
-                calls.append((where.__name__, a.shape))
-                return original(a, out)
+        def diagonal(gram):
+            calls.append(gram.shape)
+            return spectral._diagonal_bound(gram)
 
-            monkeypatch.setattr(where, "_checked_scale", checked)
-
-        counting(experiment)
-        counting(spectral)
+        monkeypatch.setattr(spectral, "_checked_scale", full_pass)
+        monkeypatch.setattr(experiment, "_diagonal_bound", diagonal)
         record = run_trial(self.SPEC)
-        assert calls == [("heavyspec.experiment", (38, 38))]
+        assert calls == [(38, 38)]
         monkeypatch.undo()
         assert record == run_trial(self.SPEC)
 
-    def test_nan_row_is_refused_by_the_one_check(self, monkeypatch):
-        # A NaN in the row process poisons its Gram; the trial stops at the
-        # run path's check, before either operator is built.
+    def test_gram_is_written_into_the_workspace(self, monkeypatch):
+        # dsyrk hands back the workspace's Gram itself, not a copy.
+        import heavyspec.experiment as experiment
+
+        returned = []
+        syrk = experiment.dsyrk
+
+        def recording(*args, **kwargs):
+            returned.append((syrk(*args, **kwargs), kwargs["c"]))
+            return returned[-1][0]
+
+        monkeypatch.setattr(experiment, "dsyrk", recording)
+        run_trial(self.SPEC)
+        [(gram, c)] = returned
+        assert gram is c is experiment._LOCAL.workspace.gram
+        assert gram.flags.f_contiguous
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_nan_row_is_refused_by_the_one_check(self, monkeypatch, bad):
+        # A NaN or an infinity in the row process makes its row's diagonal
+        # Gram entry non-finite; the trial stops at the run path's check,
+        # before either operator is built.
         import heavyspec.experiment as experiment
 
         build = experiment.build_row_process
@@ -269,7 +289,7 @@ class TestNormStage:
         def poisoned(noise, c, rows, n, out=None, scratch=None):
             x = build(noise, c, rows, n, out=out, scratch=scratch)
             if rows[0] <= 5 < rows[1]:
-                x[5 - rows[0], 3] = np.nan
+                x[5 - rows[0], 3] = bad
             return x
 
         def unreached(*args, **kwargs):
@@ -398,6 +418,8 @@ def _full_panel_trial(spec: EnsembleSpec, top_k: int) -> TrialRecord:
     """``run_trial`` from one full noise panel: draw and filter every row at
     once, take the Gram of the whole row process, then reduce as
     ``run_trial`` does."""
+    from scipy.linalg.blas import dsyrk
+
     from heavyspec.linear_filter import build_row_process
     from heavyspec.rv_noise import norming_constant
     from heavyspec.spectral import centered_covariance, centered_gram_diag, mu_x_alpha, offdiag_deviation
@@ -408,7 +430,13 @@ def _full_panel_trial(spec: EnsembleSpec, top_k: int) -> TrialRecord:
     x_rows = build_row_process(noise, c, rows, n)
     a_np = norming_constant(model, n * p)
     mu = mu_x_alpha(model, c, a_np)
-    gram = x_rows @ x_rows.T
+    # run_trial's Gram kernel, mirrored into a full symmetric matrix for the
+    # self-checking public calls: this compares row blocks with one panel,
+    # not Gram kernels, and numpy's x_rows @ x_rows.T is a dot product, not
+    # dsyrk, at one row, with other last bits.
+    gram = dsyrk(1.0, x_rows.T, trans=1, lower=1)
+    upper = np.triu_indices(len(gram), 1)
+    gram[upper] = gram.T[upper]
     d_tilde = centered_gram_diag(gram, n, mu)
     a2 = a_np * a_np
     ma = np.zeros(p)

@@ -252,6 +252,32 @@ class TestOffdiagDeviation:
         assert checked.bound == s.bound
         assert spectral_norm(checked) == spectral_norm(s)
 
+    @pytest.mark.parametrize("out_order", ["F", "C"])
+    def test_upper_triangle_is_never_read(self, out_order):
+        # The run path's Gram: F-ordered, its lower triangle alone set, with
+        # the diagonal's largest entry as the bound.  NaN above the diagonal
+        # changes neither norm's bits from the full symmetric Gram's.
+        rng = np.random.default_rng(17)
+        x = rng.standard_t(1.5, size=(9, 30))
+        g = x @ x.T
+        lower = np.asfortranarray(g)
+        lower[np.triu_indices(9, 1)] = np.nan
+        g_max = spectral._diagonal_bound(lower)
+        assert g_max == np.abs(g).max()
+        theta = CoefficientSequence((1.0, 0.5))
+        got = spectral_norm(centered_covariance(lower, theta, 8, 30, 0.5, gram_max=g_max))
+        assert got == spectral_norm(centered_covariance(g, theta, 8, 30, 0.5))
+        out = np.empty((9, 9), order=out_order)
+        assert offdiag_deviation(lower, 2.0, gram_max=g_max, out=out) == offdiag_deviation(g, 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_diagonal_bound_refuses_a_nonfinite_diagonal(self, bad):
+        g = np.diag([4.0, 1.0, 3.0])
+        assert spectral._diagonal_bound(g) == 4.0
+        g[1, 1] = bad
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            spectral._diagonal_bound(g)
+
     def test_refuses_out_sharing_memory(self):
         g = np.array([[4.0, 1.0], [1.0, 3.0]])
         with pytest.raises(ValueError, match="out shares memory with the matrix"):
