@@ -196,8 +196,7 @@ def centered_covariance(
 
     def product(v):
         padded[pad : pad + p] = v
-        tt_v = window_sum(reversed_theta, padded, m, t_v, scratch_m)
-        g_v = dsymv(1.0, lower, tt_v, y=gram_v, overwrite_y=1, lower=1)
+        g_v = dsymv(1.0, lower, window_sum(reversed_theta, padded, m, t_v, scratch_m), y=gram_v, overwrite_y=1, lower=1)
         s_v = window_sum(theta, g_v, p, None, scratch_p)
         if hht is not None:
             s_v -= window_sum(hht, padded, p, hht_v, scratch_p)

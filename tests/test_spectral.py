@@ -270,14 +270,6 @@ class TestOffdiagDeviation:
         out = np.empty((9, 9), order=out_order)
         assert offdiag_deviation(lower, 2.0, gram_max=g_max, out=out) == offdiag_deviation(g, 2.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_diagonal_bound_refuses_a_nonfinite_diagonal(self, bad):
-        g = np.diag([4.0, 1.0, 3.0])
-        assert spectral._diagonal_bound(g) == 4.0
-        g[1, 1] = bad
-        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
-            spectral._diagonal_bound(g)
-
     def test_refuses_out_sharing_memory(self):
         g = np.array([[4.0, 1.0], [1.0, 3.0]])
         with pytest.raises(ValueError, match="out shares memory with the matrix"):
