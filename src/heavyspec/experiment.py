@@ -116,10 +116,10 @@ class _TrialWorkspace:
     """Every large array a trial of one shape writes, allocated once.
 
     ``key`` is (panel rows m, panel columns, n, p, block rows).  The m x m
-    Gram and one m x m scratch array are the only square arrays, both
-    F-ordered and used by their lower triangles alone: S is an operator on
-    the Gram, whose products need only vectors, and the scratch holds the
-    copy of G whose diagonal ``offdiag_deviation`` zeroes.
+    Gram is the only square array, F-ordered and used by its lower triangle
+    alone: S is an operator on the Gram, whose products need only vectors,
+    and ``offdiag_deviation`` zeroes the Gram's diagonal in place, after the
+    last read of it.
     """
 
     def __init__(self, key: tuple[int, int, int, int, int]):
@@ -130,7 +130,6 @@ class _TrialWorkspace:
         self.x_rows = np.empty((m, n))
         self.d_tilde = np.empty(m)
         self.gram = np.empty((m, m), order="F")
-        self.gram_scratch = np.empty((m, m), order="F")
 
 
 # One workspace per thread, so that two threads never share buffers; it is
@@ -190,10 +189,11 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     g_max = _diagonal_bound(gram)
     # Both operators take the bound and read the lower triangle alone.  They
     # are called through this module's names, with the Gram first:
-    # perfbench's tracer wraps them and reads the Gram's shape.
+    # perfbench's tracer wraps them and reads the Gram's shape.  The
+    # off-diagonal norm comes last, as it zeroes the Gram's diagonal in place.
     a2 = a_np * a_np
     scaled = spectral_norm(centered_covariance(gram, theta, p, n, mu, gram_max=g_max)) / a2
-    offdiag = offdiag_deviation(gram, a_np, gram_max=g_max, out=ws.gram_scratch)
+    offdiag = offdiag_deviation(gram, a_np, gram_max=g_max, out=gram)
 
     top = np.sort(window_sum(theta, d_tilde, p) / a2)[::-1][:top_k]
     return TrialRecord(

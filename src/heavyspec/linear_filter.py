@@ -5,7 +5,11 @@ window ``c`` within each row, then a moving average across rows with window
 ``theta``.  ``window_sum`` applies every window in the package, here and in
 ``T G Tᵀ`` and the windowed diagonal, so each result is an exact finite sum
 over the short window in one summation order: ascending lag, from the first
-lag's term (the sum from 0.0, but for the sign of a sum of zeros).
+lag's term (the sum from 0.0, but for the sign of a sum of zeros).  Where
+the first coefficient is exactly 1.0, the first two terms are added the
+other way round, the second's product plus the first lag's values, which
+gives the same bits with one pass fewer (but for which of two NaNs a sum of
+them returns).
 """
 
 from __future__ import annotations
@@ -31,10 +35,22 @@ def window_sum(
     """out[i] = sum_k w_k a[w.max_lag - k + i], i < size, along a's first axis:
     the first lag's term, then each later one added from ``scratch``.  ``out``
     and ``scratch`` have shape (size,) + a.shape[1:] and are fresh where None;
-    pass transposed views of all three arrays to sum along the last axis."""
+    pass transposed views of all three arrays to sum along the last axis.
+
+    A first coefficient of exactly 1.0 with a second lag skips its product:
+    the second lag's term goes into ``out`` and the first lag's values are
+    added to it, which is the same sum, since 1.0 x is x and a sum of two
+    terms does not depend on their order."""
     lagged = [a[w.max_lag - k : w.max_lag - k + size] for k in w.lags]
-    out = np.multiply(w.values[0], lagged[0], out=out)
-    for v, x in zip(w.values[1:], lagged[1:]):
+    terms = list(zip(w.values, lagged))
+    if w.values[0] == 1.0 and len(terms) > 1:
+        out = np.multiply(*terms[1], out=out)
+        out += lagged[0]
+        rest = terms[2:]
+    else:
+        out = np.multiply(*terms[0], out=out)
+        rest = terms[1:]
+    for v, x in rest:
         out += np.multiply(v, x, out=scratch)
     return out
 

@@ -92,6 +92,7 @@ _U64_MASK = (1 << 64) - 1
 _SIGN_BIT = np.uint64(1 << 63)
 _HALF = 1 << 52
 _UNIT_SHIFT = np.uint64(11)
+_ONE_BITS = np.uint64(0x3FF0000000000000)
 
 
 def _mix_(x: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -160,30 +161,32 @@ def _sign_threshold(q: float) -> int:
     return lo
 
 
-def _mixture_unit(m: np.ndarray, t: int, sign: np.ndarray, u: np.ndarray) -> np.ndarray:
-    # Inverts the two-part mixture on the hash's top 53 bits m (shifted in
+def _mixture_unit(h: np.ndarray, t: int, sign: np.ndarray, u: np.ndarray) -> np.ndarray:
+    # Inverts the two-part mixture on the hash's top 53 bits m (h, shifted in
     # place): m < t gives a positive entry with u = (m + 0.5) / t, m >= t a
     # negative one with u = (m - t + 0.5) / (2**53 - t).  Writes the sign bits
     # into sign: that of (t - 1) - m, wrapping, is set exactly when m >= t.
-    m >>= _UNIT_SHIFT
-    np.subtract(np.uint64((t - 1) & _U64_MASK), m, out=sign)
+    if t == _HALF:
+        # m >= 2**52 exactly when bit 52 of m, bit 63 of h, is set.  OR-ing
+        # the exponent of 1.0, whose field already holds bit 52, gives
+        # 1 + k 2**-52 for k = m mod 2**52, and one subtraction, exact by
+        # Sterbenz's lemma, leaves (2k + 1) 2**-53 = (k + 0.5) / 2**52.
+        np.bitwise_and(h, _SIGN_BIT, out=sign)
+        h >>= _UNIT_SHIFT
+        np.bitwise_or(h, _ONE_BITS, out=u.view(np.uint64))
+        u -= 1.0 - 2.0**-53
+        return u
+    h >>= _UNIT_SHIFT
+    np.subtract(np.uint64((t - 1) & _U64_MASK), h, out=sign)
     sign &= _SIGN_BIT
-    if t == _HALF:
-        # Both branches hold 2**52 values: m - t clears bit 52, and one power
-        # of two divides below, so every step is exact.
-        m &= np.uint64(_HALF - 1)
-    else:
-        flag = u.view(np.uint64)
-        m -= np.multiply(np.right_shift(sign, np.uint64(63), out=flag), np.uint64(t), out=flag)
-    np.copyto(u, m, casting="unsafe")
+    flag = u.view(np.uint64)
+    h -= np.multiply(np.right_shift(sign, np.uint64(63), out=flag), np.uint64(t), out=flag)
+    np.copyto(u, h, casting="unsafe")
     u += 0.5
-    if t == _HALF:
-        u *= 2.0**-52
-    else:
-        # The divisor 2**52 -+ (2**52 - t), with the entry's sign: exact.
-        div = np.copysign(1.0, sign.view(np.float64), out=m.view(np.float64))
-        div *= float(_HALF - t)
-        u /= np.subtract(float(_HALF), div, out=div)
+    # The divisor 2**52 -+ (2**52 - t), with the entry's sign: exact.
+    div = np.copysign(1.0, sign.view(np.float64), out=h.view(np.float64))
+    div *= float(_HALF - t)
+    u /= np.subtract(float(_HALF), div, out=div)
     return u
 
 
@@ -252,7 +255,8 @@ def sample_noise(
     two_sided = model.q < 1.0
     u = _mixture_unit(h, _sign_threshold(model.q), sign, u) if two_sided else _to_unit(h, u)
     u **= -1.0 / model.alpha
-    u *= model.scale
+    if model.scale != 1.0:
+        u *= model.scale
     if two_sided:
         # Setting the sign bit of a positive magnitude is exactly -1.0 * it.
         bits = u.view(np.uint64)

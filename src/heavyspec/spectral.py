@@ -6,8 +6,9 @@ S v costs one product with G plus a few short window sums.  Every row of the
 centering matrix H carries the same short theta window, so H Hᵀ is a
 symmetric banded Toeplitz matrix whose product with a vector is one window
 sum of the window's autocorrelation, without forming H.  The off-diagonal
-part is G with its diagonal zeroed, in a scratch array of G's shape, and the
-centered diagonal is read off G.
+part is G with its diagonal zeroed, in an array of G's shape or, for a caller
+that no longer needs that diagonal, in G itself, and the centered diagonal is
+read off G.
 
 Every product with G, or with a dense symmetric matrix, is one BLAS
 ``dsymv`` on the lower triangle of an F-ordered array: the operator ARPACK
@@ -218,28 +219,34 @@ def offdiag_deviation(
     diagonal zeroed.
 
     The Gram must be square, finite and symmetric to 1e-12 of its largest
-    absolute entry; it is never written.  ``gram_max`` is a bound on |G|
-    from a caller that checked G already, such as ``_diagonal_bound``'s;
-    without it, this function checks, with G - Gᵀ in ``out``.  ``out``, an
-    array of G's shape that shares no memory with it (a fresh F-ordered one
-    where it is None), then holds G with its diagonal zeroed: a product
-    G v - diag(G) v would lose the off-diagonal sums, which heavy tails make
-    far smaller than the diagonal, to the rounding of the diagonal terms.
-    As in ``centered_covariance``, products read one triangle of G, so with
-    ``gram_max`` the other may be unset.
+    absolute entry.  ``gram_max`` is a bound on |G| from a caller that
+    checked G already, such as ``_diagonal_bound``'s; without it, this
+    function checks, with G - Gᵀ in ``out``.  ``out``, an array of G's shape
+    (a fresh F-ordered one where it is None), then holds G with its diagonal
+    zeroed: a product G v - diag(G) v would lose the off-diagonal sums, which
+    heavy tails make far smaller than the diagonal, to the rounding of the
+    diagonal terms.  ``out`` may be the Gram itself, but only with
+    ``gram_max``: G's diagonal is then zeroed in place, with no copy, and
+    nothing else of G is written; any other ``out`` that shares memory with
+    G is refused, and G is never written.  As in ``centered_covariance``,
+    products read one triangle of G, so with ``gram_max`` the other may be
+    unset.
     """
     if not a_np > 0.0:
         raise ValueError(f"a_np must be positive, got {a_np}")
     g = np.asarray(gram, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {g.shape}")
-    if out is not None and np.shares_memory(g, out):
-        raise ValueError("out shares memory with the matrix")
+    # Without gram_max, the symmetry check would write G - Gᵀ over G.
+    in_place = out is g and gram_max is not None
+    if not in_place and out is not None and np.shares_memory(g, out):
+        raise ValueError("out shares memory with the matrix, which only the matrix itself with gram_max may")
     zeroed = np.empty(g.shape, order="F") if out is None else out
     g_max = _checked_scale(g, zeroed)[0] if gram_max is None else gram_max
     # The copy goes in F order, where _lower reads it back without a copy.
     target = zeroed.T if zeroed.flags.c_contiguous else zeroed
-    np.copyto(target, _lower(g))
+    if not in_place:
+        np.copyto(target, _lower(g))
     np.fill_diagonal(target, 0.0)
     return spectral_norm(_SymmetricOperator(g.shape[0], _symv(_lower(target)), g_max)) / (a_np * a_np)
 

@@ -313,14 +313,14 @@ class TestNormStage:
         operators = []
         build = experiment.centered_covariance
 
-        def keep(*args, **kwargs):
-            operators.append(build(*args, **kwargs))
+        def keep(gram, *args, **kwargs):
+            # The trial zeroes its Gram's diagonal after ||S||, so the kept
+            # operator reads an F-ordered copy of the Gram as it was built on.
+            operators.append(build(np.array(gram, order="F"), *args, **kwargs))
             return operators[-1]
 
         monkeypatch.setattr(experiment, "centered_covariance", keep)
         record = run_trial(config.template.spec(p, n, derive_seed(config.seed, n, 0)))
-        # The operator reads the workspace's Gram, which no later trial has
-        # overwritten.
         [op] = operators
         a2 = record.a_np * record.a_np
         products = []
@@ -567,6 +567,19 @@ class TestTrialWorkspace:
         keys = [ws.key for ws in handed]
         assert keys[0] == keys[2] != keys[1]
         assert handed[0] is not handed[2]
+
+    def test_the_gram_is_the_one_square_array(self):
+        # The off-diagonal norm zeroes the Gram's diagonal in place, after the
+        # trial's last read of it, so the workspace holds no m x m scratch.
+        import heavyspec.experiment as experiment
+
+        spec = EnsembleSpec(model=MODEL15, filter=_fs((1.0, 0.5), (1.0, 0.5)), p=37, n=200, seed=3)
+        run_trial(spec)
+        ws = experiment._LOCAL.workspace
+        m = ws.key[0]
+        squares = [a for a in _workspace_arrays(ws) if a.shape == (m, m)]
+        assert len(squares) == 1 and squares[0] is ws.gram
+        assert np.array_equal(np.diag(ws.gram), np.zeros(m))
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor faults as Linux reports them")
     def test_trials_of_one_shape_fault_in_no_heap(self):

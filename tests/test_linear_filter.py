@@ -1,5 +1,6 @@
 """Tests for coefficient windows and the two-stage linear filter."""
 
+import itertools
 import re
 
 import numpy as np
@@ -88,6 +89,47 @@ class TestWindowSum:
         assert np.array_equal(out, expect)
         # A window over a 1-d array, the windowed diagonal's case.
         assert np.array_equal(window_sum(self.W, a[0], 10), self._lag_loop(self.W, a[0], 10))
+
+    # Signed zeros, infinities, NaN, subnormals and finite values whose
+    # products and sums overflow.
+    SPECIAL = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310, 1.5, -3.25, 1e308, -1e308)
+
+    @staticmethod
+    def _first_term_first(w, a, size):
+        # The first lag's product, then each later lag's added to it: the
+        # order window_sum keeps for any first coefficient but 1.0.
+        lagged = [a[w.max_lag - k : w.max_lag - k + size] for k in w.lags]
+        out = w.values[0] * lagged[0]
+        for v, x in zip(w.values[1:], lagged[1:]):
+            out = out + v * x
+        return out
+
+    @pytest.mark.parametrize("values", [(1.0,), (1.0, 0.5), (1.0, -0.75, 2.0), (1.0, 0.0, 1.0)])
+    def test_unit_first_coefficient_keeps_the_bits(self, values):
+        # Every combination of special entries in one window: the unit first
+        # tap's sum has the bits of the product-first order, and the lag
+        # loop's value.  IEEE 754 does not say which of two NaNs a sum
+        # returns, so NaNs compare by place alone.
+        w = CoefficientSequence(values, min_lag=-1)
+        a = np.array(list(itertools.product(self.SPECIAL, repeat=len(values)))).T.copy()
+        with np.errstate(all="ignore"):
+            got = window_sum(w, a, 1)
+            expect = self._first_term_first(w, a, 1)
+            loop = self._lag_loop(w, a, 1)
+        nan = np.isnan(expect)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got.view(np.uint64)[~nan], expect.view(np.uint64)[~nan])
+        assert np.array_equal(got, loop, equal_nan=True)
+        # Along the last axis through transposed views, into out and scratch.
+        rng = np.random.default_rng(len(values))
+        b = rng.choice(np.array(self.SPECIAL), size=(5, 40))
+        out, scratch = np.full((5, 40 - len(values) + 1), np.nan), np.full((5, 40 - len(values) + 1), np.nan)
+        with np.errstate(all="ignore"):
+            window_sum(w, b.T, out.shape[1], out.T, scratch.T)
+            expect = self._first_term_first(w, b.T, out.shape[1]).T
+        nan = np.isnan(expect)
+        assert np.array_equal(np.isnan(out), nan)
+        assert np.array_equal(out.view(np.uint64)[~nan], expect.view(np.uint64)[~nan])
 
 
 class TestBuildRowProcess:

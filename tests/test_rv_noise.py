@@ -412,6 +412,36 @@ class TestSignThreshold:
         assert np.array_equal(negative, ~(u < q))
 
 
+class TestHalfMixture:
+    """At q = 1/2, ``_mixture_unit`` reads the sign off bit 63 of the hash and
+    the uniform off an exponent OR and one subtraction."""
+
+    @staticmethod
+    def _integer_formula(h):
+        # The general branch's steps at t = 2**52: the sign bit of
+        # (t - 1) - m, wrapping, and u = (m mod 2**52 + 0.5) 2**-52.
+        m = h >> np.uint64(11)
+        with np.errstate(over="ignore"):
+            sign = (np.uint64(2**52 - 1) - m) & np.uint64(1 << 63)
+        u = ((m & np.uint64(2**52 - 1)).astype(np.float64) + 0.5) * 2.0**-52
+        return sign, u
+
+    def test_values_and_signs_equal_the_integer_formula_bit_for_bit(self):
+        assert rvn._sign_threshold(0.5) == 2**52
+        ends = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1], dtype=np.uint64)
+        edges = np.concatenate([(ends << np.uint64(11)) | np.uint64(low) for low in (0, 2047)])
+        rng = np.random.default_rng(52)
+        h = np.concatenate([edges, rng.integers(0, 2**64, size=10**5, dtype=np.uint64, endpoint=False)])
+        expect_sign, expect_u = self._integer_formula(h)
+        sign, u = np.empty_like(h), np.full(h.shape, np.nan)
+        assert rvn._mixture_unit(h.copy(), 2**52, sign, u) is u
+        assert np.array_equal(sign, expect_sign)
+        assert np.array_equal(u.view(np.uint64), expect_u.view(np.uint64))
+        # Both branches reach both ends of (0, 1]: 2**-53 and 1 - 2**-53.
+        assert u[:6].tolist() == [2.0**-53, 3 * 2.0**-53, 1 - 2.0**-53] * 2
+        assert sign[:6].tolist() == [0] * 3 + [1 << 63] * 3
+
+
 class TestMixtureLaw:
     """One uniform gives both the sign and the magnitude: the sign is
     negative with probability 1 - q, and |Z| has the same law given either

@@ -276,6 +276,33 @@ class TestOffdiagDeviation:
             offdiag_deviation(g, 1.0, out=g)
         assert np.array_equal(g, [[4.0, 1.0], [1.0, 3.0]])
 
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_in_place_on_the_gram_gives_the_same_bits(self, order):
+        # run_trial's call: out is the Gram itself, whose diagonal is zeroed
+        # and nothing else written.  F-ordered, the run path's Gram, with
+        # its upper triangle unset; C-ordered, a full symmetric one.
+        rng = np.random.default_rng(19)
+        x = rng.standard_t(1.5, size=(9, 30))
+        g = np.array(x @ x.T, order=order)
+        if order == "F":
+            g[np.triu_indices(9, 1)] = np.nan
+        g_max = spectral._diagonal_bound(g)
+        expect = offdiag_deviation(g, 2.0, gram_max=g_max, out=np.empty((9, 9)))
+        before = g.copy()
+        assert offdiag_deviation(g, 2.0, gram_max=g_max, out=g) == expect
+        assert np.array_equal(np.diag(g), np.zeros(9))
+        off = ~np.eye(9, dtype=bool)
+        assert np.array_equal(g.view(np.uint64)[off], before.view(np.uint64)[off])
+
+    def test_refuses_the_gram_as_out_without_a_bound_and_any_other_overlap(self):
+        # Without gram_max the check would write G - Gᵀ over G; with it, only
+        # the Gram itself may be out, not a view of it.
+        g = np.array([[4.0, 1.0], [1.0, 3.0]])
+        for out, gram_max in ((g, None), (g.T, 4.0), (g[:, :], 4.0)):
+            with pytest.raises(ValueError, match="out shares memory with the matrix"):
+                offdiag_deviation(g, 1.0, gram_max=gram_max, out=out)
+        assert np.array_equal(g, [[4.0, 1.0], [1.0, 3.0]])
+
     @pytest.mark.parametrize("function", GRAM_FUNCTIONS)
     @pytest.mark.parametrize("gram", [[[0.0, 1.0], [0.0, 0.0]], [[2.0, 1.0], [0.0, 3.0]]])
     def test_refuses_asymmetric_gram(self, gram, function):
