@@ -240,7 +240,7 @@ def offdiag_deviation(
     # Without gram_max, the symmetry check would write G - Gᵀ over G.
     in_place = out is g and gram_max is not None
     if not in_place and out is not None and np.shares_memory(g, out):
-        raise ValueError("out shares memory with the matrix, which only the matrix itself with gram_max may")
+        raise ValueError("out shares memory with the matrix (only the matrix itself may be out, and only with gram_max)")
     zeroed = np.empty(g.shape, order="F") if out is None else out
     g_max = _checked_scale(g, zeroed)[0] if gram_max is None else gram_max
     # The copy goes in F order, where _lower reads it back without a copy.

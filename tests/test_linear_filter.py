@@ -104,32 +104,31 @@ class TestWindowSum:
             out = out + v * x
         return out
 
+    @staticmethod
+    def _assert_same_bits(got, expect):
+        # IEEE 754 does not say which of two NaNs a sum returns, so NaNs
+        # compare by place alone.
+        nan = np.isnan(expect)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got.view(np.uint64)[~nan], expect.view(np.uint64)[~nan])
+
     @pytest.mark.parametrize("values", [(1.0,), (1.0, 0.5), (1.0, -0.75, 2.0), (1.0, 0.0, 1.0)])
     def test_unit_first_coefficient_keeps_the_bits(self, values):
         # Every combination of special entries in one window: the unit first
         # tap's sum has the bits of the product-first order, and the lag
-        # loop's value.  IEEE 754 does not say which of two NaNs a sum
-        # returns, so NaNs compare by place alone.
+        # loop's value.
         w = CoefficientSequence(values, min_lag=-1)
         a = np.array(list(itertools.product(self.SPECIAL, repeat=len(values)))).T.copy()
         with np.errstate(all="ignore"):
             got = window_sum(w, a, 1)
-            expect = self._first_term_first(w, a, 1)
-            loop = self._lag_loop(w, a, 1)
-        nan = np.isnan(expect)
-        assert np.array_equal(np.isnan(got), nan)
-        assert np.array_equal(got.view(np.uint64)[~nan], expect.view(np.uint64)[~nan])
-        assert np.array_equal(got, loop, equal_nan=True)
-        # Along the last axis through transposed views, into out and scratch.
-        rng = np.random.default_rng(len(values))
-        b = rng.choice(np.array(self.SPECIAL), size=(5, 40))
-        out, scratch = np.full((5, 40 - len(values) + 1), np.nan), np.full((5, 40 - len(values) + 1), np.nan)
-        with np.errstate(all="ignore"):
-            window_sum(w, b.T, out.shape[1], out.T, scratch.T)
-            expect = self._first_term_first(w, b.T, out.shape[1]).T
-        nan = np.isnan(expect)
-        assert np.array_equal(np.isnan(out), nan)
-        assert np.array_equal(out.view(np.uint64)[~nan], expect.view(np.uint64)[~nan])
+            self._assert_same_bits(got, self._first_term_first(w, a, 1))
+            assert np.array_equal(got, self._lag_loop(w, a, 1), equal_nan=True)
+            # Along the last axis through transposed views, into out and scratch.
+            b = np.random.default_rng(len(values)).choice(np.array(self.SPECIAL), size=(5, 40))
+            size = 40 - len(values) + 1
+            out, scratch = np.full((5, size), np.nan), np.full((5, size), np.nan)
+            window_sum(w, b.T, size, out.T, scratch.T)
+            self._assert_same_bits(out, self._first_term_first(w, b.T, size).T)
 
 
 class TestBuildRowProcess:

@@ -431,7 +431,7 @@ class TestHalfMixture:
         ends = np.array([0, 1, 2**52 - 1, 2**52, 2**52 + 1, 2**53 - 1], dtype=np.uint64)
         edges = np.concatenate([(ends << np.uint64(11)) | np.uint64(low) for low in (0, 2047)])
         rng = np.random.default_rng(52)
-        h = np.concatenate([edges, rng.integers(0, 2**64, size=10**5, dtype=np.uint64, endpoint=False)])
+        h = np.concatenate([edges, rng.integers(0, 2**64, size=10**5, dtype=np.uint64)])
         expect_sign, expect_u = self._integer_formula(h)
         sign, u = np.empty_like(h), np.full(h.shape, np.nan)
         assert rvn._mixture_unit(h.copy(), 2**52, sign, u) is u
