@@ -17,7 +17,8 @@ import math
 import os
 import threading
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from itertools import islice
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
@@ -82,7 +83,11 @@ _SEED_DOMAIN = 0x7B1A15
 @dataclass(frozen=True)
 class TrialRecord:
     """Per-replicate scalars, one row of trials.csv; ``top_diag`` holds the k
-    largest row-window moving averages of the scaled centered diagonal."""
+    largest row-window moving averages of the scaled centered diagonal.
+
+    The fields, in order, are the columns of trials.csv, ``top_diag`` as
+    top1..topK: a new statistic is one int or float field plus the code in
+    ``run_trial`` that computes it."""
 
     n: int
     p: int
@@ -208,8 +213,8 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     )
 
 
-def derive_seed(base_seed: int, n: int, replicate: int) -> int:
-    """Injective (up to 64-bit hashing) per-replicate seed derivation."""
+def derive_seed(base_seed: int, n: int, replicate: int | np.ndarray) -> int | np.ndarray:
+    """Injective (up to 64-bit hashing) per-replicate seed derivation, elementwise over an array."""
     return derive_key(base_seed, _SEED_DOMAIN, n, replicate)
 
 
@@ -335,8 +340,8 @@ def run_batch(
         raise ValidationError(report)
     jobs = []
     for n, p in grid:
-        for r in range(replicates):
-            jobs.append((template.spec(p, n, derive_seed(base_seed, n, r)), r, top_k))
+        seeds = derive_seed(base_seed, n, np.arange(replicates)).tolist()
+        jobs += [(template.spec(p, n, seed), r, top_k) for r, seed in enumerate(seeds)]
     # A pool forks all its workers at once: start no more than there are jobs.
     workers = min(workers, len(jobs))
     with _one_blas_thread():
@@ -567,16 +572,24 @@ def run_checks(batch: TrialBatch, config: ExperimentConfig) -> dict:
 # Persistence.
 
 
-# The leading columns of trials.csv, one per scalar of a record; top1..topK follow.
-_TRIAL_COLUMNS = ("n", "p", "replicate", "seed", "a_np", "scaled_norm", "offdiag_dev")
+# The columns come from TrialRecord, the class: a subclass's own fields
+# (perfbench's traced records) are no columns.
+_TOP = "top_diag"
 
 
-def _trials_header(top_k: int) -> list[str]:
-    return [*_TRIAL_COLUMNS, *(f"top{i + 1}" for i in range(top_k))]
+def _schema(top_k: int) -> list[tuple[str, type, str]]:
+    """(column, int or float, field name) per column of trials.csv."""
+    # Annotations are strings in this module.
+    return [
+        (column, int if f.type == "int" else float, f.name)
+        for f in fields(TrialRecord)
+        for column in ([f"top{i}" for i in range(1, top_k + 1)] if f.name == _TOP else [f.name])
+    ]
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def _values(rec: TrialRecord) -> list:
+    """The record's numbers in column order."""
+    return [v for f in fields(TrialRecord) for v in (rec.top_diag if f.name == _TOP else [getattr(rec, f.name)])]
 
 
 def emit_report(batch: TrialBatch, checks: dict | None, out_dir: str) -> dict:
@@ -586,24 +599,14 @@ def emit_report(batch: TrialBatch, checks: dict | None, out_dir: str) -> dict:
     byte-identical for identical inputs.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    trials_path = os.path.join(out_dir, "trials.csv")
-    lines = [",".join(_trials_header(batch.top_k))]
+    paths = {"trials": os.path.join(out_dir, "trials.csv")}
+    schema = _schema(batch.top_k)
+    lines = [",".join(column for column, _, _ in schema)]
     for rec in batch.records:
-        cells = [
-            str(rec.n),
-            str(rec.p),
-            str(rec.replicate),
-            str(rec.seed),
-            _fmt(rec.a_np),
-            _fmt(rec.scaled_norm),
-            _fmt(rec.offdiag_dev),
-            *[_fmt(v) for v in rec.top_diag],
-        ]
-        lines.append(",".join(cells))
-    with open(trials_path, "w", encoding="utf-8", newline="\n") as fh:
+        cells = zip(schema, _values(rec), strict=True)
+        lines.append(",".join(str(v) if kind is int else format(float(v), ".17g") for (_, kind, _), v in cells))
+    with open(paths["trials"], "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    paths["trials"] = trials_path
     if checks is not None:
         paths["checks"] = write_checks(checks, out_dir)
     return paths
@@ -619,14 +622,18 @@ def write_checks(checks: dict, out_dir: str) -> str:
 
 def read_trials_csv(path: str) -> list[TrialRecord]:
     """Reload the trial records that ``emit_report`` wrote; refuses, in one
-    line that gives ``path:line``, a header other than ``_TRIAL_COLUMNS`` and
-    top1..topK, a row with another number of cells, a cell that is not a
-    number and a ``nan`` or ``inf`` cell, which ``run_trial`` never writes."""
+    line that gives ``path:line``, a header other than ``TrialRecord``'s
+    columns for some K, a row with another number of cells, a cell that is
+    not a number and a ``nan`` or ``inf`` cell, which ``run_trial`` never
+    writes."""
     records = []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        if header != _trials_header(len(header) - len(_TRIAL_COLUMNS)):
-            raise ValueError(f"{path}:1: header is not {','.join(_TRIAL_COLUMNS)},top1,...,topK")
+        top_k = len(header) - len(fields(TrialRecord)) + 1
+        schema = _schema(top_k)
+        if header != [column for column, _, _ in schema]:
+            expected = ",".join("top1,...,topK" if name == _TOP else column for column, _, name in _schema(1))
+            raise ValueError(f"{path}:1: header is not {expected}")
         for line_no, line in enumerate(fh, 2):
             cells = line.strip().split(",")
             if cells == [""]:
@@ -634,14 +641,15 @@ def read_trials_csv(path: str) -> list[TrialRecord]:
             if len(cells) != len(header):
                 raise ValueError(f"{path}:{line_no}: {len(cells)} cells, the header has {len(header)}")
             try:
-                n, p, replicate, seed = (int(c) for c in cells[:4])
-                a_np, scaled_norm, offdiag_dev, *top = reals = [float(c) for c in cells[4:]]
+                values = [kind(cell) for (_, kind, _), cell in zip(schema, cells)]
             except ValueError as err:
                 raise ValueError(f"{path}:{line_no}: {err}") from err
-            for name, cell, value in zip(header[4:], cells[4:], reals):
-                if not math.isfinite(value):
-                    raise ValueError(f"{path}:{line_no}: {name} is {cell}, not a finite number")
-            records.append(TrialRecord(n, p, replicate, seed, a_np, scaled_norm, offdiag_dev, tuple(top)))
+            for (column, kind, _), cell, value in zip(schema, cells, values):
+                if kind is float and not math.isfinite(value):
+                    raise ValueError(f"{path}:{line_no}: {column} is {cell}, not a finite number")
+            it = iter(values)
+            record = (tuple(islice(it, top_k)) if f.name == _TOP else next(it) for f in fields(TrialRecord))
+            records.append(TrialRecord(*record))
     return records
 
 
@@ -660,10 +668,10 @@ def batch_from_records(config: ExperimentConfig, records) -> TrialBatch:
     config's base seed derives for it, the norming constant of the config's
     tail model, and top_k top values.
 
-    Replicate 0 at each n then runs again, and its ``scaled_norm``,
-    ``offdiag_dev`` and top values (relative to the largest |top|) must
-    match the stored row to ``_RERUN_REL_TOL``; this refuses records that
-    another filter made."""
+    Replicate 0 at each n then runs again, and every float of its stored
+    row must match the rerun to ``_RERUN_REL_TOL``, each scalar relative to
+    its own size and the top values relative to the largest |top|; this
+    refuses records that another filter made."""
     p_at = dict(batch_grid(config.template, config.rule, config.n_values, config.replicates, config.top_k))
     records = tuple(records)
     cells = {(n, r) for n in p_at for r in range(config.replicates)}
@@ -675,9 +683,10 @@ def batch_from_records(config: ExperimentConfig, records) -> TrialBatch:
             f"{missing[:1]}, {len(extra)} extra {extra[:1]}, {len(found) - len(set(found))} duplicates"
         )
     a_np = {n: norming_constant(config.model, n * p) for n, p in p_at.items()}
+    seeds = {n: derive_seed(config.seed, n, np.arange(config.replicates)).tolist() for n in p_at}
     for rec in records:
         where = f"at (n, replicate) = ({rec.n}, {rec.replicate})"
-        seed = derive_seed(config.seed, rec.n, rec.replicate)
+        seed = seeds[rec.n][rec.replicate]
         if rec.p != p_at[rec.n]:
             raise _mismatch(f"p = {rec.p} at n = {rec.n}, the config gives p = {p_at[rec.n]}")
         if rec.seed != seed:
@@ -688,16 +697,13 @@ def batch_from_records(config: ExperimentConfig, records) -> TrialBatch:
             raise _mismatch(f"{len(rec.top_diag)} top values {where}, the config's top_k is {config.top_k}")
     stored = {(rec.n, rec.replicate): rec for rec in records}
     rerun = run_batch(config.template, config.rule, config.n_values, 1, config.seed, top_k=config.top_k)
+    schema = _schema(config.top_k)
     for want in rerun.records:
         got = stored[(want.n, 0)]
         top_scale = max(abs(v) for v in want.top_diag)
-        values = [
-            ("scaled_norm", got.scaled_norm, want.scaled_norm, 0.0),
-            ("offdiag_dev", got.offdiag_dev, want.offdiag_dev, 0.0),
-            *[(f"top{i}", g, w, top_scale) for i, (g, w) in enumerate(zip(got.top_diag, want.top_diag), 1)],
-        ]
-        for name, g, w, scale in values:
-            if not abs(g - w) <= _RERUN_REL_TOL * max(abs(g), abs(w), scale):
+        for (column, kind, name), g, w in zip(schema, _values(got), _values(want), strict=True):
+            scale = top_scale if name == _TOP else 0.0
+            if kind is float and not abs(g - w) <= _RERUN_REL_TOL * max(abs(g), abs(w), scale):
                 where = f"at (n, replicate) = ({want.n}, 0)"
-                raise _mismatch(f"{name} = {g!r} {where}, a rerun of the config gives {w!r}")
+                raise _mismatch(f"{column} = {g!r} {where}, a rerun of the config gives {w!r}")
     return TrialBatch(config.model, config.filter, config.n_values, config.top_k, records)

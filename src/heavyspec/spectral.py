@@ -267,7 +267,7 @@ def _start_vector(dim: int) -> np.ndarray:
     return v0
 
 
-def spectral_norm(m, out: np.ndarray | None = None) -> float:
+def spectral_norm(m) -> float:
     """Largest absolute eigenvalue of a symmetric operator from
     ``centered_covariance`` or ``offdiag_deviation``, or of a dense symmetric
     matrix, by ARPACK.
@@ -283,10 +283,6 @@ def spectral_norm(m, out: np.ndarray | None = None) -> float:
     vector is counter-based, so the result is deterministic.  ARPACK runs at
     ``_ARPACK_TOL`` with ``_ARPACK_NCV`` Lanczos vectors and at most
     ``_MAX_RESTARTS`` restarts.
-
-    ``out``, for a dense matrix, is an array of its shape that shares no
-    memory with it: it holds A - Aᵀ for the symmetry check and then the
-    symmetrized matrix; it is a fresh array where it is None.
     """
     if isinstance(m, _SymmetricOperator):
         op = m
@@ -294,12 +290,9 @@ def spectral_norm(m, out: np.ndarray | None = None) -> float:
         a = np.asarray(m, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if out is not None and np.shares_memory(a, out):
-            raise ValueError("out shares memory with the matrix")
-        scale, asym = _checked_scale(a, out)
+        scale, asym = _checked_scale(a)
         if asym != 0.0:
-            a = np.add(a, a.T, out=out)
-            a *= 0.5
+            a = (a + a.T) * 0.5
             scale = _max_abs(a)
         op = _SymmetricOperator(a.shape[0], _symv(_lower(a)), scale)
     if op.bound == 0.0:

@@ -8,13 +8,16 @@ import multiprocessing
 import os
 import re
 import sys
+import tempfile
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heavyspec.experiment import (
     DimensionRule,
@@ -796,6 +799,14 @@ class TestRunBatch:
         seeds = {derive_seed(7, n, r) for n in (100, 200, 400) for r in range(500)}
         assert len(seeds) == 1500
 
+    @pytest.mark.parametrize("base_seed", [0, 1, 7919, 2**64 - 1, -5])
+    def test_array_seeds_equal_scalar_ones(self, base_seed):
+        # run_batch and batch_from_records derive each n's seeds in one call.
+        for n in (40, 1000):
+            seeds = derive_seed(base_seed, n, np.arange(500))
+            assert seeds.dtype == np.uint64
+            assert seeds.tolist() == [derive_seed(base_seed, n, r) for r in range(500)]
+
     def test_rejects_top_k_outside_one_to_p(self):
         template = EnsembleTemplate(model=MODEL15, filter=SPIKE)
         rule = DimensionRule(beta=0.5, p_max=3)
@@ -1049,6 +1060,56 @@ class TestEmitAndReload:
         assert header == "n,p,replicate,seed,a_np,scaled_norm,offdiag_dev,top1,top2,top3"
         assert read_trials_csv(paths["trials"]) == list(batch.records)
         assert len(batch.records) == 8
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda top_k: st.lists(
+                st.builds(
+                    TrialRecord,
+                    n=st.integers(1, 10**6),
+                    p=st.integers(1, 10**4),
+                    replicate=st.integers(0, 10**6),
+                    seed=st.integers(0, 2**64 - 1),
+                    a_np=st.floats(allow_nan=False, allow_infinity=False),
+                    scaled_norm=st.floats(allow_nan=False, allow_infinity=False),
+                    offdiag_dev=st.floats(allow_nan=False, allow_infinity=False),
+                    top_diag=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * top_k),
+                ),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    @example(
+        [
+            TrialRecord(
+                n=1,
+                p=2,
+                replicate=0,
+                seed=2**64 - 1,
+                a_np=-0.0,
+                scaled_norm=5e-324,
+                offdiag_dev=-1.7976931348623157e308,
+                top_diag=(1.7976931348623157e308, -0.0),
+            )
+        ]
+    )
+    def test_csv_roundtrip_is_exact(self, records):
+        # Every finite float, -0.0 and subnormals included, and every 64-bit
+        # seed come back with their bits; the header is TrialRecord's scalar
+        # fields, then top1..topK.
+        top_k = len(records[0].top_diag)
+        batch = TrialBatch(MODEL15, SPIKE, (1,), top_k, tuple(records))
+        with tempfile.TemporaryDirectory() as out_dir:
+            path = emit_report(batch, None, out_dir)["trials"]
+            with open(path, encoding="utf-8") as fh:
+                header = fh.readline().strip().split(",")
+            read = read_trials_csv(path)
+        scalars = [f.name for f in fields(TrialRecord) if f.name != "top_diag"]
+        assert header == [*scalars, *(f"top{i}" for i in range(1, top_k + 1))]
+        assert read == records
+        assert repr(read) == repr(records)
 
     def test_checks_json_written(self, tmp_path):
         batch = self._small_batch()
