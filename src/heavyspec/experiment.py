@@ -41,7 +41,6 @@ from .rv_noise import derive_key, norming_constant, sample_noise
 from .spectral import (
     _ARPACK_TOL,
     SpectralNormError,
-    _diagonal_bound,
     centered_covariance,
     centered_gram_diag,
     mu_x_alpha,
@@ -123,8 +122,8 @@ class _TrialWorkspace:
     ``key`` is (panel rows m, panel columns, n, p, block rows).  The m x m
     Gram is the only square array, F-ordered and used by its lower triangle
     alone: S is an operator on the Gram, whose products need only vectors,
-    and ``offdiag_deviation`` zeroes the Gram's diagonal in place, after the
-    last read of it.
+    and ``offdiag_deviation`` zeroes the Gram's diagonal for its solve and
+    restores it, with no copy.
     """
 
     def __init__(self, key: tuple[int, int, int, int, int]):
@@ -163,9 +162,8 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     filter acts within a row, so the blocks give the same bits as one full
     panel.  Every statistic then comes from the one Gram product of the rows,
     BLAS ``dsyrk`` into the lower triangle of the workspace's Gram: S, the
-    off-diagonal part and the centered diagonal.  The Gram is checked once,
-    in O(m): its largest diagonal entry must be finite, and it bounds every
-    entry, so both operators take it instead of checking G again.
+    off-diagonal part and the centered diagonal.  Each norm checks the Gram
+    in O(m), from its diagonal, and leaves it as it was.
 
     Every large array lives in this thread's workspace for the trial's
     shape, so a trial after the first of its shape allocates none.
@@ -191,14 +189,12 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     gram = dsyrk(1.0, ws.x_rows.T, trans=1, lower=1, c=ws.gram, overwrite_c=1)
     d_tilde = centered_gram_diag(gram, n, mu, out=ws.d_tilde)
 
-    g_max = _diagonal_bound(gram)
-    # Both operators take the bound and read the lower triangle alone.  They
-    # are called through this module's names, with the Gram first:
-    # perfbench's tracer wraps them and reads the Gram's shape.  The
-    # off-diagonal norm comes last, as it zeroes the Gram's diagonal in place.
+    # Both norms read the lower triangle alone.  They are called through
+    # this module's names, with the Gram first: perfbench's tracer wraps
+    # them and reads the Gram's shape.
     a2 = a_np * a_np
-    scaled = spectral_norm(centered_covariance(gram, theta, p, n, mu, gram_max=g_max)) / a2
-    offdiag = offdiag_deviation(gram, a_np, gram_max=g_max, out=gram)
+    scaled = spectral_norm(centered_covariance(gram, theta, p, n, mu)) / a2
+    offdiag = offdiag_deviation(gram, a_np)
 
     top = np.sort(window_sum(theta, d_tilde, p) / a2)[::-1][:top_k]
     return TrialRecord(
@@ -623,7 +619,7 @@ def write_checks(checks: dict, out_dir: str) -> str:
 def read_trials_csv(path: str) -> list[TrialRecord]:
     """Reload the trial records that ``emit_report`` wrote; refuses, in one
     line that gives ``path:line``, a header other than ``TrialRecord``'s
-    columns for some K, a row with another number of cells, a cell that is
+    columns for some K >= 1, a row with another number of cells, a cell that is
     not a number and a ``nan`` or ``inf`` cell, which ``run_trial`` never
     writes."""
     records = []
@@ -631,7 +627,7 @@ def read_trials_csv(path: str) -> list[TrialRecord]:
         header = fh.readline().strip().split(",")
         top_k = len(header) - len(fields(TrialRecord)) + 1
         schema = _schema(top_k)
-        if header != [column for column, _, _ in schema]:
+        if top_k < 1 or header != [column for column, _, _ in schema]:
             expected = ",".join("top1,...,topK" if name == _TOP else column for column, _, name in _schema(1))
             raise ValueError(f"{path}:1: header is not {expected}")
         for line_no, line in enumerate(fh, 2):

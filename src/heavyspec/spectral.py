@@ -6,9 +6,8 @@ S v costs one product with G plus a few short window sums.  Every row of the
 centering matrix H carries the same short theta window, so H Hᵀ is a
 symmetric banded Toeplitz matrix whose product with a vector is one window
 sum of the window's autocorrelation, without forming H.  The off-diagonal
-part is G with its diagonal zeroed, in an array of G's shape or, for a caller
-that no longer needs that diagonal, in G itself, and the centered diagonal is
-read off G.
+part is G with its diagonal zeroed for the solve and restored after it, and
+the centered diagonal is read off G.
 
 Every product with G, or with a dense symmetric matrix, is one BLAS
 ``dsymv`` on the lower triangle of an F-ordered array: the operator ARPACK
@@ -16,9 +15,10 @@ sees is symmetric by construction, and the upper triangle is never read.  A
 C-ordered symmetric matrix goes in as its F-ordered transpose view, so the
 run path's Gram, which ``run_trial`` writes as one lower triangle with
 ``dsyrk``, and a library caller's full one take the same product.  Both
-operators check that G is finite and symmetric to 1e-12 of its largest
-entry, unless the caller hands them a bound ``gram_max`` on its entries, as
-``run_trial`` does once per trial from G's diagonal alone (``_diagonal_bound``).
+Gram functions check G in O(m), from its diagonal alone: the largest
+absolute diagonal entry must be finite, and it bounds every entry of a Gram
+(``_diagonal_bound``); a non-finite entry off the diagonal is refused when
+the norm is solved.  Both leave G as they found it.
 Spectral norms of these operators and of dense symmetric matrices come from
 one ARPACK call (``scipy.sparse.linalg.eigsh``), which needs only
 matrix-vector products, at ``_ARPACK_NCV`` Lanczos vectors per restart cycle,
@@ -107,28 +107,30 @@ def _max_abs(a: np.ndarray) -> float:
     return max(float(a.max()), -float(a.min()))
 
 
-def _checked_scale(a: np.ndarray, out: np.ndarray | None = None) -> tuple[float, float]:
-    """The largest absolute entries of A and of A - Aᵀ, which is written into
-    ``out`` (a fresh array where it is None); refuses a non-finite A and one
-    not symmetric to 1e-12 of its largest absolute entry."""
+def _finite_max_abs(a: np.ndarray) -> float:
+    """The largest absolute entry of A; refuses a non-finite A."""
     scale = _max_abs(a)
     if not math.isfinite(scale):
         raise ValueError("matrix contains non-finite entries")
-    asym = _max_abs(np.subtract(a, a.T, out=out))
+    return scale
+
+
+def _checked_scale(a: np.ndarray) -> tuple[float, float]:
+    """The largest absolute entries of A and of A - Aᵀ; refuses a non-finite
+    A and one not symmetric to 1e-12 of its largest absolute entry."""
+    scale = _finite_max_abs(a)
+    asym = _max_abs(a - a.T)
     if asym > 1e-12 * scale:
         raise ValueError(f"matrix is not symmetric: |A - Aᵀ| = {asym:g} vs scale {scale:g}")
     return scale, asym
 
 
 def _diagonal_bound(gram: np.ndarray) -> float:
-    """max diag G, which bounds every entry of a Gram matrix G = X Xᵀ, since
-    |G_ij| <= √(G_ii G_jj); refuses a non-finite diagonal.  A non-finite
-    entry of X makes its row's diagonal entry non-finite, so this O(m) pass
-    refuses every Gram that holds one."""
-    bound = float(np.diagonal(gram).max())
-    if not math.isfinite(bound):
-        raise ValueError("matrix contains non-finite entries")
-    return bound
+    """max |diag G|, which bounds every entry of a Gram matrix G = X Xᵀ,
+    since |G_ij| <= √(G_ii G_jj); refuses a non-finite diagonal.  A
+    non-finite entry of X makes its row's diagonal entry non-finite, so this
+    O(m) pass refuses every Gram of such an X."""
+    return _finite_max_abs(np.diagonal(gram))
 
 
 def _lower(a: np.ndarray) -> np.ndarray:
@@ -146,16 +148,12 @@ def _symv(lower: np.ndarray):
     return functools.partial(dsymv, 1.0, lower, lower=1)
 
 
-def centered_covariance(
-    gram: np.ndarray, theta: CoefficientSequence, p: int, n: int, mu: float, *, gram_max: float | None = None
-) -> LinearOperator:
+def centered_covariance(gram: np.ndarray, theta: CoefficientSequence, p: int, n: int, mu: float) -> LinearOperator:
     """S = T G Tᵀ - n * mu * H Hᵀ as a symmetric p x p operator on the Gram
-    matrix G, which must be finite and symmetric to 1e-12 of its largest
-    absolute entry; ``S @ np.eye(p)`` forms it.  ``gram_max`` is a bound on
-    |G| from a caller that checked G already, such as ``_diagonal_bound``'s;
-    without it, this function checks.  Products read only the lower
-    triangle of an F-ordered G (the upper one of a C-ordered G), so a caller
-    that passes ``gram_max`` may leave the other triangle unset.
+    matrix G; ``S @ np.eye(p)`` forms it.  G's largest absolute diagonal
+    entry must be finite, and bounds its entries (``_diagonal_bound``).
+    Products read only the lower triangle of an F-ordered G (the upper one
+    of a C-ordered G), so the other triangle may be unset.
 
     G is the Gram matrix of the time-filtered rows 1 - theta.max_lag through
     p - theta.min_lag, and T applies the full theta window across them, so
@@ -173,7 +171,7 @@ def centered_covariance(
     m = p + len(theta.values) - 1
     if g.shape != (m, m):
         raise ValueError(f"gram must be {m} x {m} for p = {p}, got shape {g.shape}")
-    g_max = _checked_scale(g)[0] if gram_max is None else gram_max
+    g_max = _diagonal_bound(g)
     lower = _lower(g)
     pad = len(theta.values) - 1
     reversed_theta = CoefficientSequence(theta.values[::-1], min_lag=-theta.max_lag)
@@ -212,43 +210,33 @@ def centered_gram_diag(gram: np.ndarray, n: int, mu: float, out: np.ndarray | No
     return np.subtract(np.diagonal(gram), n * mu, out=out)
 
 
-def offdiag_deviation(
-    gram: np.ndarray, a_np: float, *, gram_max: float | None = None, out: np.ndarray | None = None
-) -> float:
+def offdiag_deviation(gram: np.ndarray, a_np: float) -> float:
     """a_np^-2 times the spectral norm of the Gram matrix X Xᵀ with its
     diagonal zeroed.
 
-    The Gram must be square, finite and symmetric to 1e-12 of its largest
-    absolute entry.  ``gram_max`` is a bound on |G| from a caller that
-    checked G already, such as ``_diagonal_bound``'s; without it, this
-    function checks, with G - Gᵀ in ``out``.  ``out``, an array of G's shape
-    (a fresh F-ordered one where it is None), then holds G with its diagonal
-    zeroed: a product G v - diag(G) v would lose the off-diagonal sums, which
-    heavy tails make far smaller than the diagonal, to the rounding of the
-    diagonal terms.  ``out`` may be the Gram itself, but only with
-    ``gram_max``: G's diagonal is then zeroed in place, with no copy, and
-    nothing else of G is written; any other ``out`` that shares memory with
-    G is refused, and G is never written.  As in ``centered_covariance``,
-    products read one triangle of G, so with ``gram_max`` the other may be
-    unset.
+    G must be square, and its largest absolute diagonal entry finite; it
+    bounds G's entries (``_diagonal_bound``).  As in
+    ``centered_covariance``, products read one triangle of G, so the other
+    may be unset.  The diagonal of the array the products read is saved,
+    zeroed for the solve and put back before this returns or raises, so G
+    is left as it was and no m x m copy is made: a product G v - diag(G) v
+    would lose the off-diagonal sums, which heavy tails make far smaller
+    than the diagonal, to the rounding of the diagonal terms.  G must be
+    writable, and no other thread may read it meanwhile.
     """
     if not a_np > 0.0:
         raise ValueError(f"a_np must be positive, got {a_np}")
     g = np.asarray(gram, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {g.shape}")
-    # Without gram_max, the symmetry check would write G - Gᵀ over G.
-    in_place = out is g and gram_max is not None
-    if not in_place and out is not None and np.shares_memory(g, out):
-        raise ValueError("out shares memory with the matrix (only the matrix itself may be out, and only with gram_max)")
-    zeroed = np.empty(g.shape, order="F") if out is None else out
-    g_max = _checked_scale(g, zeroed)[0] if gram_max is None else gram_max
-    # The copy goes in F order, where _lower reads it back without a copy.
-    target = zeroed.T if zeroed.flags.c_contiguous else zeroed
-    if not in_place:
-        np.copyto(target, _lower(g))
-    np.fill_diagonal(target, 0.0)
-    return spectral_norm(_SymmetricOperator(g.shape[0], _symv(_lower(target)), g_max)) / (a_np * a_np)
+    bound = _diagonal_bound(g)
+    lower = _lower(g)
+    diagonal = np.diagonal(lower).copy()
+    np.fill_diagonal(lower, 0.0)
+    try:
+        return spectral_norm(_SymmetricOperator(g.shape[0], _symv(lower), bound)) / (a_np * a_np)
+    finally:
+        np.fill_diagonal(lower, diagonal)
 
 
 def _prescale_exponent(bound: float) -> int:
@@ -301,7 +289,8 @@ def spectral_norm(m) -> float:
     down, up = math.ldexp(1.0, -e), math.ldexp(1.0, e)
     dim = op.shape[0]
     if dim == 1:
-        return abs(float(op.product(np.array([down]))[0])) * up
+        # abs: max(-0.0, 0.0) is -0.0.
+        return abs(_finite_max_abs(op.product(np.array([down])))) * up
     v0 = _start_vector(dim)
     scaled = LinearOperator(op.shape, matvec=lambda v: op.product(v * down), dtype=float)
     try:
@@ -314,10 +303,11 @@ def spectral_norm(m) -> float:
             f"ARPACK did not converge within {_MAX_RESTARTS} restarts at tolerance {_ARPACK_TOL:g}"
         ) from err
     except ArpackError:
-        # ARPACK stops where the start vector maps to zero; v0 has no zero
-        # entry, so that is the zero operator, such as a diagonal Gram's
-        # off-diagonal part.
-        if np.any(op.product(v0 * down)):
+        # ARPACK stops where a product is not finite, such as that of a Gram
+        # with a non-finite entry off its diagonal, which is refused here, or
+        # where the start vector maps to zero; v0 has no zero entry, so that
+        # is the zero operator, such as a diagonal Gram's off-diagonal part.
+        if _finite_max_abs(op.product(v0 * down)):
             raise
         return 0.0
     return abs(float(w[0])) * up

@@ -321,6 +321,10 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
                 ("nan_cell", "nan_cell/trials.csv:3: scaled_norm is nan, not a finite number"),
                 ("inf_cell", "inf_cell/trials.csv:2: offdiag_dev is inf, not a finite number"),
                 ("minus_inf_cell", "minus_inf_cell/trials.csv:3: top1 is -inf, not a finite number"),
+                (
+                    "no_top",
+                    "no_top/trials.csv:1: header is not n,p,replicate,seed,a_np,scaled_norm,offdiag_dev,top1,...,topK",
+                ),
             )
         ],
         ("check --config {config} --out {tmp}/bad_header", "bad_header/trials.csv:1: header is not n,p,"),
@@ -454,6 +458,7 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         ("nan_cell", [header, good, "40,6,1,118,1.5,nan,0.125,0.5,0.25,0.125"]),
         ("inf_cell", [header, "40,6,0,117,1.5,0.25,inf,0.5,0.25,0.125", good]),
         ("minus_inf_cell", [header, good, "40,6,1,118,1.5,0.25,0.125,-inf,0.25,0.125"]),
+        ("no_top", [header.split(",top1")[0], "40,6,0,117,1.5,0.25,0.125"]),
     ):
         (tmp_path / name).mkdir()
         (tmp_path / name / "trials.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")

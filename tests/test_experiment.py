@@ -236,30 +236,30 @@ class TestRunTrial:
 
 
 class TestNormStage:
-    """``run_trial`` writes one triangle of its Gram, checks the Gram once in
-    O(m) and hands both operators the bound."""
+    """``run_trial`` writes one triangle of its Gram and hands it to both norm
+    functions, which check it in O(m) from its diagonal and leave it whole."""
 
     SPEC = EnsembleSpec(model=MODEL15, filter=_fs((1.0, 0.5), (1.0, 0.5)), p=37, n=80, seed=13)
 
-    def test_gram_is_checked_once_per_trial(self, monkeypatch):
-        # The one check reads the Gram's diagonal; no m x m check pass
+    def test_gram_is_checked_from_its_diagonal_alone(self, monkeypatch):
+        # Each norm function checks the Gram's diagonal; no m x m check pass
         # (finite and symmetric over every entry) runs in a trial.
-        import heavyspec.experiment as experiment
         from heavyspec import spectral
 
-        calls = []
+        shapes = []
+        max_abs = spectral._max_abs
 
-        def full_pass(a, out=None):
+        def full_pass(a):
             raise AssertionError(f"an m x m check pass ran on shape {a.shape}")
 
-        def diagonal(gram):
-            calls.append(gram.shape)
-            return spectral._diagonal_bound(gram)
+        def recording(a):
+            shapes.append(a.shape)
+            return max_abs(a)
 
         monkeypatch.setattr(spectral, "_checked_scale", full_pass)
-        monkeypatch.setattr(experiment, "_diagonal_bound", diagonal)
+        monkeypatch.setattr(spectral, "_max_abs", recording)
         record = run_trial(self.SPEC)
-        assert calls == [(38, 38)]
+        assert shapes == [(38,), (38,)]
         monkeypatch.undo()
         assert record == run_trial(self.SPEC)
 
@@ -281,11 +281,12 @@ class TestNormStage:
         assert gram.flags.f_contiguous
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-    def test_nan_row_is_refused_by_the_one_check(self, monkeypatch, bad):
+    def test_nan_row_is_refused_before_any_product(self, monkeypatch, bad):
         # A NaN or an infinity in the row process makes its row's diagonal
-        # Gram entry non-finite; the trial stops at the run path's check,
-        # before either operator is built.
+        # Gram entry non-finite; the trial stops at the diagonal check of the
+        # first norm function, before ARPACK takes a product.
         import heavyspec.experiment as experiment
+        from heavyspec import spectral
 
         build = experiment.build_row_process
 
@@ -296,11 +297,11 @@ class TestNormStage:
             return x
 
         def unreached(*args, **kwargs):
-            raise AssertionError("an operator was built on a non-finite Gram")
+            raise AssertionError("a norm was solved on a non-finite Gram")
 
         monkeypatch.setattr(experiment, "build_row_process", poisoned)
-        monkeypatch.setattr(experiment, "centered_covariance", unreached)
-        monkeypatch.setattr(experiment, "offdiag_deviation", unreached)
+        monkeypatch.setattr(experiment, "spectral_norm", unreached)
+        monkeypatch.setattr(spectral, "spectral_norm", unreached)
         with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
             run_trial(self.SPEC)
 
@@ -317,9 +318,7 @@ class TestNormStage:
         build = experiment.centered_covariance
 
         def keep(gram, *args, **kwargs):
-            # The trial zeroes its Gram's diagonal after ||S||, so the kept
-            # operator reads an F-ordered copy of the Gram as it was built on.
-            operators.append(build(np.array(gram, order="F"), *args, **kwargs))
+            operators.append(build(gram, *args, **kwargs))
             return operators[-1]
 
         monkeypatch.setattr(experiment, "centered_covariance", keep)
@@ -572,8 +571,9 @@ class TestTrialWorkspace:
         assert handed[0] is not handed[2]
 
     def test_the_gram_is_the_one_square_array(self):
-        # The off-diagonal norm zeroes the Gram's diagonal in place, after the
-        # trial's last read of it, so the workspace holds no m x m scratch.
+        # The off-diagonal norm zeroes the Gram's diagonal for its solve and
+        # restores it, so the workspace holds no m x m scratch and the trial
+        # leaves the lower triangle that dsyrk wrote.
         import heavyspec.experiment as experiment
 
         spec = EnsembleSpec(model=MODEL15, filter=_fs((1.0, 0.5), (1.0, 0.5)), p=37, n=200, seed=3)
@@ -582,7 +582,9 @@ class TestTrialWorkspace:
         m = ws.key[0]
         squares = [a for a in _workspace_arrays(ws) if a.shape == (m, m)]
         assert len(squares) == 1 and squares[0] is ws.gram
-        assert np.array_equal(np.diag(ws.gram), np.zeros(m))
+        fresh = experiment.dsyrk(1.0, ws.x_rows.T, trans=1, lower=1)
+        lower = np.tril_indices(m)
+        assert np.array_equal(ws.gram[lower].view(np.uint64), fresh[lower].view(np.uint64))
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts minor faults as Linux reports them")
     def test_trials_of_one_shape_fault_in_no_heap(self):

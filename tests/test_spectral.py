@@ -24,10 +24,19 @@ from heavyspec.spectral import (
 )
 
 
-# The two functions that take a Gram matrix, each on a 2 x 2 one.
+# The two functions that take a Gram matrix, each solving its norm on a
+# square one of any size.  The two-tap S of an m x m Gram has m - 1 rows: one
+# at m = 2, whose norm is its entry, with no ARPACK call.
 GRAM_FUNCTIONS = [
     pytest.param(lambda g: offdiag_deviation(g, 1.0), id="offdiag_deviation"),
-    pytest.param(lambda g: centered_covariance(g, CoefficientSequence((1.0,)), 2, 3, 0.0), id="centered_covariance"),
+    pytest.param(
+        lambda g: spectral_norm(centered_covariance(g, CoefficientSequence((1.0,)), len(g), 3, 0.0)),
+        id="centered_covariance",
+    ),
+    pytest.param(
+        lambda g: spectral_norm(centered_covariance(g, CoefficientSequence((1.0, 0.5)), len(g) - 1, 3, 0.0)),
+        id="centered_covariance_two_taps",
+    ),
 ]
 
 
@@ -235,89 +244,54 @@ class TestOffdiagDeviation:
         ref = np.abs(np.linalg.eigvalsh(g)).max()
         assert got == pytest.approx(ref / 2.5**2, rel=1e-10)
 
-    def test_checked_bound_and_out_give_the_same_norms(self):
-        # A caller that checked the Gram passes max|G| and a scratch array:
-        # the same bits as each function's own check, and out holds the
-        # zero-diagonal copy.
-        rng = np.random.default_rng(13)
-        x = rng.standard_t(1.5, size=(9, 30))
-        g = x @ x.T
-        theta = CoefficientSequence((1.0, 0.5))
-        g_max = np.abs(g).max()
-        out = np.full_like(g, np.nan)
-        assert offdiag_deviation(g, 2.0, gram_max=g_max, out=out) == offdiag_deviation(g, 2.0)
-        assert np.array_equal(out, g - np.diag(np.diag(g)))
-        s = centered_covariance(g, theta, 8, 30, 0.5)
-        checked = centered_covariance(g, theta, 8, 30, 0.5, gram_max=g_max)
-        assert checked.bound == s.bound
-        assert spectral_norm(checked) == spectral_norm(s)
-
-    @pytest.mark.parametrize("out_order", ["F", "C"])
-    def test_upper_triangle_is_never_read(self, out_order):
-        # The run path's Gram: F-ordered, its lower triangle alone set, with
-        # the diagonal's largest entry as the bound.  NaN above the diagonal
-        # changes neither norm's bits from the full symmetric Gram's.
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_upper_triangle_is_never_read(self, order):
+        # Products read the lower triangle of an F-ordered Gram, the run
+        # path's, and the upper one of a C-ordered Gram.  NaN in the other
+        # triangle changes neither norm's bits from the full symmetric Gram's.
         rng = np.random.default_rng(17)
         x = rng.standard_t(1.5, size=(9, 30))
         g = x @ x.T
-        lower = np.asfortranarray(g)
-        lower[np.triu_indices(9, 1)] = np.nan
-        g_max = spectral._diagonal_bound(lower)
-        assert g_max == np.abs(g).max()
+        half = np.array(g, order=order)
+        half[np.triu_indices(9, 1) if order == "F" else np.tril_indices(9, -1)] = np.nan
         theta = CoefficientSequence((1.0, 0.5))
-        got = spectral_norm(centered_covariance(lower, theta, 8, 30, 0.5, gram_max=g_max))
+        got = spectral_norm(centered_covariance(half, theta, 8, 30, 0.5))
         assert got == spectral_norm(centered_covariance(g, theta, 8, 30, 0.5))
-        out = np.empty((9, 9), order=out_order)
-        assert offdiag_deviation(lower, 2.0, gram_max=g_max, out=out) == offdiag_deviation(g, 2.0)
+        assert offdiag_deviation(half, 2.0) == offdiag_deviation(g, 2.0)
 
-    def test_refuses_out_sharing_memory(self):
-        g = np.array([[4.0, 1.0], [1.0, 3.0]])
-        with pytest.raises(ValueError, match="out shares memory with the matrix"):
-            offdiag_deviation(g, 1.0, out=g)
-        assert np.array_equal(g, [[4.0, 1.0], [1.0, 3.0]])
-
+    @pytest.mark.parametrize("function", GRAM_FUNCTIONS)
     @pytest.mark.parametrize("order", ["F", "C"])
-    def test_in_place_on_the_gram_gives_the_same_bits(self, order):
-        # run_trial's call: out is the Gram itself, whose diagonal is zeroed
-        # and nothing else written.  F-ordered, the run path's Gram, with
-        # its upper triangle unset; C-ordered, a full symmetric one.
+    def test_gram_is_left_bit_identical(self, order, function):
+        # offdiag_deviation zeroes the diagonal for its solve and puts it
+        # back.  F-ordered, the run path's Gram, with NaN above its lower
+        # triangle; C-ordered, a full symmetric one.
         rng = np.random.default_rng(19)
         x = rng.standard_t(1.5, size=(9, 30))
         g = np.array(x @ x.T, order=order)
         if order == "F":
             g[np.triu_indices(9, 1)] = np.nan
-        g_max = spectral._diagonal_bound(g)
-        expect = offdiag_deviation(g, 2.0, gram_max=g_max, out=np.empty((9, 9)))
-        before = g.copy()
-        assert offdiag_deviation(g, 2.0, gram_max=g_max, out=g) == expect
-        assert np.array_equal(np.diag(g), np.zeros(9))
-        off = ~np.eye(9, dtype=bool)
-        assert np.array_equal(g.view(np.uint64)[off], before.view(np.uint64)[off])
-
-    def test_refuses_the_gram_as_out_without_a_bound_and_any_other_overlap(self):
-        # Without gram_max the check would write G - Gᵀ over G; with it, only
-        # the Gram itself may be out, not a view of it.
-        g = np.array([[4.0, 1.0], [1.0, 3.0]])
-        for out, gram_max in ((g, None), (g.T, 4.0), (g[:, :], 4.0)):
-            with pytest.raises(ValueError, match="out shares memory with the matrix"):
-                offdiag_deviation(g, 1.0, gram_max=gram_max, out=out)
-        assert np.array_equal(g, [[4.0, 1.0], [1.0, 3.0]])
+        before = g.copy(order="K")
+        assert math.isfinite(function(g))
+        assert np.array_equal(g.view(np.uint64), before.view(np.uint64))
 
     @pytest.mark.parametrize("function", GRAM_FUNCTIONS)
-    @pytest.mark.parametrize("gram", [[[0.0, 1.0], [0.0, 0.0]], [[2.0, 1.0], [0.0, 3.0]]])
-    def test_refuses_asymmetric_gram(self, gram, function):
-        # A Gram matrix is symmetric: an asymmetric one is refused, not
-        # symmetrized, and the caller's matrix keeps its diagonal.
-        g = np.array(gram)
-        with pytest.raises(ValueError, match="matrix is not symmetric"):
+    def test_gram_is_left_bit_identical_when_the_solve_fails(self, monkeypatch, function):
+        monkeypatch.setattr(spectral, "_ARPACK_TOL", 1e-14)
+        monkeypatch.setattr(spectral, "_MAX_RESTARTS", 1)
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(40, 80))
+        g = x @ x.T
+        before = g.copy()
+        with pytest.raises(SpectralNormError, match="did not converge within 1 restarts"):
             function(g)
-        assert np.array_equal(g, gram)
+        assert np.array_equal(g.view(np.uint64), before.view(np.uint64))
 
     @pytest.mark.parametrize("function", GRAM_FUNCTIONS)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_refuses_nonfinite_gram(self, bad, function):
         # Wherever the non-finite entry sits: on the diagonal, which the
-        # off-diagonal part leaves out, or off it.
+        # off-diagonal part leaves out and which is refused at once, or off
+        # it, which is refused when the norm is solved.
         for i, j in ((0, 0), (0, 1)):
             g = np.array([[4.0, 1.0], [1.0, 3.0]])
             g[i, j] = g[j, i] = bad
