@@ -163,7 +163,8 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     panel.  Every statistic then comes from the one Gram product of the rows,
     BLAS ``dsyrk`` into the lower triangle of the workspace's Gram: S, the
     off-diagonal part and the centered diagonal.  Each norm checks the Gram
-    in O(m), from its diagonal, and leaves it as it was.
+    in O(m), from its diagonal, leaves it as it was and comes back raw: this
+    is the one place that scales the norms and the top values by a_np².
 
     Every large array lives in this thread's workspace for the trial's
     shape, so a trial after the first of its shape allocates none.
@@ -194,8 +195,7 @@ def run_trial(spec: EnsembleSpec, top_k: int = 3) -> TrialRecord:
     # them and reads the Gram's shape.
     a2 = a_np * a_np
     scaled = spectral_norm(centered_covariance(gram, theta, p, n, mu)) / a2
-    offdiag = offdiag_deviation(gram, a_np)
-
+    offdiag = offdiag_deviation(gram) / a2
     top = np.sort(window_sum(theta, d_tilde, p) / a2)[::-1][:top_k]
     return TrialRecord(
         n=n,

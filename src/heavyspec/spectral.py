@@ -9,22 +9,20 @@ sum of the window's autocorrelation, without forming H.  The off-diagonal
 part is G with its diagonal zeroed for the solve and restored after it, and
 the centered diagonal is read off G.
 
-Every product with G, or with a dense symmetric matrix, is one BLAS
-``dsymv`` on the lower triangle of an F-ordered array: the operator ARPACK
-sees is symmetric by construction, and the upper triangle is never read.  A
-C-ordered symmetric matrix goes in as its F-ordered transpose view, so the
-run path's Gram, which ``run_trial`` writes as one lower triangle with
-``dsyrk``, and a library caller's full one take the same product.  Both
-Gram functions check G in O(m), from its diagonal alone: the largest
-absolute diagonal entry must be finite, and it bounds every entry of a Gram
-(``_diagonal_bound``); a non-finite entry off the diagonal is refused when
-the norm is solved.  Both leave G as they found it.
-Spectral norms of these operators and of dense symmetric matrices come from
-one ARPACK call (``scipy.sparse.linalg.eigsh``), which needs only
-matrix-vector products, at ``_ARPACK_NCV`` Lanczos vectors per restart cycle,
-chosen by measurement, with a counter-based start vector computed once per
-dimension; a dense eigensolve is used only as a cross-check oracle in the
-tests.
+Every entry reads one triangle: each product with G, or with a dense
+symmetric matrix, is one BLAS ``dsymv`` on the lower triangle of an
+F-ordered array (a C-ordered matrix goes in as its transpose view), so the
+operator ARPACK sees is symmetric by construction, and the run path's
+one-triangle Gram (``dsyrk``) and a library caller's full one take the same
+product.  Both Gram functions take G through one preamble
+(``_gram_operand``), which checks it in O(m), from its diagonal alone, and
+both leave G as they found it.  Spectral norms come from one ARPACK call
+(``scipy.sparse.linalg.eigsh``), which needs only matrix-vector products,
+at ``_ARPACK_NCV`` Lanczos vectors per restart cycle, chosen by
+measurement, with a counter-based start vector computed once per dimension;
+a non-finite operator is refused at its first product, before ARPACK reads
+it.  Every norm is raw: ``run_trial`` alone scales by a_np².  A dense
+eigensolve is used only as a cross-check oracle in the tests.
 """
 
 from __future__ import annotations
@@ -115,24 +113,6 @@ def _finite_max_abs(a: np.ndarray) -> float:
     return scale
 
 
-def _checked_scale(a: np.ndarray) -> tuple[float, float]:
-    """The largest absolute entries of A and of A - Aᵀ; refuses a non-finite
-    A and one not symmetric to 1e-12 of its largest absolute entry."""
-    scale = _finite_max_abs(a)
-    asym = _max_abs(a - a.T)
-    if asym > 1e-12 * scale:
-        raise ValueError(f"matrix is not symmetric: |A - Aᵀ| = {asym:g} vs scale {scale:g}")
-    return scale, asym
-
-
-def _diagonal_bound(gram: np.ndarray) -> float:
-    """max |diag G|, which bounds every entry of a Gram matrix G = X Xᵀ,
-    since |G_ij| <= √(G_ii G_jj); refuses a non-finite diagonal.  A
-    non-finite entry of X makes its row's diagonal entry non-finite, so this
-    O(m) pass refuses every Gram of such an X."""
-    return _finite_max_abs(np.diagonal(gram))
-
-
 def _lower(a: np.ndarray) -> np.ndarray:
     # A as an F-ordered array whose lower triangle dsymv reads: A itself,
     # the transpose view of a C-ordered A (A's upper triangle, so A must be
@@ -148,10 +128,23 @@ def _symv(lower: np.ndarray):
     return functools.partial(dsymv, 1.0, lower, lower=1)
 
 
+def _gram_operand(gram: np.ndarray, m: int | None = None) -> tuple[np.ndarray, float]:
+    """The array the products read (``_lower``) and max |diag G|, which bounds
+    every entry of a Gram G = X Xᵀ, since |G_ij| <= √(G_ii G_jj).  Refuses a
+    G that is not square (m x m where m is given) and a non-finite diagonal,
+    as every Gram of an X with a non-finite entry has."""
+    g = np.asarray(gram, dtype=float)
+    if m is None and (g.ndim != 2 or g.shape[0] != g.shape[1]):
+        raise ValueError(f"expected a square matrix, got shape {g.shape}")
+    if m is not None and g.shape != (m, m):
+        raise ValueError(f"gram must be {m} x {m}, got shape {g.shape}")
+    return _lower(g), _finite_max_abs(np.diagonal(g))
+
+
 def centered_covariance(gram: np.ndarray, theta: CoefficientSequence, p: int, n: int, mu: float) -> LinearOperator:
     """S = T G Tᵀ - n * mu * H Hᵀ as a symmetric p x p operator on the Gram
-    matrix G; ``S @ np.eye(p)`` forms it.  G's largest absolute diagonal
-    entry must be finite, and bounds its entries (``_diagonal_bound``).
+    matrix G; ``S @ np.eye(p)`` forms it.  G is m x m, m = p + L - 1 for a
+    window of length L, and is checked and bounded by ``_gram_operand``.
     Products read only the lower triangle of an F-ordered G (the upper one
     of a C-ordered G), so the other triangle may be unset.
 
@@ -167,12 +160,8 @@ def centered_covariance(gram: np.ndarray, theta: CoefficientSequence, p: int, n:
     the Gram product (``dsymv``), and H Hᵀ v with the window's
     autocorrelation.  G is never written.
     """
-    g = np.asarray(gram, dtype=float)
     m = p + len(theta.values) - 1
-    if g.shape != (m, m):
-        raise ValueError(f"gram must be {m} x {m} for p = {p}, got shape {g.shape}")
-    g_max = _diagonal_bound(g)
-    lower = _lower(g)
+    lower, g_max = _gram_operand(gram, m)
     pad = len(theta.values) - 1
     reversed_theta = CoefficientSequence(theta.values[::-1], min_lag=-theta.max_lag)
     # H Hᵀ is the symmetric Toeplitz matrix with r[b] = sum_u w[u] * w[u-b]
@@ -210,12 +199,11 @@ def centered_gram_diag(gram: np.ndarray, n: int, mu: float, out: np.ndarray | No
     return np.subtract(np.diagonal(gram), n * mu, out=out)
 
 
-def offdiag_deviation(gram: np.ndarray, a_np: float) -> float:
-    """a_np^-2 times the spectral norm of the Gram matrix X Xᵀ with its
-    diagonal zeroed.
+def offdiag_deviation(gram: np.ndarray) -> float:
+    """The spectral norm of the Gram matrix X Xᵀ with its diagonal zeroed,
+    raw, as ``spectral_norm`` returns ||S||.
 
-    G must be square, and its largest absolute diagonal entry finite; it
-    bounds G's entries (``_diagonal_bound``).  As in
+    G is checked and bounded by ``_gram_operand``.  As in
     ``centered_covariance``, products read one triangle of G, so the other
     may be unset.  The diagonal of the array the products read is saved,
     zeroed for the solve and put back before this returns or raises, so G
@@ -224,17 +212,11 @@ def offdiag_deviation(gram: np.ndarray, a_np: float) -> float:
     than the diagonal, to the rounding of the diagonal terms.  G must be
     writable, and no other thread may read it meanwhile.
     """
-    if not a_np > 0.0:
-        raise ValueError(f"a_np must be positive, got {a_np}")
-    g = np.asarray(gram, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {g.shape}")
-    bound = _diagonal_bound(g)
-    lower = _lower(g)
+    lower, bound = _gram_operand(gram)
     diagonal = np.diagonal(lower).copy()
     np.fill_diagonal(lower, 0.0)
     try:
-        return spectral_norm(_SymmetricOperator(g.shape[0], _symv(lower), bound)) / (a_np * a_np)
+        return spectral_norm(_SymmetricOperator(len(lower), _symv(lower), bound))
     finally:
         np.fill_diagonal(lower, diagonal)
 
@@ -261,16 +243,19 @@ def spectral_norm(m) -> float:
     matrix, by ARPACK.
 
     A dense matrix must be finite and symmetric to 1e-12 of its largest
-    absolute entry, and is solved as (A + Aᵀ) / 2, which keeps an exactly
-    symmetric one's bits, with the operators' ``dsymv`` product; its bound
-    is that matrix's largest absolute entry.
+    absolute entry, which is its bound.  Past that gate it is solved, as the
+    Gram operators are, from one triangle (``_lower``) with ``dsymv``, so an
+    A symmetric only to rounding is solved as the symmetric matrix of that
+    triangle, and an exactly symmetric one as itself.
     Either operator is solved as 2**-e A for the least power of two 2**e
     above the bound on A's entries, applied to each vector before its
     product with a matrix, so that no product overflows and the result is
     exactly homogeneous under power-of-two scaling of the input.  The start
-    vector is counter-based, so the result is deterministic.  ARPACK runs at
-    ``_ARPACK_TOL`` with ``_ARPACK_NCV`` Lanczos vectors and at most
-    ``_MAX_RESTARTS`` restarts.
+    vector is counter-based, so the result is deterministic.  The image of
+    the first product is checked once, so a non-finite operator is refused
+    with ``matrix contains non-finite entries`` before ARPACK reads it.
+    ARPACK runs at ``_ARPACK_TOL`` with ``_ARPACK_NCV`` Lanczos vectors and
+    at most ``_MAX_RESTARTS`` restarts.
     """
     if isinstance(m, _SymmetricOperator):
         op = m
@@ -278,11 +263,11 @@ def spectral_norm(m) -> float:
         a = np.asarray(m, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        scale, asym = _checked_scale(a)
-        if asym != 0.0:
-            a = (a + a.T) * 0.5
-            scale = _max_abs(a)
-        op = _SymmetricOperator(a.shape[0], _symv(_lower(a)), scale)
+        scale = _finite_max_abs(a)
+        asym = _max_abs(a - a.T)
+        if asym > 1e-12 * scale:
+            raise ValueError(f"matrix is not symmetric: |A - Aᵀ| = {asym:g} vs scale {scale:g}")
+        op = _SymmetricOperator(len(a), _symv(_lower(a)), scale)
     if op.bound == 0.0:
         return 0.0
     e = _prescale_exponent(op.bound)
@@ -292,7 +277,17 @@ def spectral_norm(m) -> float:
         # abs: max(-0.0, 0.0) is -0.0.
         return abs(_finite_max_abs(op.product(np.array([down])))) * up
     v0 = _start_vector(dim)
-    scaled = LinearOperator(op.shape, matvec=lambda v: op.product(v * down), dtype=float)
+    first = []
+
+    def product(v):
+        # ARPACK's first product is of v0 / |v0|, which has no zero entry, so
+        # its image shows any non-finite entry of the operator.
+        image = op.product(v * down)
+        if not first:
+            first.append(_finite_max_abs(image))
+        return image
+
+    scaled = LinearOperator(op.shape, matvec=product, dtype=float)
     try:
         w = eigsh(
             scaled, k=1, which="LM", v0=v0, ncv=_ARPACK_NCV, tol=_ARPACK_TOL, maxiter=_MAX_RESTARTS,
@@ -303,11 +298,11 @@ def spectral_norm(m) -> float:
             f"ARPACK did not converge within {_MAX_RESTARTS} restarts at tolerance {_ARPACK_TOL:g}"
         ) from err
     except ArpackError:
-        # ARPACK stops where a product is not finite, such as that of a Gram
-        # with a non-finite entry off its diagonal, which is refused here, or
-        # where the start vector maps to zero; v0 has no zero entry, so that
-        # is the zero operator, such as a diagonal Gram's off-diagonal part.
-        if _finite_max_abs(op.product(v0 * down)):
+        # ARPACK stops where the start vector maps to zero; v0 has no zero
+        # entry, so that is the zero operator, such as a diagonal Gram's
+        # off-diagonal part.  Any other stop, or one before the first
+        # product, is ARPACK's own failure.
+        if first != [0.0]:
             raise
         return 0.0
     return abs(float(w[0])) * up

@@ -242,24 +242,24 @@ class TestNormStage:
     SPEC = EnsembleSpec(model=MODEL15, filter=_fs((1.0, 0.5), (1.0, 0.5)), p=37, n=80, seed=13)
 
     def test_gram_is_checked_from_its_diagonal_alone(self, monkeypatch):
-        # Each norm function checks the Gram's diagonal; no m x m check pass
-        # (finite and symmetric over every entry) runs in a trial.
+        # Each norm function checks the Gram's diagonal, and each norm the
+        # first image of its operator; no m x m check pass (finite and
+        # symmetric over every entry) runs in a trial: every largest entry
+        # a trial takes is a vector's.
         from heavyspec import spectral
 
         shapes = []
         max_abs = spectral._max_abs
 
-        def full_pass(a):
-            raise AssertionError(f"an m x m check pass ran on shape {a.shape}")
-
         def recording(a):
             shapes.append(a.shape)
             return max_abs(a)
 
-        monkeypatch.setattr(spectral, "_checked_scale", full_pass)
         monkeypatch.setattr(spectral, "_max_abs", recording)
         record = run_trial(self.SPEC)
-        assert shapes == [(38,), (38,)]
+        # The Gram's diagonal and S's first image, then the diagonal again
+        # and the off-diagonal part's first image.
+        assert shapes == [(38,), (37,), (38,), (38,)]
         monkeypatch.undo()
         assert record == run_trial(self.SPEC)
 
@@ -451,7 +451,7 @@ def _full_panel_trial(spec: EnsembleSpec, top_k: int) -> TrialRecord:
         seed=spec.seed,
         a_np=a_np,
         scaled_norm=spectral_norm(centered_covariance(gram, theta, p, n, mu)) / a2,
-        offdiag_dev=offdiag_deviation(gram, a_np),
+        offdiag_dev=offdiag_deviation(gram) / a2,
         top_diag=tuple(float(v) for v in np.sort(ma / a2)[::-1][:top_k]),
     )
 

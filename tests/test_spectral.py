@@ -1,6 +1,8 @@
 """Tests for centering algebra and the ARPACK spectral norm."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ from heavyspec.spectral import (
 # square one of any size.  The two-tap S of an m x m Gram has m - 1 rows: one
 # at m = 2, whose norm is its entry, with no ARPACK call.
 GRAM_FUNCTIONS = [
-    pytest.param(lambda g: offdiag_deviation(g, 1.0), id="offdiag_deviation"),
+    pytest.param(offdiag_deviation, id="offdiag_deviation"),
     pytest.param(
         lambda g: spectral_norm(centered_covariance(g, CoefficientSequence((1.0,)), len(g), 3, 0.0)),
         id="centered_covariance",
@@ -227,22 +229,22 @@ class TestGramDiagonals:
 
 class TestOffdiagDeviation:
     def test_orthogonal_rows_vanish(self):
-        assert offdiag_deviation(np.eye(3), 2.0) == 0.0
+        assert offdiag_deviation(np.eye(3)) == 0.0
 
     def test_single_row_vanishes(self):
-        assert offdiag_deviation(np.array([[14.0]]), 1.5) == 0.0  # Gram of the row (1, 2, 3)
+        assert offdiag_deviation(np.array([[14.0]])) == 0.0  # Gram of the row (1, 2, 3)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(3)
         x = rng.integers(-4, 5, size=(5, 8)).astype(float)
         g = x @ x.T
         before = g.copy()
-        got = offdiag_deviation(g, 2.5)
-        # The Gram is never written.
+        got = offdiag_deviation(g)
+        # The Gram is never written, and the norm comes back raw.
         assert np.array_equal(g, before)
         np.fill_diagonal(g, 0.0)
         ref = np.abs(np.linalg.eigvalsh(g)).max()
-        assert got == pytest.approx(ref / 2.5**2, rel=1e-10)
+        assert got == pytest.approx(ref, rel=1e-10)
 
     @pytest.mark.parametrize("order", ["F", "C"])
     def test_upper_triangle_is_never_read(self, order):
@@ -257,7 +259,7 @@ class TestOffdiagDeviation:
         theta = CoefficientSequence((1.0, 0.5))
         got = spectral_norm(centered_covariance(half, theta, 8, 30, 0.5))
         assert got == spectral_norm(centered_covariance(g, theta, 8, 30, 0.5))
-        assert offdiag_deviation(half, 2.0) == offdiag_deviation(g, 2.0)
+        assert offdiag_deviation(half) == offdiag_deviation(g)
 
     @pytest.mark.parametrize("function", GRAM_FUNCTIONS)
     @pytest.mark.parametrize("order", ["F", "C"])
@@ -291,12 +293,40 @@ class TestOffdiagDeviation:
     def test_refuses_nonfinite_gram(self, bad, function):
         # Wherever the non-finite entry sits: on the diagonal, which the
         # off-diagonal part leaves out and which is refused at once, or off
-        # it, which is refused when the norm is solved.
+        # it, which is refused at the norm's first product.  Either way G is
+        # left bit-identical, NaN bits too.
+        grams = []
         for i, j in ((0, 0), (0, 1)):
             g = np.array([[4.0, 1.0], [1.0, 3.0]])
             g[i, j] = g[j, i] = bad
+            grams.append(g)
+        grams.append(np.array([[4.0, bad, 1.0], [bad, 5.0, 0.5], [1.0, 0.5, 6.0]]))
+        for g in grams:
+            before = g.copy()
             with pytest.raises(ValueError, match="matrix contains non-finite entries"):
                 function(g)
+            assert np.array_equal(g.view(np.uint64), before.view(np.uint64))
+
+    def test_nonfinite_operator_never_reaches_arpack(self):
+        # A NaN pair off a finite diagonal is refused at the first product,
+        # before ARPACK reads it: ARPACK's LAPACK would print DLASCL errors on
+        # the process's stdout, outside Python, so a fresh interpreter runs
+        # each Gram function and its whole stdout is read.
+        code = (
+            "import numpy as np\n"
+            "from heavyspec.linear_filter import CoefficientSequence as C\n"
+            "from heavyspec.spectral import centered_covariance, offdiag_deviation, spectral_norm\n"
+            "g = np.array([[4.0, np.nan, 1.0], [np.nan, 5.0, 0.5], [1.0, 0.5, 6.0]])\n"
+            "for f in (offdiag_deviation, lambda g: spectral_norm(centered_covariance(g, C((1.0,)), 3, 3, 0.0)),\n"
+            "          lambda g: spectral_norm(centered_covariance(g, C((1.0, 0.5)), 2, 3, 0.0))):\n"
+            "    try:\n"
+            "        f(g)\n"
+            "    except ValueError as err:\n"
+            "        print(err)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert out.stdout == "matrix contains non-finite entries\n" * 3
+        assert out.stderr == ""
 
     def test_gram_near_the_largest_float(self):
         # |S| and the off-diagonal norm are finite, but T G Tᵀ v overflows
@@ -309,7 +339,7 @@ class TestOffdiagDeviation:
         zeroed = g - np.diag(np.diag(g))
         for got, ref in (
             (spectral_norm(centered_covariance(g, theta, 2, 1, 0.0)), s),
-            (offdiag_deviation(g, 1.0), zeroed),
+            (offdiag_deviation(g), zeroed),
         ):
             want = np.abs(np.linalg.eigvalsh(ref)).max()
             assert math.isfinite(got)
@@ -369,7 +399,7 @@ class TestSpectralNorm:
         g = x @ x.T
         zeroed = g - np.diag(np.diag(g))
         ref = np.abs(np.linalg.eigvalsh(zeroed)).max()
-        assert abs(offdiag_deviation(g, 1.0) - ref) <= 1e-8 * ref
+        assert abs(offdiag_deviation(g) - ref) <= 1e-8 * ref
 
     def test_start_vector_is_cached_and_read_only(self):
         v0 = spectral._start_vector(7)
@@ -383,16 +413,22 @@ class TestSpectralNorm:
             spectral_norm(a)
 
     @pytest.mark.parametrize("p", [6, 37, 120])
-    def test_rounding_asymmetry_solved_as_symmetric_part(self, p):
-        # S summed over a two-lag window is asymmetric in its last bits; the
-        # norm is the symmetric part's, to the bit, and S is not written.
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_rounding_asymmetry_solved_from_one_triangle(self, order, p):
+        # S summed over a two-lag window is asymmetric in its last bits; past
+        # the symmetry gate the norm is, to the bit, that of the exactly
+        # symmetric matrix of the triangle the products read (the lower one
+        # of an F-ordered array, the upper one of a C-ordered), and S is not
+        # written.
         theta = CoefficientSequence((1.0, 0.5))
         rng = np.random.default_rng(p)
         x = rng.normal(size=(p + 1, 2 * p))
-        s = window_sum(theta, window_sum(theta, x @ x.T, p).T, p)
+        s = np.array(window_sum(theta, window_sum(theta, x @ x.T, p).T, p), order=order)
         before = s.copy()
         assert not np.array_equal(s, s.T)
-        assert spectral_norm(s) == spectral_norm(0.5 * (s + s.T))
+        half = np.tril(s) if order == "F" else np.triu(s)
+        symmetric = half + half.T - np.diag(np.diag(s))
+        assert spectral_norm(s) == spectral_norm(symmetric)
         assert np.array_equal(s, before)
 
     def test_rejects_asymmetry_beyond_rounding(self):
