@@ -22,7 +22,6 @@ _EXPORTS = {
     "bound_cdf_upper": "limit_law",
     "bound_constants": "limit_law",
     "build_row_process": "linear_filter",
-    "build_xhat": "linear_filter",
     "centered_covariance": "spectral",
     "centered_gram_diag": "spectral",
     "envelope_check": "experiment",

@@ -101,7 +101,7 @@ def _cmd_report(args) -> int:
     """Summarise the stored batch and judge it under the config; writes nothing."""
     import numpy as np
 
-    from .experiment import run_checks
+    from .experiment import check_status, run_checks
 
     config = _load(args)
     batch = _load_batch(config, args.out)
@@ -116,14 +116,7 @@ def _cmd_report(args) -> int:
     checks = run_checks(batch, config)
     print("checks:")
     for name in CHECKS:
-        c = checks[name]
-        if not c["enabled"]:
-            status = "disabled"
-        elif not c["applicable"]:
-            status = "n/a"
-        else:
-            status = "pass" if c["passed"] else "FAIL"
-        print(f"  {name:12s} {status}")
+        print(f"  {name:12s} {check_status(checks[name])}")
     print(f"overall: {'pass' if checks['overall_passed'] else 'FAIL'}")
     return 0
 

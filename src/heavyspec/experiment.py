@@ -33,7 +33,7 @@ from .limit_law import (
 )
 from ._config import (
     CHECKS, DimensionRule, EnsembleSpec, EnsembleTemplate, ExperimentConfig, FilterSpec, TailModel,
-    ValidationError, ValidationReport, batch_grid, beta_limit, load_config, validate,
+    ValidationError, ValidationReport, batch_grid, beta_limit, config_int, load_config, validate,
 )
 from .linear_filter import build_row_process, window_sum
 from .linear_filter import build_xhat  # noqa: F401  (perfbench's tracer wraps this name)
@@ -59,6 +59,7 @@ __all__ = [
     "ValidationError",
     "ValidationReport",
     "beta_limit",
+    "check_status",
     "derive_seed",
     "ecdf",
     "emit_report",
@@ -302,6 +303,12 @@ def _one_blas_thread():
             set_threads(count)
 
 
+def _count(value, name: str) -> int:
+    """A batch count as an int: an int, a numpy integer or an integral float;
+    refuses anything else in the config reader's words."""
+    return int(value) if isinstance(value, np.integer) else config_int(value, name)
+
+
 def run_batch(
     template: EnsembleTemplate,
     rule: DimensionRule,
@@ -312,7 +319,8 @@ def run_batch(
     top_k: int = 3,
 ) -> TrialBatch:
     """Validate, then run every replicate at every n; refuses, before any
-    trial runs, what ``batch_grid`` refuses and an inadmissible config.
+    trial runs, a count that is not an integer, what ``batch_grid`` refuses
+    and an inadmissible config.
 
     Replicate seeds depend only on (base_seed, n, replicate); records are
     sorted afterwards so the batch is independent of scheduling.
@@ -326,9 +334,10 @@ def run_batch(
     pool's initializer sets the count only in a worker that starts from a
     fresh interpreter (``spawn``, ``forkserver``) at the library's default.
     """
+    n_values = tuple(_count(n, "n_values entry") for n in n_values)
+    replicates, top_k, workers = _count(replicates, "replicates"), _count(top_k, "top_k"), _count(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    n_values = tuple(int(n) for n in n_values)
     grid = batch_grid(template, rule, n_values, replicates, top_k)
     # validate through this module's name, which perfbench's tracer wraps.
     report = validate(template.model, rule)
@@ -391,6 +400,12 @@ def ks_distance(values, cdf) -> float:
     return max(d_plus, d_minus, 0.0)
 
 
+def _rows(**columns) -> list[dict]:
+    """One dict of Python scalars per index of the equal-length arrays,
+    keyed by the argument names in their order."""
+    return [dict(zip(columns, row)) for row in zip(*(np.asarray(c).tolist() for c in columns.values()))]
+
+
 _ENVELOPE_LEVELS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 _ENVELOPE_SLACK = 0.03
 _ENVELOPE_Z = 4.0
@@ -410,37 +425,22 @@ def envelope_check(batch: TrialBatch) -> dict:
     """
     b = bound_constants(batch.filter, batch.model.alpha)
     grid = frechet_quantile(np.asarray(_ENVELOPE_LEVELS), b.upper_scale, b.alpha)
+    lo, hi = bound_cdf_lower(grid, b), bound_cdf_upper(grid, b)
     per_n = []
-    overall = True
     for n in sorted(batch.n_values):
         values = batch.scaled_norms(n)
         count = values.size
-        rows = []
-        for x in grid:
-            ec = float(ecdf(values, x))
-            lo = float(bound_cdf_lower(x, b))
-            hi = float(bound_cdf_upper(x, b))
-            phat = min(max(ec, 0.5 / count), 1.0 - 0.5 / count)
-            se = math.sqrt(phat * (1.0 - phat) / count)
-            tol = _ENVELOPE_SLACK + _ENVELOPE_Z * se
-            ok = (ec >= lo - tol) and (ec <= hi + tol)
-            rows.append(
-                {
-                    "x": float(x),
-                    "ecdf": ec,
-                    "cdf_lower": lo,
-                    "cdf_upper": hi,
-                    "stderr": se,
-                    "tol": tol,
-                    "passed": ok,
-                }
-            )
+        ec = ecdf(values, grid)
+        phat = np.clip(ec, 0.5 / count, 1.0 - 0.5 / count)
+        se = np.sqrt(phat * (1.0 - phat) / count)
+        tol = _ENVELOPE_SLACK + _ENVELOPE_Z * se
+        ok = (ec >= lo - tol) & (ec <= hi + tol)
+        rows = _rows(x=grid, ecdf=ec, cdf_lower=lo, cdf_upper=hi, stderr=se, tol=tol, passed=ok)
         per_n.append({"n": n, "count": count, "grid": rows})
-        if n == batch.largest_n:
-            overall = all(r["passed"] for r in rows)
     return {
         "applicable": True,
-        "passed": overall,
+        # The loop ends at the largest n, whose grid decides.
+        "passed": bool(ok.all()),
         "alpha": batch.model.alpha,
         "lower_scale": b.lower_scale,
         "upper_scale": b.upper_scale,
@@ -497,31 +497,23 @@ def order_stat_check(batch: TrialBatch) -> dict:
     emp = batch.top_matrix()
     seeds = derive_key(_LIMIT_SEED, np.arange(_LIMIT_DRAWS))
     draws = limit_order_statistics(batch.filter, batch.model.alpha, k, seeds)
-    ranks = []
-    overall = True
-    for r in range(k):
-        e = emp[:, r]
-        med_e = float(np.median(e))
-        iqr_e = float(np.percentile(e, 75) - np.percentile(e, 25))
-        med_l = float(np.median(draws[:, r]))
-        iqr_l = float(np.percentile(draws[:, r], 75) - np.percentile(draws[:, r], 25))
-        tol = _IQR_FACTOR * (iqr_e + iqr_l)
-        ok = abs(med_e - med_l) <= tol
-        overall = overall and ok
-        ranks.append(
-            {
-                "rank": r + 1,
-                "empirical_median": med_e,
-                "empirical_iqr": iqr_e,
-                "limit_median": med_l,
-                "limit_iqr": iqr_l,
-                "tol": tol,
-                "passed": ok,
-            }
-        )
+    med_e, med_l = np.median(emp, axis=0), np.median(draws, axis=0)
+    iqr_e = np.subtract(*np.percentile(emp, [75, 25], axis=0))
+    iqr_l = np.subtract(*np.percentile(draws, [75, 25], axis=0))
+    tol = _IQR_FACTOR * (iqr_e + iqr_l)
+    ok = np.abs(med_e - med_l) <= tol
+    ranks = _rows(
+        rank=np.arange(1, k + 1),
+        empirical_median=med_e,
+        empirical_iqr=iqr_e,
+        limit_median=med_l,
+        limit_iqr=iqr_l,
+        tol=tol,
+        passed=ok,
+    )
     return {
         "applicable": True,
-        "passed": overall,
+        "passed": bool(ok.all()),
         "n": batch.largest_n,
         "k": k,
         "limit_draws": _LIMIT_DRAWS,
@@ -548,19 +540,24 @@ def offdiag_trend_check(batch: TrialBatch) -> dict:
     }
 
 
+def check_status(entry: dict) -> str:
+    """The status of one check entry of ``run_checks``: "disabled", "n/a"
+    (not applicable, or no verdict), "pass" or "FAIL"."""
+    if not entry["enabled"]:
+        return "disabled"
+    if not entry["applicable"] or entry["passed"] is None:
+        return "n/a"
+    return "pass" if entry["passed"] else "FAIL"
+
+
 def run_checks(batch: TrialBatch, config: ExperimentConfig) -> dict:
     """Run each check of ``CHECKS`` that the config enables, on the batch
-    alone; overall pass ignores disabled and inapplicable ones."""
+    alone; the batch passes overall when no check's status is FAIL."""
     out = {}
     for name, function in CHECKS.items():
         enabled = config.checks.get(name, True)
         out[name] = {"enabled": True, **globals()[function](batch)} if enabled else {"enabled": False}
-    verdicts = [
-        c["passed"]
-        for c in out.values()
-        if c.get("enabled") and c.get("applicable") and c.get("passed") is not None
-    ]
-    out["overall_passed"] = bool(all(verdicts)) if verdicts else True
+    out["overall_passed"] = all(check_status(entry) != "FAIL" for entry in out.values())
     return out
 
 

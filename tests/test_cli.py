@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from heavyspec.cli import main
+from heavyspec.experiment import CHECKS, check_status
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -164,9 +165,19 @@ def test_report_prints_summary(config_path, tmp_path, capsys):
     assert "overall" in out
 
 
-def test_report_judges_the_batch_under_its_config(config_path, tmp_path, capsys):
-    # The run leaves offdiag off in checks.json; report, given a config that
-    # turns it on, prints check's fresh verdicts and leaves checks.json alone.
+@pytest.mark.parametrize(
+    "turned_on, statuses",
+    [
+        (["offdiag"], {"envelope": "disabled", "ks": "disabled", "order_stats": "disabled"}),
+        # theta (1, .5) has two nonzero weights, so the KS law is not exact.
+        (list(CHECKS), {"ks": "n/a"}),
+    ],
+    ids=["offdiag", "all"],
+)
+def test_report_judges_the_batch_under_its_config(config_path, tmp_path, capsys, turned_on, statuses):
+    # The run leaves every check off in checks.json; report, given a config
+    # that turns some on, prints check's fresh status of each and leaves
+    # checks.json alone.
     out_dir = str(tmp_path / "out")
     assert main(["run", "--config", config_path, "--out", out_dir]) == 0
     checks_path = os.path.join(out_dir, "checks.json")
@@ -174,7 +185,7 @@ def test_report_judges_the_batch_under_its_config(config_path, tmp_path, capsys)
         stored = fh.read()
     with open(config_path, encoding="utf-8") as fh:
         config = json.load(fh)
-    config["checks"]["offdiag"] = True
+    config["checks"].update(dict.fromkeys(turned_on, True))
     with open(config_path, "w", encoding="utf-8") as fh:
         json.dump(config, fh)
     capsys.readouterr()
@@ -185,16 +196,10 @@ def test_report_judges_the_batch_under_its_config(config_path, tmp_path, capsys)
     assert main(["check", "--config", config_path, "--out", out_dir]) in (0, 2)
     with open(checks_path, encoding="utf-8") as fh:
         fresh = json.load(fh)
-    offdiag = "pass" if fresh["offdiag"]["passed"] else "FAIL"
+    status = {name: check_status(fresh[name]) for name in CHECKS}
+    assert status.items() >= statuses.items()
     overall = "pass" if fresh["overall_passed"] else "FAIL"
-    assert lines[-6:] == [
-        "checks:",
-        "  envelope     disabled",
-        "  ks           disabled",
-        "  order_stats  disabled",
-        f"  offdiag      {offdiag}",
-        f"overall: {overall}",
-    ]
+    assert lines[-6:] == ["checks:", *(f"  {name:12s} {status[name]}" for name in CHECKS), f"overall: {overall}"]
 
 
 def test_replicates_override(config_path, tmp_path):

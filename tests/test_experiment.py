@@ -2,6 +2,7 @@
 
 import functools
 import io
+import itertools
 import json
 import math
 import multiprocessing
@@ -29,6 +30,7 @@ from heavyspec.experiment import (
     ValidationError,
     batch_from_records,
     beta_limit,
+    check_status,
     derive_seed,
     ecdf,
     emit_report,
@@ -43,8 +45,24 @@ from heavyspec.experiment import (
     run_trial,
     validate,
 )
-from heavyspec.experiment import _one_blas_thread, _set_blas_threads
-from heavyspec.limit_law import bound_constants, frechet_cdf, frechet_quantile
+from heavyspec.experiment import (
+    _ENVELOPE_LEVELS,
+    _ENVELOPE_SLACK,
+    _ENVELOPE_Z,
+    _IQR_FACTOR,
+    _LIMIT_DRAWS,
+    _LIMIT_SEED,
+    _one_blas_thread,
+    _set_blas_threads,
+)
+from heavyspec.limit_law import (
+    bound_cdf_lower,
+    bound_cdf_upper,
+    bound_constants,
+    frechet_cdf,
+    frechet_quantile,
+    limit_order_statistics,
+)
 from heavyspec.linear_filter import CoefficientSequence, FilterSpec
 from heavyspec.rv_noise import TailModel, derive_key, sample_noise
 from heavyspec.spectral import spectral_norm
@@ -682,6 +700,35 @@ class TestRunBatch:
             run_batch(template, DimensionRule(beta=0.3), [50], 5, base_seed=1)
 
     @pytest.mark.parametrize(
+        "counts, message",
+        [
+            ({"n_values": [100.7]}, "n_values entry must be an integer, got 100.7"),
+            ({"replicates": 2.5}, "replicates must be an integer, got 2.5"),
+            ({"top_k": 1.5}, "top_k must be an integer, got 1.5"),
+            ({"workers": 1.5}, "workers must be an integer, got 1.5"),
+        ],
+        ids=["n", "replicates", "top_k", "workers"],
+    )
+    def test_refuses_non_integral_counts_before_any_trial(self, monkeypatch, counts, message):
+        # Each was once truncated (n 100.7 to 100, 2.5 replicates to 3) or
+        # failed inside the first trial or the pool with a TypeError.
+        def unreached(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("heavyspec.experiment.run_trial", unreached)
+        t = EnsembleTemplate(model=MODEL15, filter=SPIKE)
+        args = {"n_values": [100], "replicates": 2, "top_k": 1, "workers": 1, **counts}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_batch(t, DimensionRule(0.5), args.pop("n_values"), args.pop("replicates"), 1, **args)
+
+    def test_numpy_integers_and_integral_floats_are_counts(self):
+        t = EnsembleTemplate(model=MODEL15, filter=SPIKE)
+        want = run_batch(t, DimensionRule(0.5), [100], 2, 1, workers=1, top_k=2)
+        got = run_batch(t, DimensionRule(0.5), [np.int64(100)], 2.0, 1, workers=np.int32(1), top_k=np.float64(2.0))
+        assert got == want
+        assert type(got.n_values[0]) is int and type(got.top_k) is int
+
+    @pytest.mark.parametrize(
         "template, rule, n_values, p_values",
         [
             (EnsembleTemplate(model=MODEL15, filter=SPIKE), DimensionRule(beta=0.5, p_max=10), [40, 80], [6, 9]),
@@ -1032,6 +1079,181 @@ class TestOrderStatCheck:
             checks={"envelope": False, "ks": False, "order_stats": True, "offdiag": False},
         )
         assert run_checks(batch, config)["overall_passed"] is True
+
+
+def _envelope_reference(batch):
+    """envelope_check as a loop over the grid points, one ecdf call each."""
+    b = bound_constants(batch.filter, batch.model.alpha)
+    grid = frechet_quantile(np.asarray(_ENVELOPE_LEVELS), b.upper_scale, b.alpha)
+    per_n = []
+    overall = True
+    for n in sorted(batch.n_values):
+        values = batch.scaled_norms(n)
+        count = values.size
+        rows = []
+        for x in grid:
+            ec = float(ecdf(values, x))
+            lo = float(bound_cdf_lower(x, b))
+            hi = float(bound_cdf_upper(x, b))
+            phat = min(max(ec, 0.5 / count), 1.0 - 0.5 / count)
+            se = math.sqrt(phat * (1.0 - phat) / count)
+            tol = _ENVELOPE_SLACK + _ENVELOPE_Z * se
+            ok = (ec >= lo - tol) and (ec <= hi + tol)
+            rows.append(
+                {"x": float(x), "ecdf": ec, "cdf_lower": lo, "cdf_upper": hi, "stderr": se, "tol": tol, "passed": ok}
+            )
+        per_n.append({"n": n, "count": count, "grid": rows})
+        if n == batch.largest_n:
+            overall = all(r["passed"] for r in rows)
+    return {
+        "applicable": True,
+        "passed": overall,
+        "alpha": batch.model.alpha,
+        "lower_scale": b.lower_scale,
+        "upper_scale": b.upper_scale,
+        "slack": _ENVELOPE_SLACK,
+        "z": _ENVELOPE_Z,
+        "per_n": per_n,
+    }
+
+
+def _order_stat_reference(batch):
+    """order_stat_check as a loop over the ranks, one column at a time."""
+    k = batch.top_k
+    emp = batch.top_matrix()
+    seeds = derive_key(_LIMIT_SEED, np.arange(_LIMIT_DRAWS))
+    draws = limit_order_statistics(batch.filter, batch.model.alpha, k, seeds)
+    ranks = []
+    overall = True
+    for r in range(k):
+        e, d = emp[:, r], draws[:, r]
+        med_e, med_l = float(np.median(e)), float(np.median(d))
+        iqr_e = float(np.percentile(e, 75) - np.percentile(e, 25))
+        iqr_l = float(np.percentile(d, 75) - np.percentile(d, 25))
+        tol = _IQR_FACTOR * (iqr_e + iqr_l)
+        ok = abs(med_e - med_l) <= tol
+        overall = overall and ok
+        ranks.append(
+            {
+                "rank": r + 1,
+                "empirical_median": med_e,
+                "empirical_iqr": iqr_e,
+                "limit_median": med_l,
+                "limit_iqr": iqr_l,
+                "tol": tol,
+                "passed": ok,
+            }
+        )
+    return {
+        "applicable": True,
+        "passed": overall,
+        "n": batch.largest_n,
+        "k": k,
+        "limit_draws": _LIMIT_DRAWS,
+        "iqr_factor": _IQR_FACTOR,
+        "ranks": ranks,
+    }
+
+
+def _grid_tied_batch(fspec, replicates, k, seed, zero_at=None):
+    """Draws of the upper envelope law at n 200, 40 and 90 (unsorted, as a
+    config may list them), a third of them moved exactly onto the grid points,
+    with k decreasing top values per record rounded to create ties; the norms
+    at n ``zero_at`` are all zero, which fails that n's envelope."""
+    alpha = 1.3
+    b = bound_constants(fspec, alpha)
+    grid = frechet_quantile(np.asarray(_ENVELOPE_LEVELS), b.upper_scale, alpha)
+    rng = np.random.default_rng(seed)
+    n_values = (200, 40, 90)
+    records = []
+    for n in n_values:
+        norms = frechet_quantile(rng.uniform(0.01, 0.99, size=replicates), b.lower_scale, alpha)
+        norms[::3] = rng.choice(grid, size=norms[::3].size)
+        if n == zero_at:
+            norms[:] = 0.0
+        top = np.round(np.sort(rng.pareto(alpha, size=(replicates, k)), axis=1)[:, ::-1], 1)
+        records += [
+            TrialRecord(n, 10, r, r, 1.0, float(v), 0.0, tuple(float(t) for t in row))
+            for r, (v, row) in enumerate(zip(norms, top))
+        ]
+    model = TailModel("pareto_symmetric", alpha=alpha)
+    return TrialBatch(model, fspec, n_values, k, tuple(records))
+
+
+class TestChecksEqualTheirPerPointLoops:
+    # The checks compute over whole arrays; the loops above, one grid point or
+    # rank at a time, give the same floats, bit for bit, and the same verdict.
+    @pytest.mark.parametrize(
+        "replicates, k",
+        [(1, 1), (2, 2), (3, 5), (7, 3), (60, 4), (600, 5), (600, 1)],
+    )
+    @pytest.mark.parametrize(
+        "fspec",
+        [SPIKE, _fs((1.0, 0.5), (1.0, 0.5)), _fs((0.5, 1.0, 0.25), (0.3, 1.0, -0.4))],
+        ids=["spike", "one_sided", "two_sided"],
+    )
+    def test_envelope_and_order_statistics(self, fspec, replicates, k):
+        batch = _grid_tied_batch(fspec, replicates, k, seed=replicates * 10 + k)
+        grid = [row["x"] for row in envelope_check(batch)["per_n"][0]["grid"]]
+        assert np.isin(batch.scaled_norms(40), grid).any()
+        for got, want in (
+            (envelope_check(batch), _envelope_reference(batch)),
+            (order_stat_check(batch), _order_stat_reference(batch)),
+        ):
+            assert got == want
+            assert json.dumps(got) == json.dumps(want)
+
+    @pytest.mark.parametrize("zero_at, passed", [(200, False), (40, True)])
+    def test_the_largest_n_decides_the_envelope(self, zero_at, passed):
+        batch = _grid_tied_batch(SPIKE, 600, 1, seed=5, zero_at=zero_at)
+        report = envelope_check(batch)
+        assert report == _envelope_reference(batch)
+        assert [entry["n"] for entry in report["per_n"]] == [40, 90, 200]
+        assert report["passed"] is passed
+        assert not all(row["passed"] for entry in report["per_n"] for row in entry["grid"])
+
+
+# Every entry a check emits, with the status report prints for it.
+_ENTRIES = {
+    "disabled": ({"enabled": False}, "disabled"),
+    "ks_not_applicable": (
+        {"enabled": True, "applicable": False, "n": 80, "count": 5, "tol": 0.6, "passed": None},
+        "n/a",
+    ),
+    "order_stats_not_applicable": ({"enabled": True, "applicable": False, "passed": None, "n": 60, "k": 3}, "n/a"),
+    "pass": ({"enabled": True, "applicable": True, "passed": True}, "pass"),
+    "FAIL": ({"enabled": True, "applicable": True, "passed": False}, "FAIL"),
+}
+
+
+class TestCheckStatus:
+    @pytest.mark.parametrize("entry, status", _ENTRIES.values(), ids=list(_ENTRIES))
+    def test_status_of_each_entry(self, entry, status):
+        assert check_status(entry) == status
+
+    def test_overall_passed_is_the_rule_it_replaced(self, monkeypatch):
+        # Every assignment of the entries above to the four checks: overall
+        # pass holds exactly when no enabled, applicable check with a verdict
+        # has a false one, and the batch is never read.
+        import heavyspec.experiment as experiment
+
+        config = ExperimentConfig(
+            model=MODEL15, filter=SPIKE, rule=DimensionRule(beta=0.5), n_values=(40,), replicates=1, seed=1
+        )
+        names = list(experiment.CHECKS)
+        for combo in itertools.product(_ENTRIES.values(), repeat=len(names)):
+            for name, (entry, _) in zip(names, combo):
+                body = {key: value for key, value in entry.items() if key != "enabled"}
+                monkeypatch.setattr(experiment, experiment.CHECKS[name], lambda batch, body=body: body)
+            checks = {name: entry["enabled"] for name, (entry, _) in zip(names, combo)}
+            out = run_checks(None, replace(config, checks=checks))
+            verdicts = [
+                c["passed"]
+                for c in (out[name] for name in names)
+                if c.get("enabled") and c.get("applicable") and c.get("passed") is not None
+            ]
+            assert out["overall_passed"] is (bool(all(verdicts)) if verdicts else True)
+            assert [check_status(out[name]) for name in names] == [status for _, status in combo]
 
 
 class TestEmitAndReload:
