@@ -1,18 +1,21 @@
 """The experiment config and the paper's admissibility hypotheses.
 
-Readers for the values of a JSON config refuse a value of the wrong kind, a
-missing key or an unknown one with a ``ValueError`` that names it, so that
-the CLI reports it in one line. This module imports the standard library
-alone: ``validate`` draws nothing, so the ``validate`` command loads neither
-numpy nor scipy. The numeric modules re-export the names they share with it.
+Each config dataclass converts and checks its own fields, so an object built
+directly or changed with ``dataclasses.replace`` passes the checks of one
+read from JSON through ``config_object``: a value of the wrong kind, a
+missing key or an unknown one is refused with a ``ValueError`` that names
+it, which the CLI reports in one line. This module imports the standard
+library alone: ``validate`` draws nothing, so the ``validate`` command loads
+neither numpy nor scipy. The numeric modules re-export the names they share with it.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 __all__ = [
     "CHECKS",
@@ -36,6 +39,7 @@ __all__ = [
     "config_key",
     "config_known_keys",
     "config_list",
+    "config_object",
     "config_section",
     "load_config",
     "mean_value",
@@ -79,6 +83,16 @@ def config_key(d: dict, key: str):
     return d[key]
 
 
+def config_object(cls, d: dict):
+    """``cls(**d)``; refuses a key that names no field of ``cls`` and a
+    missing field that has no default, by name."""
+    config_known_keys(d, [f.name for f in fields(cls)])
+    for f in fields(cls):
+        if f.default is MISSING and f.default_factory is MISSING:
+            config_key(d, f.name)
+    return cls(**d)
+
+
 def config_section(d: dict, key: str, from_dict):
     """``from_dict(d[key])``; refuses a section that is not a JSON object, and
     names a key missing or unknown inside the section by its path through
@@ -94,29 +108,32 @@ def config_section(d: dict, key: str, from_dict):
         raise UnknownConfigKeys([f"{key}.{p}" for p in err.paths], [f"{key}.{k}" for k in err.known]) from None
 
 
-def config_list(d: dict, key: str) -> list:
-    """``d[key]``; refuses a missing key by name, and a value that is not a
-    JSON array, such as a number or a string, which iterating would fail on
-    or read character by character."""
-    value = config_key(d, key)
-    if not isinstance(value, list):
-        raise ValueError(f"{key} must be a list, got {value!r}")
-    return value
+def config_list(value, name: str) -> list:
+    """``value`` as a list; refuses a number, which iterating would fail on,
+    and a string or a mapping, which it would read by character or by key."""
+    try:
+        if not isinstance(value, (str, bytes, dict)):
+            return list(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be a list, got {value!r}")
 
 
 def config_int(value, name: str) -> int:
-    """A config count as an int; refuses booleans and non-integral numbers."""
-    if isinstance(value, bool) or not (
-        isinstance(value, int) or isinstance(value, float) and value.is_integer()
-    ):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    """A config count as an int: an int, a numpy integer or an integral
+    float; refuses booleans and anything else."""
+    try:
+        if not isinstance(value, bool):
+            return int(value) if isinstance(value, float) and value.is_integer() else operator.index(value)
+    except TypeError:
+        pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def config_float(value, name: str) -> float:
-    """A config real as a float; refuses booleans, strings and other
-    non-numbers, which ``float()`` would read as reals."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A config real as a float, numpy reals too; refuses booleans, strings
+    and other non-numbers, which ``float()`` would read as reals."""
+    if isinstance(value, (bool, str)) or not hasattr(value, "__float__"):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 
@@ -134,15 +151,19 @@ class TailModel:
 
     The family only pins ``q``: to 1/2 for the symmetric Pareto, to 1 for the
     positive one, and not at all for the skewed one, whose ``q`` is free in
-    [0, 1].  ``scale`` is the minimum support point of |Z|.
+    [0, 1] and 1/2 when not given.  ``scale`` is the minimum support point of |Z|.
     """
 
     family: str
     alpha: float
-    q: float = 0.5
+    q: float | None = None
     scale: float = 1.0
 
     def __post_init__(self):
+        if self.q is None:
+            object.__setattr__(self, "q", 1.0 if self.family == PARETO_POSITIVE else 0.5)
+        for name in ("alpha", "q", "scale"):
+            object.__setattr__(self, name, config_float(getattr(self, name), name))
         if self.family not in FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {FAMILIES}")
         if not 0.0 < self.alpha < 4.0:
@@ -161,15 +182,7 @@ class TailModel:
         # Every family is a Pareto tail; kept for perfbench's oracle, which reads it.
         return True
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TailModel":
-        config_known_keys(d, ("family", "alpha", "q", "scale"))
-        return cls(
-            family=config_key(d, "family"),
-            alpha=config_float(config_key(d, "alpha"), "alpha"),
-            q=config_float(d.get("q", 0.5), "q"),
-            scale=config_float(d.get("scale", 1.0), "scale"),
-        )
+    from_dict = classmethod(config_object)
 
 
 def norming_constant(model: TailModel, m: int) -> float:
@@ -200,8 +213,9 @@ class CoefficientSequence:
     min_lag: int = 0
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(config_float(v, "coefficient value") for v in config_list(self.values, "values"))
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "min_lag", config_int(self.min_lag, "min_lag"))
         if not vals:
             raise ValueError("coefficient window is empty")
         if not all(math.isfinite(v) for v in vals):
@@ -232,12 +246,7 @@ class CoefficientSequence:
     def max_abs(self) -> float:
         return float(max(abs(v) for v in self.values))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CoefficientSequence":
-        config_known_keys(d, ("min_lag", "values"))
-        min_lag = config_int(d.get("min_lag", 0), "min_lag")
-        values = tuple(config_float(v, "coefficient value") for v in config_list(d, "values"))
-        return cls(values=values, min_lag=min_lag)
+    from_dict = classmethod(config_object)
 
 
 @dataclass(frozen=True)
@@ -292,6 +301,9 @@ class DimensionRule:
     p_max: int | None = None
 
     def __post_init__(self):
+        for name in ("beta", "const"):
+            object.__setattr__(self, name, config_float(getattr(self, name), name))
+        object.__setattr__(self, "p_max", None if self.p_max is None else config_int(self.p_max, "p_max"))
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not self.const > 0.0:
@@ -315,15 +327,7 @@ class DimensionRule:
             p = min(p, self.p_max)
         return p
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DimensionRule":
-        config_known_keys(d, ("beta", "const", "p_max"))
-        p_max = d.get("p_max")
-        return cls(
-            beta=config_float(config_key(d, "beta"), "beta"),
-            const=config_float(d.get("const", 1.0), "const"),
-            p_max=None if p_max is None else config_int(p_max, "p_max"),
-        )
+    from_dict = classmethod(config_object)
 
 
 def beta_limit(alpha: float) -> float:
@@ -477,8 +481,20 @@ class ExperimentConfig:
     n_values: tuple[int, ...]
     replicates: int
     seed: int
-    checks: dict = field(default_factory=lambda: dict.fromkeys(CHECKS, True))
+    checks: dict = field(default_factory=dict)
     top_k: int = 3
+
+    def __post_init__(self):
+        n_values = tuple(config_int(n, "n_values entry") for n in config_list(self.n_values, "n_values"))
+        object.__setattr__(self, "n_values", n_values)
+        for name in ("replicates", "seed", "top_k"):
+            object.__setattr__(self, name, config_int(getattr(self, name), name))
+        if not isinstance(self.checks, dict) or not all(isinstance(v, bool) for v in self.checks.values()):
+            raise ValueError(f"checks must map check names to true or false, got {self.checks!r}")
+        unknown = sorted(set(self.checks) - set(CHECKS))
+        if unknown:
+            raise ValueError(f"unknown checks {unknown}; known: {sorted(CHECKS)}")
+        object.__setattr__(self, "checks", {**dict.fromkeys(CHECKS, True), **self.checks})
 
     @property
     def template(self) -> EnsembleTemplate:
@@ -490,25 +506,22 @@ class ExperimentConfig:
         if not isinstance(d, dict):
             raise ValueError(f"config must be a JSON object, got {d!r}")
         config_known_keys(d, _CONFIG_KEYS)
-        flags = d.get("checks", {})
-        if not isinstance(flags, dict) or not all(isinstance(v, bool) for v in flags.values()):
-            raise ValueError(f"checks must map check names to true or false, got {flags!r}")
-        unknown = sorted(set(flags) - set(CHECKS))
-        if unknown:
-            raise ValueError(f"unknown checks {unknown}; known: {sorted(CHECKS)}")
-        checks = {**dict.fromkeys(CHECKS, True), **flags}
-        return cls(
-            model=config_section(d, "model", TailModel.from_dict),
-            filter=config_section(d, "filter", FilterSpec.from_dict),
-            rule=config_section(d, "dimension_rule", DimensionRule.from_dict),
-            n_values=tuple(config_int(n, "n_values entry") for n in config_list(d, "n_values")),
-            replicates=config_int(config_key(d, "replicates"), "replicates"),
-            seed=config_int(config_key(d, "seed"), "seed"),
-            checks=checks,
-            top_k=config_int(d.get("top_k", 3), "top_k"),
-        )
+        sections = {"model": TailModel, "filter": FilterSpec, "dimension_rule": DimensionRule}
+        d = {**d, **{key: config_section(d, key, kind.from_dict) for key, kind in sections.items()}}
+        d["rule"] = d.pop("dimension_rule")
+        return config_object(cls, d)
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's pairs as a dict; refuses a key given twice, which
+    ``json`` would otherwise read as its last value."""
+    keys = [key for key, _ in pairs]
+    repeated = sorted({key for key in keys if keys.count(key) > 1})
+    if repeated:
+        raise ValueError(f"config object repeats keys {repeated}; each key must appear once")
+    return dict(pairs)
 
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+        return ExperimentConfig.from_dict(json.load(fh, object_pairs_hook=_unique_keys))

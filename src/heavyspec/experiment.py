@@ -303,12 +303,6 @@ def _one_blas_thread():
             set_threads(count)
 
 
-def _count(value, name: str) -> int:
-    """A batch count as an int: an int, a numpy integer or an integral float;
-    refuses anything else in the config reader's words."""
-    return int(value) if isinstance(value, np.integer) else config_int(value, name)
-
-
 def run_batch(
     template: EnsembleTemplate,
     rule: DimensionRule,
@@ -334,8 +328,9 @@ def run_batch(
     pool's initializer sets the count only in a worker that starts from a
     fresh interpreter (``spawn``, ``forkserver``) at the library's default.
     """
-    n_values = tuple(_count(n, "n_values entry") for n in n_values)
-    replicates, top_k, workers = _count(replicates, "replicates"), _count(top_k, "top_k"), _count(workers, "workers")
+    n_values = tuple(config_int(n, "n_values entry") for n in n_values)
+    replicates, top_k = config_int(replicates, "replicates"), config_int(top_k, "top_k")
+    workers = config_int(workers, "workers")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     grid = batch_grid(template, rule, n_values, replicates, top_k)
@@ -555,8 +550,7 @@ def run_checks(batch: TrialBatch, config: ExperimentConfig) -> dict:
     alone; the batch passes overall when no check's status is FAIL."""
     out = {}
     for name, function in CHECKS.items():
-        enabled = config.checks.get(name, True)
-        out[name] = {"enabled": True, **globals()[function](batch)} if enabled else {"enabled": False}
+        out[name] = {"enabled": True, **globals()[function](batch)} if config.checks[name] else {"enabled": False}
     out["overall_passed"] = all(check_status(entry) != "FAIL" for entry in out.values())
     return out
 

@@ -338,6 +338,7 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
             for command in ("validate", "run", "check", "report")
         ],
         ("validate --config {tmp}/no_replicates.json", "config lacks required key 'replicates'"),
+        ("validate --config {tmp}/repeated_keys.json", "config object repeats keys ['replicates', 'seed']; each key"),
         ("run --config {tmp}/no_filter_c.json --out {tmp}/out", "config lacks required key 'filter.c'"),
         ("validate --config {tmp}/alpha_true.json", "alpha must be a number, got True"),
         ("run --config {tmp}/beta_string.json --out {tmp}/out", "beta must be a number, got '0.5'"),
@@ -447,6 +448,10 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         else:
             node[path[-1]] = value
         (tmp_path / f"{name}.json").write_text(json.dumps(edited), encoding="utf-8")
+    # json.dumps writes each key once: this file gives replicates and seed a
+    # second time, which json.load alone would read as the last values.
+    repeated = json.dumps(config)[:-1] + ', "replicates": 500, "seed": 8}'
+    (tmp_path / "repeated_keys.json").write_text(repeated, encoding="utf-8")
     example = json.loads((ROOT / "config.example.json").read_text(encoding="utf-8"))
     example["model"]["scale"] = 1e148
     (tmp_path / "example_scale_1e148.json").write_text(json.dumps(example), encoding="utf-8")

@@ -1678,3 +1678,61 @@ class TestConfig:
         assert (config.replicates, config.seed, config.top_k, config.n_values) == (2, 3, 2, (100,))
         assert (config.rule.p_max, config.filter.theta.min_lag) == (40, -1)
         assert all(type(v) is int for v in (config.replicates, config.seed, config.top_k, config.rule.p_max))
+
+    LIBRARY_CONFIG = ExperimentConfig(
+        model=MODEL15, filter=SPIKE, rule=DimensionRule(beta=0.5), n_values=(100,), replicates=2, seed=3
+    )
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CoefficientSequence("10"), "values must be a list, got '10'"),
+            (lambda: CoefficientSequence(1.0), "values must be a list, got 1.0"),
+            (lambda: CoefficientSequence((True, 0.5)), "coefficient value must be a number, got True"),
+            (lambda: CoefficientSequence((1.0,), min_lag=False), "min_lag must be an integer, got False"),
+            (lambda: TailModel("pareto_symmetric", alpha=True), "alpha must be a number, got True"),
+            (lambda: TailModel("pareto_skewed", alpha=1.2, q="0.3"), "q must be a number, got '0.3'"),
+            (lambda: replace(MODEL15, scale=True), "scale must be a number, got True"),
+            (lambda: DimensionRule(beta="0.9"), "beta must be a number, got '0.9'"),
+            (lambda: DimensionRule(beta=0.9, p_max=40.5), "p_max must be an integer, got 40.5"),
+            (
+                lambda: replace(TestConfig.LIBRARY_CONFIG, checks={"envelop": False}),
+                "unknown checks ['envelop']; known: ['envelope', 'ks', 'offdiag', 'order_stats']",
+            ),
+            (
+                lambda: replace(TestConfig.LIBRARY_CONFIG, checks={"ks": "false"}),
+                "checks must map check names to true or false, got {'ks': 'false'}",
+            ),
+            (lambda: replace(TestConfig.LIBRARY_CONFIG, replicates=2.5), "replicates must be an integer, got 2.5"),
+            (lambda: replace(TestConfig.LIBRARY_CONFIG, seed="3"), "seed must be an integer, got '3'"),
+            (lambda: replace(TestConfig.LIBRARY_CONFIG, top_k=1.5), "top_k must be an integer, got 1.5"),
+            (
+                lambda: replace(TestConfig.LIBRARY_CONFIG, n_values=(100.7,)),
+                "n_values entry must be an integer, got 100.7",
+            ),
+            (lambda: replace(TestConfig.LIBRARY_CONFIG, n_values=1000), "n_values must be a list, got 1000"),
+        ],
+        ids=[
+            "values_str", "values_float", "value_bool", "min_lag_bool", "alpha_bool", "q_str", "scale_bool",
+            "beta_str", "p_max_float", "checks_typo", "checks_str_flag", "replicates_float", "seed_str",
+            "top_k_float", "n_float", "n_values_int",
+        ],
+    )
+    def test_library_objects_are_refused_in_the_readers_words(self, build, message):
+        # Objects built directly or changed with replace once skipped these
+        # checks: "10" was the window (1.0, 0.0), alpha True ran at alpha 1, a
+        # misspelled check was ignored, and p_max 40.5 failed inside
+        # run_batch with a TypeError.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    def test_library_objects_take_numpy_scalars_and_fill_defaults(self):
+        rule = DimensionRule(np.float64(0.9), p_max=np.int64(400))
+        assert rule == DimensionRule(0.9, p_max=400) and type(rule.p_max) is int
+        window = CoefficientSequence(np.array([1.0, 0.5], dtype=np.float32), min_lag=np.int32(-1))
+        assert (window.values, window.min_lag) == ((1.0, 0.5), -1) and type(window.min_lag) is int
+        model = TailModel("pareto_symmetric", alpha=np.float32(1.5))
+        assert model == MODEL15 and type(model.alpha) is float
+        config = replace(self.LIBRARY_CONFIG, checks={"ks": True}, n_values=[np.int64(100)])
+        assert config.checks == {"envelope": True, "ks": True, "order_stats": True, "offdiag": True}
+        assert config.n_values == (100,) and type(config.n_values[0]) is int

@@ -69,7 +69,7 @@ class TestTailModel:
     def test_rejects_bad_q(self):
         with pytest.raises(ValueError, match="q"):
             TailModel("pareto_symmetric", alpha=1.0, q=0.7)
-        with pytest.raises(ValueError, match="q"):
+        with pytest.raises(ValueError, match=r"^pareto_positive requires q = 1, got 0\.5$"):
             TailModel("pareto_positive", alpha=1.0, q=0.5)
         with pytest.raises(ValueError, match="q"):
             TailModel("pareto_skewed", alpha=1.0, q=1.2)
@@ -84,6 +84,13 @@ class TestTailModel:
             assert TailModel.from_dict(d) == m
         defaults = TailModel.from_dict({"family": "pareto_symmetric", "alpha": 1.5})
         assert (defaults.q, defaults.scale) == (0.5, 1.0)
+
+    @pytest.mark.parametrize("family, q", [("pareto_symmetric", 0.5), ("pareto_positive", 1.0), ("pareto_skewed", 0.5)])
+    def test_family_supplies_q(self, family, q):
+        # A pareto_positive model without q was once refused with "requires
+        # q = 1, got 0.5", a 0.5 its caller never wrote.
+        assert TailModel(family, alpha=1.2).q == q
+        assert TailModel.from_dict({"family": family, "alpha": 1.2}).q == q
 
 
 class TestNoisePanel:
