@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 import sys
 from dataclasses import MISSING, dataclass, field, fields
@@ -131,9 +132,10 @@ def config_int(value, name: str) -> int:
 
 
 def config_float(value, name: str) -> float:
-    """A config real as a float, numpy reals too; refuses booleans, strings
-    and other non-numbers, which ``float()`` would read as reals."""
-    if isinstance(value, (bool, str)) or not hasattr(value, "__float__"):
+    """A config real as a float: a ``numbers.Real``, which numpy's integers
+    and floats are; refuses booleans, numpy's too, strings and other
+    non-numbers, which ``float()`` would read as reals."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     return float(value)
 

@@ -22,15 +22,9 @@ from itertools import islice
 
 import numpy as np
 from scipy.linalg.blas import dsyrk
-from scipy.special import kolmogi
+from scipy.special import kolmogi, smirnov
 
-from .limit_law import (
-    bound_cdf_lower,
-    bound_cdf_upper,
-    bound_constants,
-    frechet_quantile,
-    limit_order_statistics,
-)
+from .limit_law import bound_cdf_lower, bound_cdf_upper, bound_constants, limit_order_statistics
 from ._config import (
     CHECKS, DimensionRule, EnsembleSpec, EnsembleTemplate, ExperimentConfig, FilterSpec, TailModel,
     ValidationError, ValidationReport, batch_grid, beta_limit, config_int, load_config, validate,
@@ -61,7 +55,6 @@ __all__ = [
     "beta_limit",
     "check_status",
     "derive_seed",
-    "ecdf",
     "emit_report",
     "envelope_check",
     "ks_check",
@@ -374,25 +367,24 @@ def run_batch(
 # values each check used.
 
 
-def ecdf(values, x):
-    """Fraction of values <= x (right-continuous, vectorized over x)."""
+def _one_sided_sups(values, cdf_plus, cdf_minus) -> tuple[tuple[float, float], tuple[float, float]]:
+    """``((d_plus, x_plus), (d_minus, x_minus))``: d_plus = sup(ECDF -
+    cdf_plus) and d_minus = sup(cdf_minus - ECDF), each at least 0, with the
+    sorted value where it is reached (d_minus as x rises to it), evaluated
+    exactly at the sample points."""
     v = np.sort(np.asarray(values, dtype=float))
     if v.size == 0:
-        raise ValueError("ecdf of an empty sample is undefined")
-    out = np.searchsorted(v, np.asarray(x, dtype=float), side="right") / v.size
-    return out if out.ndim else float(out)
+        raise ValueError("KS distance of an empty sample is undefined")
+    steps = np.arange(1, v.size + 1) / v.size
+    plus = steps - np.asarray(cdf_plus(v), dtype=float)
+    minus = np.asarray(cdf_minus(v), dtype=float) - (steps - 1.0 / v.size)
+    i, j = int(np.argmax(plus)), int(np.argmax(minus))
+    return (float(plus[i]), float(v[i])), (float(minus[j]), float(v[j]))
 
 
 def ks_distance(values, cdf) -> float:
     """sup_x |ECDF(x) - cdf(x)|, evaluated exactly at the sample points."""
-    v = np.sort(np.asarray(values, dtype=float))
-    if v.size == 0:
-        raise ValueError("KS distance of an empty sample is undefined")
-    f = np.asarray(cdf(v), dtype=float)
-    steps = np.arange(1, v.size + 1) / v.size
-    d_plus = float(np.max(steps - f))
-    d_minus = float(np.max(f - (steps - 1.0 / v.size)))
-    return max(d_plus, d_minus, 0.0)
+    return max(d for d, _ in _one_sided_sups(values, cdf, cdf))
 
 
 def _rows(**columns) -> list[dict]:
@@ -401,46 +393,42 @@ def _rows(**columns) -> list[dict]:
     return [dict(zip(columns, row)) for row in zip(*(np.asarray(c).tolist() for c in columns.values()))]
 
 
-_ENVELOPE_LEVELS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-_ENVELOPE_SLACK = 0.03
-_ENVELOPE_Z = 4.0
 _KS_LEVEL = 0.05
 _LIMIT_DRAWS = 2000
 _OFFDIAG_THRESHOLD = 0.15
 
 
 def envelope_check(batch: TrialBatch) -> dict:
-    """Test containment of the empirical CDF between the two envelope CDFs.
+    """Test the scaled norms at each n against the theorem's envelope,
+    ``bound_cdf_lower <= F <= bound_cdf_upper`` for their law F, as two
+    one-sided Smirnov tests.
 
-    The grid puts the x values at the lower-envelope quantiles of
-    ``_ENVELOPE_LEVELS``, so the test has comparable power across the
-    distribution. A grid point passes when its ECDF lies within
-    ``_ENVELOPE_SLACK + _ENVELOPE_Z`` standard errors of the envelope. Overall
-    pass requires every grid point to pass at the largest n.
+    Norms too small: d_plus = sup(ECDF - bound_cdf_upper); norms too big:
+    d_minus = sup(bound_cdf_lower - ECDF).  Where the bound holds, each is
+    stochastically below the one-sided KS statistic against F, so
+    ``smirnov(count, d)`` bounds its p-value exactly.  The largest n decides:
+    it passes when both p-values exceed ``_KS_LEVEL / 2`` (Bonferroni over
+    the two sides).  With one nonzero weight the two envelope CDFs coincide
+    and this is a two-sided KS test against the exact law.
     """
     b = bound_constants(batch.filter, batch.model.alpha)
-    grid = frechet_quantile(np.asarray(_ENVELOPE_LEVELS), b.upper_scale, b.alpha)
-    lo, hi = bound_cdf_lower(grid, b), bound_cdf_upper(grid, b)
+    upper, lower = (lambda x: bound_cdf_upper(x, b)), (lambda x: bound_cdf_lower(x, b))
     per_n = []
     for n in sorted(batch.n_values):
         values = batch.scaled_norms(n)
-        count = values.size
-        ec = ecdf(values, grid)
-        phat = np.clip(ec, 0.5 / count, 1.0 - 0.5 / count)
-        se = np.sqrt(phat * (1.0 - phat) / count)
-        tol = _ENVELOPE_SLACK + _ENVELOPE_Z * se
-        ok = (ec >= lo - tol) & (ec <= hi + tol)
-        rows = _rows(x=grid, ecdf=ec, cdf_lower=lo, cdf_upper=hi, stderr=se, tol=tol, passed=ok)
-        per_n.append({"n": n, "count": count, "grid": rows})
+        entry = {"n": n, "count": values.size}
+        for side, (d, x) in zip(("plus", "minus"), _one_sided_sups(values, upper, lower)):
+            entry |= {f"d_{side}": d, f"x_{side}": x, f"p_{side}": float(smirnov(values.size, d))}
+        per_n.append(entry)
     return {
         "applicable": True,
-        # The loop ends at the largest n, whose grid decides.
-        "passed": bool(ok.all()),
+        # The loop ends at the largest n, which decides.
+        "passed": min(entry["p_plus"], entry["p_minus"]) > _KS_LEVEL / 2,
         "alpha": batch.model.alpha,
         "lower_scale": b.lower_scale,
         "upper_scale": b.upper_scale,
-        "slack": _ENVELOPE_SLACK,
-        "z": _ENVELOPE_Z,
+        "level": _KS_LEVEL,
+        "level_per_side": _KS_LEVEL / 2,
         "per_n": per_n,
     }
 

@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import smirnov
+from scipy.stats import binom
 
 from heavyspec.experiment import (
     DimensionRule,
@@ -32,7 +34,6 @@ from heavyspec.experiment import (
     beta_limit,
     check_status,
     derive_seed,
-    ecdf,
     emit_report,
     envelope_check,
     ks_check,
@@ -46,13 +47,12 @@ from heavyspec.experiment import (
     validate,
 )
 from heavyspec.experiment import (
-    _ENVELOPE_LEVELS,
-    _ENVELOPE_SLACK,
-    _ENVELOPE_Z,
     _IQR_FACTOR,
+    _KS_LEVEL,
     _LIMIT_DRAWS,
     _LIMIT_SEED,
     _one_blas_thread,
+    _one_sided_sups,
     _set_blas_threads,
 )
 from heavyspec.limit_law import (
@@ -894,27 +894,6 @@ class TestRunBatch:
         assert keys == sorted(keys)
 
 
-class TestEcdf:
-    def test_basic_fraction(self):
-        assert ecdf([1.0, 2.0, 3.0], 2.0) == pytest.approx(2.0 / 3.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            ecdf([], 1.0)
-
-    def test_limits(self):
-        assert ecdf([1.0, 2.0], -math.inf) == 0.0
-        assert ecdf([1.0, 2.0], math.inf) == 1.0
-
-    def test_right_continuous_nondecreasing(self):
-        vals = [0.5, 1.5, 1.5, 4.0]
-        grid = np.linspace(0, 5, 101)
-        out = ecdf(vals, grid)
-        assert np.all(np.diff(out) >= 0)
-        assert ecdf(vals, 1.5) == pytest.approx(0.75)  # jump included at the point
-        assert ecdf(vals, 1.5 - 1e-12) == pytest.approx(0.25)
-
-
 class TestKsDistance:
     def test_samples_from_cdf_within_critical_band(self):
         rng = np.random.default_rng(17)
@@ -942,26 +921,55 @@ class TestKsDistance:
             ks_distance([], lambda x: x)
 
 
+def _envelope_rejections(fspec, alpha, scale, replicates, runs, seed):
+    """Judge ``runs`` batches of ``replicates`` exact draws of the
+    Fréchet(alpha/2) law at ``scale`` by envelope_check; returns how many
+    were rejected by d_plus, by d_minus and overall."""
+    model = TailModel("pareto_symmetric", alpha=alpha)
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(3, dtype=int)
+    for _ in range(runs):
+        values = frechet_quantile(rng.uniform(size=replicates), scale, alpha)
+        report = envelope_check(_synthetic_batch(values, fspec, model))
+        entry, side = report["per_n"][0], report["level_per_side"]
+        counts += (entry["p_plus"] <= side, entry["p_minus"] <= side, not report["passed"])
+    return counts
+
+
 class TestEnvelopeCheck:
+    # config.example.json's filter: the envelope's scales are 1.25 and 1.875.
+    FILTER = _fs((1.0, 0.5), (1.0, 0.5))
+
+    def test_one_sided_sups_at_ties(self):
+        # Uniform on [0, 4]. The ECDF is 0.25, 0.75 and 1 at 0.5, 1.5 and 4:
+        # ECDF - cdf peaks after the tied pair, cdf - ECDF just below 4.
+        sups = _one_sided_sups([4.0, 1.5, 0.5, 1.5], lambda x: x / 4.0, lambda x: x / 4.0)
+        assert sups == ((0.375, 1.5), (0.25, 4.0))
+        assert ks_distance([4.0, 1.5, 0.5, 1.5], lambda x: x / 4.0) == 0.375
+
     def test_synthetic_draws_from_upper_cdf_pass(self):
-        fspec = _fs((1.0, 0.5), (1.0, 0.5))
         alpha = 1.2
         model = TailModel("pareto_symmetric", alpha=alpha)
-        b = bound_constants(fspec, alpha)
+        b = bound_constants(self.FILTER, alpha)
         rng = np.random.default_rng(20)
         values = frechet_quantile(rng.uniform(size=800), b.lower_scale, alpha)
-        batch = _synthetic_batch(values, fspec, model)
+        batch = _synthetic_batch(values, self.FILTER, model)
         report = envelope_check(batch)
         assert report["passed"]
+        assert (report["level"], report["level_per_side"]) == (0.05, 0.025)
 
     def test_all_zero_values_fail(self):
-        fspec = _fs((1.0, 0.5), (1.0, 0.5))
         model = TailModel("pareto_symmetric", alpha=1.2)
-        batch = _synthetic_batch(np.zeros(500), fspec, model)
+        batch = _synthetic_batch(np.zeros(500), self.FILTER, model)
         report = envelope_check(batch)
         assert not report["passed"]
+        entry = report["per_n"][0]
+        assert (entry["count"], entry["d_plus"], entry["x_plus"]) == (500, 1.0, 0.0)
+        assert entry["p_plus"] < 1e-100
 
-    def test_single_spike_envelope_degenerates(self):
+    def test_single_spike_is_the_two_sided_ks_test(self):
+        # One nonzero weight: both envelope CDFs are the exact law, and the
+        # larger of the two sups is ks_check's distance.
         model = TailModel("pareto_symmetric", alpha=1.5)
         b = bound_constants(SPIKE, 1.5)
         rng = np.random.default_rng(21)
@@ -969,16 +977,43 @@ class TestEnvelopeCheck:
         batch = _synthetic_batch(values, SPIKE, model)
         report = envelope_check(batch)
         assert report["passed"]
-        for row in report["per_n"][0]["grid"]:
-            assert row["cdf_lower"] == row["cdf_upper"]
+        entry = report["per_n"][0]
+        assert max(entry["d_plus"], entry["d_minus"]) == ks_check(batch)["ks_vs_upper_cdf"]
 
-    def test_grid_at_lower_cdf_quantiles(self):
-        fspec = _fs((1.0, 0.5), (1.0, 0.5))
-        model = TailModel("pareto_symmetric", alpha=1.2)
-        batch = _synthetic_batch(np.ones(100), fspec, model)
+    @pytest.mark.parametrize("end", ["lower", "upper"])
+    def test_size_at_an_envelope_end(self, end):
+        # Exact draws of one envelope law at 100 replicates, 400 runs: the
+        # side that this end makes tight rejects at its 2.5%, within the 99%
+        # binomial interval, and the other side at most that often.
+        b = bound_constants(self.FILTER, 1.2)
+        scale = b.upper_scale if end == "lower" else b.lower_scale
+        runs = 400
+        plus, minus, overall = _envelope_rejections(self.FILTER, 1.2, scale, 100, runs, seed=23)
+        tight, slack = (minus, plus) if end == "lower" else (plus, minus)
+        low, high = binom.interval(0.99, runs, _KS_LEVEL / 2)
+        assert low <= tight <= high
+        assert slack <= high
+        assert overall <= tight + slack
+
+    def test_rejects_a_law_above_the_envelope(self):
+        # The rank-one law (scale sum theta^2 * sum c^2 = 1.5625) at 1.5
+        # times its scale, 2.34, lies above the envelope's 1.875: at 1000
+        # replicates the "too big" side rejects it in about 0.92 of runs.
+        rank_one = self.FILTER.theta.sq_sum * self.FILTER.c.sq_sum
+        runs = 40
+        plus, minus, overall = _envelope_rejections(self.FILTER, 1.2, 1.5 * rank_one, 1000, runs, seed=24)
+        assert overall >= 0.75 * runs
+        assert (plus, minus) == (0, overall)
+
+    def test_spike_pipeline_batch_passes(self):
+        # The exact law's own config at 30 replicates (alpha 1.5, c = theta =
+        # (1), p_max 60): p = 0.74 and 0.067 at n 400, where one norm lies
+        # below the law's 0.2 quantile.
+        template = EnsembleTemplate(model=MODEL15, filter=SPIKE)
+        batch = run_batch(template, DimensionRule(beta=0.9, p_max=60), [100, 200, 400], 30, base_seed=7)
         report = envelope_check(batch)
-        levels = [row["cdf_lower"] for row in report["per_n"][0]["grid"]]
-        assert np.allclose(levels, np.arange(1, 10) / 10.0, rtol=1e-10)
+        assert report["passed"]
+        assert [(entry["n"], entry["count"]) for entry in report["per_n"]] == [(100, 30), (200, 30), (400, 30)]
 
 
 class TestKsCheck:
@@ -1082,37 +1117,42 @@ class TestOrderStatCheck:
 
 
 def _envelope_reference(batch):
-    """envelope_check as a loop over the grid points, one ecdf call each."""
+    """envelope_check as a loop over the sorted norms at each n, one point at
+    a time: the ECDF is i / count at the i-th and one step less below it."""
     b = bound_constants(batch.filter, batch.model.alpha)
-    grid = frechet_quantile(np.asarray(_ENVELOPE_LEVELS), b.upper_scale, b.alpha)
     per_n = []
-    overall = True
     for n in sorted(batch.n_values):
-        values = batch.scaled_norms(n)
-        count = values.size
-        rows = []
-        for x in grid:
-            ec = float(ecdf(values, x))
-            lo = float(bound_cdf_lower(x, b))
-            hi = float(bound_cdf_upper(x, b))
-            phat = min(max(ec, 0.5 / count), 1.0 - 0.5 / count)
-            se = math.sqrt(phat * (1.0 - phat) / count)
-            tol = _ENVELOPE_SLACK + _ENVELOPE_Z * se
-            ok = (ec >= lo - tol) and (ec <= hi + tol)
-            rows.append(
-                {"x": float(x), "ecdf": ec, "cdf_lower": lo, "cdf_upper": hi, "stderr": se, "tol": tol, "passed": ok}
-            )
-        per_n.append({"n": n, "count": count, "grid": rows})
-        if n == batch.largest_n:
-            overall = all(r["passed"] for r in rows)
+        values = sorted(batch.scaled_norms(n).tolist())
+        count = len(values)
+        d_plus = d_minus = -math.inf
+        for i, x in enumerate(values, 1):
+            plus = i / count - float(bound_cdf_upper(x, b))
+            minus = float(bound_cdf_lower(x, b)) - (i / count - 1.0 / count)
+            if plus > d_plus:
+                d_plus, x_plus = plus, x
+            if minus > d_minus:
+                d_minus, x_minus = minus, x
+        p_plus, p_minus = float(smirnov(count, d_plus)), float(smirnov(count, d_minus))
+        per_n.append(
+            {
+                "n": n,
+                "count": count,
+                "d_plus": d_plus,
+                "x_plus": x_plus,
+                "p_plus": p_plus,
+                "d_minus": d_minus,
+                "x_minus": x_minus,
+                "p_minus": p_minus,
+            }
+        )
     return {
         "applicable": True,
-        "passed": overall,
+        "passed": p_plus > _KS_LEVEL / 2 and p_minus > _KS_LEVEL / 2,
         "alpha": batch.model.alpha,
         "lower_scale": b.lower_scale,
         "upper_scale": b.upper_scale,
-        "slack": _ENVELOPE_SLACK,
-        "z": _ENVELOPE_Z,
+        "level": _KS_LEVEL,
+        "level_per_side": _KS_LEVEL / 2,
         "per_n": per_n,
     }
 
@@ -1155,20 +1195,19 @@ def _order_stat_reference(batch):
     }
 
 
-def _grid_tied_batch(fspec, replicates, k, seed, zero_at=None):
+def _tied_batch(fspec, replicates, k, seed, zero_at=None):
     """Draws of the upper envelope law at n 200, 40 and 90 (unsorted, as a
-    config may list them), a third of them moved exactly onto the grid points,
-    with k decreasing top values per record rounded to create ties; the norms
+    config may list them), a third of them rounded to one decimal to create
+    ties, with k decreasing top values per record rounded likewise; the norms
     at n ``zero_at`` are all zero, which fails that n's envelope."""
     alpha = 1.3
     b = bound_constants(fspec, alpha)
-    grid = frechet_quantile(np.asarray(_ENVELOPE_LEVELS), b.upper_scale, alpha)
     rng = np.random.default_rng(seed)
     n_values = (200, 40, 90)
     records = []
     for n in n_values:
         norms = frechet_quantile(rng.uniform(0.01, 0.99, size=replicates), b.lower_scale, alpha)
-        norms[::3] = rng.choice(grid, size=norms[::3].size)
+        norms[::3] = np.round(norms[::3], 1)
         if n == zero_at:
             norms[:] = 0.0
         top = np.round(np.sort(rng.pareto(alpha, size=(replicates, k)), axis=1)[:, ::-1], 1)
@@ -1181,8 +1220,9 @@ def _grid_tied_batch(fspec, replicates, k, seed, zero_at=None):
 
 
 class TestChecksEqualTheirPerPointLoops:
-    # The checks compute over whole arrays; the loops above, one grid point or
-    # rank at a time, give the same floats, bit for bit, and the same verdict.
+    # The checks compute over whole arrays; the loops above, one sorted point
+    # or rank at a time, give the same floats, bit for bit, and the same
+    # verdict.
     @pytest.mark.parametrize(
         "replicates, k",
         [(1, 1), (2, 2), (3, 5), (7, 3), (60, 4), (600, 5), (600, 1)],
@@ -1193,9 +1233,9 @@ class TestChecksEqualTheirPerPointLoops:
         ids=["spike", "one_sided", "two_sided"],
     )
     def test_envelope_and_order_statistics(self, fspec, replicates, k):
-        batch = _grid_tied_batch(fspec, replicates, k, seed=replicates * 10 + k)
-        grid = [row["x"] for row in envelope_check(batch)["per_n"][0]["grid"]]
-        assert np.isin(batch.scaled_norms(40), grid).any()
+        batch = _tied_batch(fspec, replicates, k, seed=replicates * 10 + k)
+        if replicates >= 60:
+            assert np.unique(batch.scaled_norms(40)).size < replicates
         for got, want in (
             (envelope_check(batch), _envelope_reference(batch)),
             (order_stat_check(batch), _order_stat_reference(batch)),
@@ -1205,12 +1245,13 @@ class TestChecksEqualTheirPerPointLoops:
 
     @pytest.mark.parametrize("zero_at, passed", [(200, False), (40, True)])
     def test_the_largest_n_decides_the_envelope(self, zero_at, passed):
-        batch = _grid_tied_batch(SPIKE, 600, 1, seed=5, zero_at=zero_at)
+        batch = _tied_batch(SPIKE, 600, 1, seed=5, zero_at=zero_at)
         report = envelope_check(batch)
         assert report == _envelope_reference(batch)
         assert [entry["n"] for entry in report["per_n"]] == [40, 90, 200]
         assert report["passed"] is passed
-        assert not all(row["passed"] for entry in report["per_n"] for row in entry["grid"])
+        failed = [entry["n"] for entry in report["per_n"] if entry["p_plus"] <= report["level_per_side"]]
+        assert failed == [zero_at]
 
 
 # Every entry a check emits, with the status report prints for it.
@@ -1376,7 +1417,8 @@ class TestEmitAndReload:
             assert type(loaded[name]["passed"]) is bool
         assert loaded["ks"]["enabled"] is True and loaded["ks"]["applicable"] is False
         assert loaded["ks"]["passed"] is None
-        assert all(type(row["passed"]) is bool for row in loaded["envelope"]["per_n"][-1]["grid"])
+        for key in ("d_plus", "x_plus", "p_plus", "d_minus", "x_minus", "p_minus"):
+            assert all(type(entry[key]) is float for entry in loaded["envelope"]["per_n"])
         assert all(type(rank["passed"]) is bool for rank in loaded["order_stats"]["ranks"])
 
 
@@ -1724,6 +1766,20 @@ class TestConfig:
         # misspelled check was ignored, and p_max 40.5 failed inside
         # run_batch with a TypeError.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: TailModel("pareto_symmetric", alpha=np.True_), "alpha"),
+            (lambda: CoefficientSequence([np.True_]), "coefficient value"),
+            (lambda: DimensionRule(beta=np.True_), "beta"),
+        ],
+        ids=["tail_model", "coefficient_sequence", "dimension_rule"],
+    )
+    def test_library_objects_refuse_numpy_booleans_as_reals(self, build, name):
+        # numpy's bool is no real, as config_int holds it no integer.
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be a number, got np.True_$"):
             build()
 
     def test_library_objects_take_numpy_scalars_and_fill_defaults(self):
