@@ -27,9 +27,7 @@ __all__ = [
     "EnsembleTemplate",
     "ExperimentConfig",
     "FilterSpec",
-    "MissingConfigKey",
     "TailModel",
-    "UnknownConfigKeys",
     "ValidationError",
     "ValidationItem",
     "ValidationReport",
@@ -37,7 +35,6 @@ __all__ = [
     "beta_limit",
     "config_float",
     "config_int",
-    "config_key",
     "config_known_keys",
     "config_list",
     "config_object",
@@ -49,71 +46,54 @@ __all__ = [
 ]
 
 
-class MissingConfigKey(ValueError):
-    """A config object lacks a required key; ``path`` names it from the top,
-    such as ``filter.c``."""
-
-    def __init__(self, path: str):
-        super().__init__(f"config lacks required key {path!r}")
-        self.path = path
+def _key_path(path: str, key: str) -> str:
+    """``key`` named from the top: ``path.key``, or ``key`` itself at the top."""
+    return f"{path}.{key}" if path else key
 
 
-class UnknownConfigKeys(ValueError):
-    """A config object holds keys its reader does not know; ``paths`` name
-    them, and ``known`` the keys it reads, from the top, such as
-    ``dimension_rule.pmax`` and ``dimension_rule.p_max``."""
-
-    def __init__(self, paths: list[str], known: list[str]):
-        super().__init__(f"unknown config keys {paths}; known: {known}")
-        self.paths = paths
-        self.known = known
-
-
-def config_known_keys(d: dict, known) -> None:
-    """Refuses every key of ``d`` outside ``known``, by name, so that a
-    misspelled optional key is not read as absent."""
+def config_known_keys(d: dict, known, path: str = "") -> None:
+    """Refuses every key of ``d`` outside ``known``, so that a misspelled
+    optional key is not read as absent; ``path`` is where ``d`` sits in the
+    config ("" at the top), and each key is named from the top through it,
+    such as ``filter.theta.minlag`` under ``filter.theta``."""
     unknown = sorted(set(d) - set(known))
     if unknown:
-        raise UnknownConfigKeys(unknown, sorted(known))
+        paths = [_key_path(path, key) for key in unknown]
+        known = [_key_path(path, key) for key in sorted(known)]
+        raise ValueError(f"unknown config keys {paths}; known: {known}")
 
 
-def config_key(d: dict, key: str):
-    """``d[key]``; refuses a missing key by name."""
-    if key not in d:
-        raise MissingConfigKey(key)
-    return d[key]
-
-
-def config_object(cls, d: dict):
+def config_object(cls, d: dict, path: str = ""):
     """``cls(**d)``; refuses a key that names no field of ``cls`` and a
-    missing field that has no default, by name."""
-    config_known_keys(d, [f.name for f in fields(cls)])
+    missing field that has no default, each named from the top through
+    ``path``, where ``d`` sits in the config ("" at the top)."""
+    config_known_keys(d, [f.name for f in fields(cls)], path)
     for f in fields(cls):
-        if f.default is MISSING and f.default_factory is MISSING:
-            config_key(d, f.name)
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in d:
+            raise ValueError(f"config lacks required key {_key_path(path, f.name)!r}")
     return cls(**d)
 
 
-def config_section(d: dict, key: str, from_dict):
-    """``from_dict(d[key])``; refuses a section that is not a JSON object, and
-    names a key missing or unknown inside the section by its path through
-    ``key``."""
-    section = config_key(d, key)
+def config_section(d: dict, key: str, from_dict, path: str = ""):
+    """``from_dict(d[key], path.key)``; refuses a missing ``key`` and a
+    section that is not a JSON object. ``path`` is where ``d`` sits in the
+    config ("" at the top), and ``from_dict`` names the section's keys
+    through the path it is passed."""
+    key_path = _key_path(path, key)
+    if key not in d:
+        raise ValueError(f"config lacks required key {key_path!r}")
+    section = d[key]
     if not isinstance(section, dict):
         raise ValueError(f"{key} must be a JSON object, got {section!r}")
-    try:
-        return from_dict(section)
-    except MissingConfigKey as err:
-        raise MissingConfigKey(f"{key}.{err.path}") from None
-    except UnknownConfigKeys as err:
-        raise UnknownConfigKeys([f"{key}.{p}" for p in err.paths], [f"{key}.{k}" for k in err.known]) from None
+    return from_dict(section, key_path)
 
 
 def config_list(value, name: str) -> list:
     """``value`` as a list; refuses a number, which iterating would fail on,
-    and a string or a mapping, which it would read by character or by key."""
+    a string or a mapping, which it would read by character or by key, and a
+    set, which it would read in hash order."""
     try:
-        if not isinstance(value, (str, bytes, dict)):
+        if not isinstance(value, (str, bytes, dict, set, frozenset)):
             return list(value)
     except TypeError:
         pass
@@ -122,10 +102,13 @@ def config_list(value, name: str) -> list:
 
 def config_int(value, name: str) -> int:
     """A config count as an int: an int, a numpy integer or an integral
-    float; refuses booleans and anything else."""
+    real of another kind, such as 2.0 or numpy's float32 2.0; refuses
+    booleans and anything else."""
     try:
+        if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral) and float(value).is_integer():
+            return int(value)
         if not isinstance(value, bool):
-            return int(value) if isinstance(value, float) and value.is_integer() else operator.index(value)
+            return operator.index(value)
     except TypeError:
         pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -259,12 +242,12 @@ class FilterSpec:
     theta: CoefficientSequence
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FilterSpec":
+    def from_dict(cls, d: dict, path: str = "") -> "FilterSpec":
         # Keys other than c and theta are ignored, unlike in every other
         # section: perfbench's configs still carry a filter.delta.
         return cls(
-            c=config_section(d, "c", CoefficientSequence.from_dict),
-            theta=config_section(d, "theta", CoefficientSequence.from_dict),
+            c=config_section(d, "c", CoefficientSequence.from_dict, path),
+            theta=config_section(d, "theta", CoefficientSequence.from_dict, path),
         )
 
 

@@ -706,8 +706,9 @@ class TestRunBatch:
             ({"replicates": 2.5}, "replicates must be an integer, got 2.5"),
             ({"top_k": 1.5}, "top_k must be an integer, got 1.5"),
             ({"workers": 1.5}, "workers must be an integer, got 1.5"),
+            ({"top_k": np.float32(2.5)}, "top_k must be an integer, got np.float32(2.5)"),
         ],
-        ids=["n", "replicates", "top_k", "workers"],
+        ids=["n", "replicates", "top_k", "workers", "top_k_float32"],
     )
     def test_refuses_non_integral_counts_before_any_trial(self, monkeypatch, counts, message):
         # Each was once truncated (n 100.7 to 100, 2.5 replicates to 3) or
@@ -726,6 +727,8 @@ class TestRunBatch:
         want = run_batch(t, DimensionRule(0.5), [100], 2, 1, workers=1, top_k=2)
         got = run_batch(t, DimensionRule(0.5), [np.int64(100)], 2.0, 1, workers=np.int32(1), top_k=np.float64(2.0))
         assert got == want
+        # float32 and float16 are numbers.Real but, unlike float64, no float.
+        assert run_batch(t, DimensionRule(0.5), [np.float32(100.0)], np.float16(2.0), 1, top_k=np.float32(2.0)) == want
         assert type(got.n_values[0]) is int and type(got.top_k) is int
 
     @pytest.mark.parametrize(
@@ -1730,6 +1733,7 @@ class TestConfig:
         [
             (lambda: CoefficientSequence("10"), "values must be a list, got '10'"),
             (lambda: CoefficientSequence(1.0), "values must be a list, got 1.0"),
+            (lambda: CoefficientSequence({0.5, 1.0}), "values must be a list, got {0.5, 1.0}"),
             (lambda: CoefficientSequence((True, 0.5)), "coefficient value must be a number, got True"),
             (lambda: CoefficientSequence((1.0,), min_lag=False), "min_lag must be an integer, got False"),
             (lambda: TailModel("pareto_symmetric", alpha=True), "alpha must be a number, got True"),
@@ -1755,16 +1759,16 @@ class TestConfig:
             (lambda: replace(TestConfig.LIBRARY_CONFIG, n_values=1000), "n_values must be a list, got 1000"),
         ],
         ids=[
-            "values_str", "values_float", "value_bool", "min_lag_bool", "alpha_bool", "q_str", "scale_bool",
-            "beta_str", "p_max_float", "checks_typo", "checks_str_flag", "replicates_float", "seed_str",
+            "values_str", "values_float", "values_set", "value_bool", "min_lag_bool", "alpha_bool", "q_str",
+            "scale_bool", "beta_str", "p_max_float", "checks_typo", "checks_str_flag", "replicates_float", "seed_str",
             "top_k_float", "n_float", "n_values_int",
         ],
     )
     def test_library_objects_are_refused_in_the_readers_words(self, build, message):
         # Objects built directly or changed with replace once skipped these
-        # checks: "10" was the window (1.0, 0.0), alpha True ran at alpha 1, a
-        # misspelled check was ignored, and p_max 40.5 failed inside
-        # run_batch with a TypeError.
+        # checks: "10" was the window (1.0, 0.0), a set was read in hash
+        # order, alpha True ran at alpha 1, a misspelled check was ignored,
+        # and p_max 40.5 failed inside run_batch with a TypeError.
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
 

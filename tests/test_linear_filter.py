@@ -50,6 +50,22 @@ class TestCoefficientSequence:
             theta=CoefficientSequence((0.3,), min_lag=1),
         )
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            ({"c": {"values": [1.0]}}, "config lacks required key 'theta'"),
+            (
+                {"c": {"values": [1.0], "minlag": 0}, "theta": {"values": [1.0]}},
+                "unknown config keys ['c.minlag']; known: ['c.min_lag', 'c.values']",
+            ),
+        ],
+        ids=["missing", "unknown"],
+    )
+    def test_filter_spec_from_dict_names_keys_from_itself(self, d, message):
+        # Read alone, the filter is the top: no leading dot, no "filter." prefix.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FilterSpec.from_dict(d)
+
 
 class TestWindowSum:
     # A two-sided window: lags -2 through 1.
