@@ -6,7 +6,9 @@ read from JSON through ``config_object``: a value of the wrong kind, a
 missing key or an unknown one is refused with a ``ValueError`` that names
 it, which the CLI reports in one line. This module imports the standard
 library alone: ``validate`` draws nothing, so the ``validate`` command loads
-neither numpy nor scipy. The numeric modules re-export the names they share with it.
+neither numpy nor scipy. It is the one submodule that exports the config
+layer: the numeric modules import these names from here and export only the
+names they define.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def config_section(d: dict, key: str, from_dict, path: str = ""):
         raise ValueError(f"config lacks required key {key_path!r}")
     section = d[key]
     if not isinstance(section, dict):
-        raise ValueError(f"{key} must be a JSON object, got {section!r}")
+        raise ValueError(f"{key_path} must be a JSON object, got {section!r}")
     return from_dict(section, key_path)
 
 

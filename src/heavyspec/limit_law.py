@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linear_filter import FilterSpec
+from ._config import FilterSpec
 from .rv_noise import index_uniforms
 
 __all__ = [

@@ -20,8 +20,6 @@ from ._config import CoefficientSequence, FilterSpec
 from .rv_noise import NoisePanel
 
 __all__ = [
-    "CoefficientSequence",
-    "FilterSpec",
     "build_row_process",
     "build_xhat",
     "build_xhat_direct",

@@ -1,4 +1,4 @@
-"""Regularly varying noise: samplers, tail functionals and norming constants.
+"""Regularly varying noise: samplers and tail functionals.
 
 Sampling is counter-based: every draw is a pure function of the seed and the
 logical (row, column) index, so panels generated over different index
@@ -14,17 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._config import FAMILIES, TailModel, mean_value, norming_constant
+from ._config import TailModel
 
 __all__ = [
-    "FAMILIES",
     "NoiseCoverageError",
     "NoisePanel",
-    "TailModel",
     "derive_key",
     "index_uniforms",
-    "mean_value",
-    "norming_constant",
     "sample_noise",
     "second_moment",
     "truncated_second_moment",

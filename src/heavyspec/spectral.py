@@ -34,8 +34,9 @@ import numpy as np
 from scipy.linalg.blas import dsymv
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
-from .linear_filter import CoefficientSequence, window_sum
-from .rv_noise import TailModel, index_uniforms, second_moment, truncated_second_moment
+from ._config import CoefficientSequence, TailModel
+from .linear_filter import window_sum
+from .rv_noise import index_uniforms, second_moment, truncated_second_moment
 
 __all__ = [
     "SpectralNormError",

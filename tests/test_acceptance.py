@@ -12,10 +12,8 @@ import time
 import numpy as np
 import pytest
 
+from heavyspec._config import CoefficientSequence, DimensionRule, EnsembleTemplate, FilterSpec, TailModel, beta_limit
 from heavyspec.experiment import (
-    DimensionRule,
-    EnsembleTemplate,
-    beta_limit,
     emit_report,
     envelope_check,
     ks_check,
@@ -25,8 +23,6 @@ from heavyspec.experiment import (
     run_batch,
 )
 from heavyspec.limit_law import bound_constants, frechet_cdf
-from heavyspec.linear_filter import CoefficientSequence, FilterSpec
-from heavyspec.rv_noise import TailModel
 from heavyspec.spectral import centered_covariance, mu_x_alpha, spectral_norm
 
 WORKERS = min(2, os.cpu_count() or 1)

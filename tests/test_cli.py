@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from heavyspec._config import CHECKS
 from heavyspec.cli import main
-from heavyspec.experiment import CHECKS, check_status
+from heavyspec.experiment import check_status
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -343,6 +344,7 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
         ("validate --config {tmp}/alpha_true.json", "alpha must be a number, got True"),
         ("run --config {tmp}/beta_string.json --out {tmp}/out", "beta must be a number, got '0.5'"),
         ("validate --config {tmp}/filter_int.json", "filter must be a JSON object, got 5"),
+        ("validate --config {tmp}/filter_c_int.json", "filter.c must be a JSON object, got 5"),
         ("validate --config {tmp}/n_values_int.json", "n_values must be a list, got 1000"),
         ("run --config {tmp}/c_values_float.json --out {tmp}/out", "values must be a list, got 1.0"),
         ("validate --config {tmp}/model_list.json", "model must be a JSON object, got [1]"),
@@ -417,6 +419,7 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         ("alpha_true", ("model", "alpha"), True),
         ("beta_string", ("dimension_rule", "beta"), "0.5"),
         ("filter_int", ("filter",), 5),
+        ("filter_c_int", ("filter", "c"), 5),
         ("n_values_int", ("n_values",), 1000),
         ("c_values_float", ("filter", "c", "values"), 1.0),
         ("model_list", ("model",), [1]),

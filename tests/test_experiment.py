@@ -22,16 +22,26 @@ from hypothesis import strategies as st
 from scipy.special import smirnov
 from scipy.stats import binom
 
-from heavyspec.experiment import (
+from heavyspec._config import (
+    CHECKS,
+    CoefficientSequence,
     DimensionRule,
     EnsembleSpec,
     EnsembleTemplate,
     ExperimentConfig,
+    FilterSpec,
+    TailModel,
+    ValidationError,
+    batch_grid,
+    beta_limit,
+    load_config,
+    norming_constant,
+    validate,
+)
+from heavyspec.experiment import (
     TrialBatch,
     TrialRecord,
-    ValidationError,
     batch_from_records,
-    beta_limit,
     check_status,
     derive_seed,
     emit_report,
@@ -44,7 +54,6 @@ from heavyspec.experiment import (
     run_batch,
     run_checks,
     run_trial,
-    validate,
 )
 from heavyspec.experiment import (
     _IQR_FACTOR,
@@ -63,8 +72,7 @@ from heavyspec.limit_law import (
     frechet_quantile,
     limit_order_statistics,
 )
-from heavyspec.linear_filter import CoefficientSequence, FilterSpec
-from heavyspec.rv_noise import TailModel, derive_key, sample_noise
+from heavyspec.rv_noise import derive_key, sample_noise
 from heavyspec.spectral import spectral_norm
 
 MODEL15 = TailModel("pareto_symmetric", alpha=1.5)
@@ -328,10 +336,9 @@ class TestNormStage:
         # at the module's ncv than at eigsh's default of 20.
         import heavyspec.experiment as experiment
         from heavyspec import spectral
-        from heavyspec.experiment import load_config
 
         config = load_config(os.path.join(os.path.dirname(__file__), "..", "config.example.json"))
-        [(n, p)] = experiment.batch_grid(config.template, config.rule, config.n_values, 1, config.top_k)
+        [(n, p)] = batch_grid(config.template, config.rule, config.n_values, 1, config.top_k)
         operators = []
         build = experiment.centered_covariance
 
@@ -378,7 +385,7 @@ class TestCenteredTrials:
         ids=lambda m: m.family,
     )
     def test_truncated_centering_at_alpha_two(self, model):
-        from heavyspec.rv_noise import norming_constant, truncated_second_moment
+        from heavyspec.rv_noise import truncated_second_moment
         from heavyspec.spectral import mu_x_alpha
 
         spec = EnsembleSpec(model=model, filter=self.FS, p=20, n=500, seed=4)
@@ -441,7 +448,6 @@ def _full_panel_trial(spec: EnsembleSpec, top_k: int) -> TrialRecord:
     from scipy.linalg.blas import dsyrk
 
     from heavyspec.linear_filter import build_row_process
-    from heavyspec.rv_noise import norming_constant
     from heavyspec.spectral import centered_covariance, centered_gram_diag, mu_x_alpha, offdiag_deviation
 
     model, theta, c, p, n = spec.model, spec.filter.theta, spec.filter.c, spec.p, spec.n
@@ -1018,6 +1024,18 @@ class TestEnvelopeCheck:
         assert report["passed"]
         assert [(entry["n"], entry["count"]) for entry in report["per_n"]] == [(100, 30), (200, 30), (400, 30)]
 
+    def test_spike_pipeline_batch_fails_under_a_wider_law(self):
+        # The spike config's own trials at n 400, judged by the exact law at
+        # 1.5 times their scale (theta = (sqrt(1.5),)): the norms are too
+        # small for it. Base seeds 1-40 FAILed in 40 of 40 runs at 500
+        # replicates (35 at 200, 23 at 100); at seed 7 p_plus is 0.68 under
+        # the true filter and 1.7e-6 under this one.
+        template = EnsembleTemplate(model=MODEL15, filter=SPIKE)
+        batch = run_batch(template, DimensionRule(beta=0.9, p_max=60), [400], 500, base_seed=7)
+        report = envelope_check(replace(batch, filter=_fs((1.0,), (math.sqrt(1.5),))))
+        assert not report["passed"]
+        assert report["per_n"][0]["p_plus"] <= report["level_per_side"]
+
 
 class TestKsCheck:
     def test_single_spike_applicable(self):
@@ -1284,11 +1302,11 @@ class TestCheckStatus:
         config = ExperimentConfig(
             model=MODEL15, filter=SPIKE, rule=DimensionRule(beta=0.5), n_values=(40,), replicates=1, seed=1
         )
-        names = list(experiment.CHECKS)
+        names = list(CHECKS)
         for combo in itertools.product(_ENTRIES.values(), repeat=len(names)):
             for name, (entry, _) in zip(names, combo):
                 body = {key: value for key, value in entry.items() if key != "enabled"}
-                monkeypatch.setattr(experiment, experiment.CHECKS[name], lambda batch, body=body: body)
+                monkeypatch.setattr(experiment, CHECKS[name], lambda batch, body=body: body)
             checks = {name: entry["enabled"] for name, (entry, _) in zip(names, combo)}
             out = run_checks(None, replace(config, checks=checks))
             verdicts = [
@@ -1464,8 +1482,6 @@ class TestConfig:
         assert config.checks["envelope"] is True
         path = tmp_path / "config.json"
         path.write_text(json.dumps(d), encoding="utf-8")
-        from heavyspec.experiment import load_config
-
         assert load_config(str(path)) == config
 
     def test_batch_from_records(self):
@@ -1659,7 +1675,7 @@ class TestConfig:
             (("filter",), 5, "filter must be a JSON object, got 5"),
             (("model",), [1], "model must be a JSON object, got [1]"),
             (("dimension_rule",), "0.9", "dimension_rule must be a JSON object, got '0.9'"),
-            (("filter", "c"), [1.0], "c must be a JSON object, got [1.0]"),
+            (("filter", "c"), [1.0], "filter.c must be a JSON object, got [1.0]"),
             (("n_values",), 1000, "n_values must be a list, got 1000"),
             (("n_values",), "100", "n_values must be a list, got '100'"),
             (("filter", "c", "values"), 1.0, "values must be a list, got 1.0"),
@@ -1669,13 +1685,14 @@ class TestConfig:
     def test_refuses_value_of_wrong_shape(self, path, value, message):
         # Iterating a number used to end in a TypeError, a list for a section
         # in "config lacks required key 'model.family'", and the string "100"
-        # was refused by its first character, "got '1'".
+        # was refused by its first character, "got '1'". A nested section is
+        # named by its path.
         d = _minimal_config()
         node = d
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ExperimentConfig.from_dict(d)
 
     @pytest.mark.parametrize(

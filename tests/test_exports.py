@@ -1,8 +1,10 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export;
-``validate`` loads neither numpy nor scipy, the sampler no scipy, and the
-run path only the scipy subpackages it uses."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and each submodule exports only the names it defines; ``validate`` loads
+neither numpy nor scipy, the sampler no scipy, and the run path only the
+scipy subpackages it uses."""
 
 import importlib
+import inspect
 import re
 import subprocess
 import sys
@@ -22,6 +24,7 @@ MODULES = [
     "heavyspec.rv_noise",
     "heavyspec.spectral",
 ]
+SUBMODULES = [name for name in MODULES if name != "heavyspec"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -29,6 +32,24 @@ def test_exports_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_exports_only_what_it_defines(name):
+    # One home per name: the package gathers names from its submodules, and
+    # no submodule passes on another's. A class or function names its home
+    # in __module__; a constant must sit in no other submodule's __all__.
+    module = importlib.import_module(name)
+    elsewhere = {attr for other in SUBMODULES if other != name for attr in importlib.import_module(other).__all__}
+    foreign = []
+    for attr in module.__all__:
+        value = getattr(module, attr)
+        if inspect.isclass(value) or inspect.isroutine(value):
+            if value.__module__ != name:
+                foreign.append(f"{attr} from {value.__module__}")
+        elif attr in elsewhere:
+            foreign.append(f"{attr} also exported elsewhere")
+    assert foreign == []
 
 
 def test_readme_library_import_resolves():

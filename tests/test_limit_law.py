@@ -9,6 +9,7 @@ import pytest
 import heavyspec.experiment as experiment
 import heavyspec.limit_law as limit_law
 import heavyspec.rv_noise as rvn
+from heavyspec._config import CoefficientSequence, FilterSpec, TailModel
 from heavyspec.experiment import TrialBatch, TrialRecord
 from heavyspec.limit_law import (
     BoundConstants,
@@ -19,8 +20,6 @@ from heavyspec.limit_law import (
     frechet_quantile,
     limit_order_statistics,
 )
-from heavyspec.linear_filter import CoefficientSequence, FilterSpec
-from heavyspec.rv_noise import TailModel
 
 
 def _fs(c_vals, theta_vals):

@@ -6,15 +6,9 @@ import re
 import numpy as np
 import pytest
 
-from heavyspec.linear_filter import (
-    CoefficientSequence,
-    FilterSpec,
-    build_row_process,
-    build_xhat,
-    build_xhat_direct,
-    window_sum,
-)
-from heavyspec.rv_noise import NoiseCoverageError, NoisePanel, TailModel, sample_noise
+from heavyspec._config import CoefficientSequence, FilterSpec, TailModel
+from heavyspec.linear_filter import build_row_process, build_xhat, build_xhat_direct, window_sum
+from heavyspec.rv_noise import NoiseCoverageError, NoisePanel, sample_noise
 
 
 def _int_panel(rows, cols, row_offset=0, col_offset=0, seed=3):

@@ -8,14 +8,9 @@ import numpy as np
 import pytest
 
 from heavyspec import spectral
-from heavyspec.linear_filter import (
-    CoefficientSequence,
-    FilterSpec,
-    build_row_process,
-    build_xhat,
-    window_sum,
-)
-from heavyspec.rv_noise import TailModel, norming_constant, sample_noise
+from heavyspec._config import CoefficientSequence, FilterSpec, TailModel, norming_constant
+from heavyspec.linear_filter import build_row_process, build_xhat, window_sum
+from heavyspec.rv_noise import sample_noise
 from heavyspec.spectral import (
     SpectralNormError,
     centered_covariance,
@@ -314,7 +309,7 @@ class TestOffdiagDeviation:
         # each Gram function and its whole stdout is read.
         code = (
             "import numpy as np\n"
-            "from heavyspec.linear_filter import CoefficientSequence as C\n"
+            "from heavyspec._config import CoefficientSequence as C\n"
             "from heavyspec.spectral import centered_covariance, offdiag_deviation, spectral_norm\n"
             "g = np.array([[4.0, np.nan, 1.0], [np.nan, 5.0, 0.5], [1.0, 0.5, 6.0]])\n"
             "for f in (offdiag_deviation, lambda g: spectral_norm(centered_covariance(g, C((1.0,)), 3, 3, 0.0)),\n"
