@@ -6,7 +6,6 @@ import importlib
 # use (PEP 562), so the config layer, which imports the standard library
 # alone, is read without numpy and scipy.
 _EXPORTS = {
-    "BoundConstants": "limit_law",
     "CoefficientSequence": "_config",
     "DimensionRule": "_config",
     "EnsembleSpec": "_config",
@@ -18,13 +17,12 @@ _EXPORTS = {
     "TrialBatch": "experiment",
     "TrialRecord": "experiment",
     "beta_limit": "_config",
-    "bound_cdf_lower": "limit_law",
-    "bound_cdf_upper": "limit_law",
-    "bound_constants": "limit_law",
     "build_row_process": "linear_filter",
     "centered_covariance": "spectral",
     "centered_gram_diag": "spectral",
     "envelope_check": "experiment",
+    "envelope_scales": "limit_law",
+    "frechet_cdf": "limit_law",
     "limit_order_statistics": "limit_law",
     "mu_x_alpha": "spectral",
     "norming_constant": "_config",

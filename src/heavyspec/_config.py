@@ -68,12 +68,19 @@ def config_known_keys(d: dict, known, path: str = "") -> None:
 def config_object(cls, d: dict, path: str = ""):
     """``cls(**d)``; refuses a key that names no field of ``cls`` and a
     missing field that has no default, each named from the top through
-    ``path``, where ``d`` sits in the config ("" at the top)."""
+    ``path``, where ``d`` sits in the config ("" at the top). A value that
+    ``cls`` refuses inside a section is named by the section's path, such as
+    ``filter.theta: values must be a list, got 'x'``."""
     config_known_keys(d, [f.name for f in fields(cls)], path)
     for f in fields(cls):
         if f.default is MISSING and f.default_factory is MISSING and f.name not in d:
             raise ValueError(f"config lacks required key {_key_path(path, f.name)!r}")
-    return cls(**d)
+    try:
+        return cls(**d)
+    except ValueError as exc:
+        if not path:
+            raise
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def config_section(d: dict, key: str, from_dict, path: str = ""):
@@ -245,8 +252,8 @@ class FilterSpec:
 
     @classmethod
     def from_dict(cls, d: dict, path: str = "") -> "FilterSpec":
-        # Keys other than c and theta are ignored, unlike in every other
-        # section: perfbench's configs still carry a filter.delta.
+        # delta is read and ignored: perfbench's configs still carry a filter.delta.
+        config_known_keys(d, ("c", "theta", "delta"), path)
         return cls(
             c=config_section(d, "c", CoefficientSequence.from_dict, path),
             theta=config_section(d, "theta", CoefficientSequence.from_dict, path),

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg.blas import dsyrk
 from scipy.special import kolmogi, smirnov
 
-from .limit_law import bound_cdf_lower, bound_cdf_upper, bound_constants, limit_order_statistics
+from .limit_law import envelope_scales, frechet_cdf, limit_order_statistics
 from ._config import (
     CHECKS, DimensionRule, EnsembleSpec, EnsembleTemplate, ExperimentConfig, FilterSpec, TailModel,
     ValidationError, batch_grid, config_int, norming_constant, validate,
@@ -391,19 +391,20 @@ _OFFDIAG_THRESHOLD = 0.15
 
 def envelope_check(batch: TrialBatch) -> dict:
     """Test the scaled norms at each n against the theorem's envelope,
-    ``bound_cdf_lower <= F <= bound_cdf_upper`` for their law F, as two
-    one-sided Smirnov tests.
+    ``frechet_cdf(x, upper_scale) <= F(x) <= frechet_cdf(x, lower_scale)``
+    for their law F, as two one-sided Smirnov tests.
 
-    Norms too small: d_plus = sup(ECDF - bound_cdf_upper); norms too big:
-    d_minus = sup(bound_cdf_lower - ECDF).  Where the bound holds, each is
-    stochastically below the one-sided KS statistic against F, so
-    ``smirnov(count, d)`` bounds its p-value exactly.  The largest n decides:
-    it passes when both p-values exceed ``_KS_LEVEL / 2`` (Bonferroni over
-    the two sides).  With one nonzero weight the two envelope CDFs coincide
-    and this is a two-sided KS test against the exact law.
+    Norms too small: d_plus = sup(ECDF - the law at lower_scale); norms too
+    big: d_minus = sup(the law at upper_scale - ECDF).  Where the bound
+    holds, each is stochastically below the one-sided KS statistic against
+    F, so ``smirnov(count, d)`` bounds its p-value exactly.  The largest n
+    decides: it passes when both p-values exceed ``_KS_LEVEL / 2``
+    (Bonferroni over the two sides).  With one nonzero weight the two scales
+    are equal and this is a two-sided KS test against the exact law.
     """
-    b = bound_constants(batch.filter, batch.model.alpha)
-    upper, lower = (lambda x: bound_cdf_upper(x, b)), (lambda x: bound_cdf_lower(x, b))
+    lower_scale, upper_scale = envelope_scales(batch.filter)
+    alpha = batch.model.alpha
+    upper, lower = (lambda x: frechet_cdf(x, lower_scale, alpha)), (lambda x: frechet_cdf(x, upper_scale, alpha))
     per_n = []
     for n in sorted(batch.n_values):
         values = batch.scaled_norms(n)
@@ -415,9 +416,9 @@ def envelope_check(batch: TrialBatch) -> dict:
         "applicable": True,
         # The loop ends at the largest n, which decides.
         "passed": min(entry["p_plus"], entry["p_minus"]) > _KS_LEVEL / 2,
-        "alpha": batch.model.alpha,
-        "lower_scale": b.lower_scale,
-        "upper_scale": b.upper_scale,
+        "alpha": alpha,
+        "lower_scale": lower_scale,
+        "upper_scale": upper_scale,
         "level": _KS_LEVEL,
         "level_per_side": _KS_LEVEL / 2,
         "per_n": per_n,
@@ -431,13 +432,15 @@ def ks_check(batch: TrialBatch) -> dict:
 
     Only applicable when the envelope degenerates (single nonzero row weight);
     otherwise the distances to both envelope CDFs are reported without a
-    verdict.
+    verdict: ``ks_vs_lower_cdf`` to the law at ``upper_scale`` and
+    ``ks_vs_upper_cdf`` to the law at ``lower_scale``.
     """
-    b = bound_constants(batch.filter, batch.model.alpha)
+    lower_scale, upper_scale = envelope_scales(batch.filter)
+    alpha = batch.model.alpha
     values = batch.scaled_norms()
-    ks_lower = ks_distance(values, lambda x: bound_cdf_lower(x, b))
-    ks_upper = ks_distance(values, lambda x: bound_cdf_upper(x, b))
-    single = b.lower_scale == b.upper_scale
+    ks_lower = ks_distance(values, lambda x: frechet_cdf(x, upper_scale, alpha))
+    ks_upper = ks_distance(values, lambda x: frechet_cdf(x, lower_scale, alpha))
+    single = lower_scale == upper_scale
     tol = float(kolmogi(_KS_LEVEL)) / math.sqrt(values.size)
     out = {
         "applicable": single,

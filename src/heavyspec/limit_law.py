@@ -1,58 +1,35 @@
 """Closed forms and samplers for the limiting laws of the scaled spectral norm.
 
-The two envelope distributions are Fréchet-type laws driven by a single unit
+The theorem bounds the law F of ||S|| / a^2 between two Fréchet laws, each
+``frechet_cdf`` at one of the filter's two ``envelope_scales``: the law at
+``upper_scale`` is the lower envelope CDF and the law at ``lower_scale`` the
+upper one, ``frechet_cdf(x, upper_scale) <= F(x) <= frechet_cdf(x,
+lower_scale)``.  With one nonzero theta weight the scales are equal and the
+envelope is the exact law.  Both laws are driven by a single unit
 exponential; the order-statistic limit is the point process of the Poisson
 arrival times, weighted by the row window and the squared time window, whose
 k largest points are a closed form of the first k arrivals.  One call draws
-the limit for a whole array of seeds in a single broadcast pass, with the bits
-each seed gives alone.
+the limit for a whole array of seeds in a single broadcast pass, with the
+bits each seed gives alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from ._config import FilterSpec
 from .rv_noise import index_uniforms
 
-__all__ = [
-    "BoundConstants",
-    "bound_cdf_lower",
-    "bound_cdf_upper",
-    "bound_constants",
-    "frechet_cdf",
-    "frechet_quantile",
-    "limit_order_statistics",
-]
+__all__ = ["envelope_scales", "frechet_cdf", "frechet_quantile", "limit_order_statistics"]
 
 _GAMMA_TAG = 0x47
 
 
-@dataclass(frozen=True)
-class BoundConstants:
-    """Scale constants of the lower and upper envelope laws."""
-
-    lower_scale: float
-    upper_scale: float
-    alpha: float
-
-    def __post_init__(self):
-        if not 0.0 < self.lower_scale <= self.upper_scale:
-            raise ValueError(
-                f"need 0 < lower_scale <= upper_scale, got {self.lower_scale}, {self.upper_scale}"
-            )
-        if not 0.0 < self.alpha < 4.0:
-            raise ValueError(f"alpha must lie in (0, 4), got {self.alpha}")
-
-
-def bound_constants(spec: FilterSpec, alpha: float) -> BoundConstants:
-    """lower = max theta_k^2 * sum c_j^2; upper = max|theta| * sum|theta| * sum c_j^2."""
+def envelope_scales(spec: FilterSpec) -> tuple[float, float]:
+    """The Fréchet scales of the envelope, (lower_scale, upper_scale) =
+    (max theta_k^2 * sum c_j^2, max|theta| * sum|theta| * sum c_j^2)."""
     sum_c2 = spec.c.sq_sum
-    lower = spec.theta.max_abs ** 2 * sum_c2
-    upper = spec.theta.max_abs * spec.theta.abs_sum * sum_c2
-    return BoundConstants(lower_scale=lower, upper_scale=upper, alpha=alpha)
+    return spec.theta.max_abs ** 2 * sum_c2, spec.theta.max_abs * spec.theta.abs_sum * sum_c2
 
 
 def frechet_cdf(x, scale: float, alpha: float):
@@ -71,16 +48,6 @@ def frechet_quantile(u, scale: float, alpha: float):
         raise ValueError("quantile levels must lie strictly inside (0, 1)")
     out = scale * (-np.log(u)) ** (-2.0 / alpha)
     return out if out.ndim else float(out)
-
-
-def bound_cdf_lower(x, b: BoundConstants):
-    """The smaller envelope CDF (built from the upper scale constant)."""
-    return frechet_cdf(x, b.upper_scale, b.alpha)
-
-
-def bound_cdf_upper(x, b: BoundConstants):
-    """The larger envelope CDF (built from the lower scale constant)."""
-    return frechet_cdf(x, b.lower_scale, b.alpha)
 
 
 def _exp_increments(seed, k: int) -> np.ndarray:

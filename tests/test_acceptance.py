@@ -22,7 +22,7 @@ from heavyspec.experiment import (
     order_stat_check,
     run_batch,
 )
-from heavyspec.limit_law import bound_constants, frechet_cdf
+from heavyspec.limit_law import envelope_scales, frechet_cdf
 from heavyspec.spectral import centered_covariance, mu_x_alpha, spectral_norm
 
 WORKERS = min(2, os.cpu_count() or 1)
@@ -86,16 +86,13 @@ def test_criterion_1_exact_algebra():
     ok &= beta_limit(1.5) == pytest.approx(1.0, rel=1e-12)
     ok &= beta_limit(3.5) == pytest.approx(0.5 / 6.5, rel=1e-12)
 
-    # bound_constants.
-    b = bound_constants(_fs((1.0,), (1.0,)), 2.0)
-    ok &= b.lower_scale == 1.0 and b.upper_scale == 1.0
-    b2 = bound_constants(_fs((1.0,), (1.0, 0.5)), 2.0)
-    ok &= b2.lower_scale == 1.0 and b2.upper_scale == 1.5
+    # envelope_scales.
+    ok &= envelope_scales(_fs((1.0,), (1.0,))) == (1.0, 1.0)
+    ok &= envelope_scales(_fs((1.0,), (1.0, 0.5))) == (1.0, 1.5)
 
-    # First-order constants: bound_constants on c = (1), theta = (1, t).
+    # First-order constants: envelope_scales on c = (1), theta = (1, t).
     for t, expected in ((0.0, (1.0, 1.0)), (1.0, (1.0, 2.0)), (2.0, (4.0, 6.0))):
-        b = bound_constants(_fs((1.0,), (1.0, t)), 2.0)
-        ok &= (b.lower_scale, b.upper_scale) == expected
+        ok &= envelope_scales(_fs((1.0,), (1.0, t))) == expected
 
     elapsed = time.perf_counter() - t0
     ok = bool(ok) and elapsed < 1.0
@@ -192,7 +189,7 @@ def test_criterion_7_ma1_constants():
     squared = EnsembleTemplate(model=model, filter=_fs((1.0,), (1.0, theta * theta)))
     rule = DimensionRule(beta=0.9, const=1.0, p_max=400)
     batch = run_batch(squared, rule, [1000], 500, base_seed=20250305, workers=WORKERS)
-    scale = bound_constants(_fs((1.0,), (1.0, theta)), 1.5).lower_scale
+    scale, _ = envelope_scales(_fs((1.0,), (1.0, theta)))
     values = batch.top_matrix()[:, 0]
     ks = ks_distance(values, lambda x: frechet_cdf(x, scale, 1.5))
     ok = ks <= 0.10

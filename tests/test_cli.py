@@ -341,12 +341,15 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
         ("validate --config {tmp}/no_replicates.json", "config lacks required key 'replicates'"),
         ("validate --config {tmp}/repeated_keys.json", "config object repeats keys ['replicates', 'seed']; each key"),
         ("run --config {tmp}/no_filter_c.json --out {tmp}/out", "config lacks required key 'filter.c'"),
-        ("validate --config {tmp}/alpha_true.json", "alpha must be a number, got True"),
-        ("run --config {tmp}/beta_string.json --out {tmp}/out", "beta must be a number, got '0.5'"),
+        ("validate --config {tmp}/alpha_true.json", "model: alpha must be a number, got True"),
+        ("run --config {tmp}/beta_string.json --out {tmp}/out", "dimension_rule: beta must be a number, got '0.5'"),
         ("validate --config {tmp}/filter_int.json", "filter must be a JSON object, got 5"),
         ("validate --config {tmp}/filter_c_int.json", "filter.c must be a JSON object, got 5"),
         ("validate --config {tmp}/n_values_int.json", "n_values must be a list, got 1000"),
-        ("run --config {tmp}/c_values_float.json --out {tmp}/out", "values must be a list, got 1.0"),
+        ("run --config {tmp}/c_values_float.json --out {tmp}/out", "filter.c: values must be a list, got 1.0"),
+        ("validate --config {tmp}/theta_values_string.json", "filter.theta: values must be a list, got 'x'"),
+        ("validate --config {tmp}/c_min_lag_half.json", "filter.c: min_lag must be an integer, got 0.5"),
+        ("validate --config {tmp}/alpha_five.json", "model: alpha must lie in (0, 4), got 5.0"),
         ("validate --config {tmp}/model_list.json", "model must be a JSON object, got [1]"),
         ("validate --config {tmp}/const_huge.json", "dimension_rule overflows at n=40: computing 1e+308 * n^0.5 exceeds"),
         *[
@@ -356,12 +359,14 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
         ("validate --config {tmp}/pmax.json", "unknown config keys ['dimension_rule.pmax']; known: "),
         ("run --config {tmp}/sclae.json --out {tmp}/out", "unknown config keys ['model.sclae']; known: "),
         ("validate --config {tmp}/minlag.json", "unknown config keys ['filter.theta.minlag']; known: "),
+        ("validate --config {tmp}/thta.json", "unknown config keys ['filter.thta']; known: "),
         ("validate --config {tmp}/np_one.json", "n * p must be at least 2, got n=1 and p=1"),
         ("run --config {tmp}/np_one.json --out {tmp}/out", "n * p must be at least 2, got n=1 and p=1"),
         *[
             (
                 f"{command} --config {{tmp}}/student_t.json{out}",
-                "unknown family 'student_t'; expected one of ('pareto_symmetric', 'pareto_positive', 'pareto_skewed')",
+                "model: unknown family 'student_t'; expected one of "
+                "('pareto_symmetric', 'pareto_positive', 'pareto_skewed')",
             )
             for command, out in (
                 ("validate", ""),
@@ -370,8 +375,8 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
                 ("report", " --out {tmp}/one_row"),
             )
         ],
-        ("validate --config {tmp}/scale_inf.json", "scale must be positive and finite, got inf"),
-        ("run --config {tmp}/scale_inf.json --out {tmp}/out", "scale must be positive and finite, got inf"),
+        ("validate --config {tmp}/scale_inf.json", "model: scale must be positive and finite, got inf"),
+        ("run --config {tmp}/scale_inf.json --out {tmp}/out", "model: scale must be positive and finite, got inf"),
         *[
             (f"{command} --config {{tmp}}/{name}.json{out}", message)
             for command, out in (
@@ -383,12 +388,14 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
             for name, message in (
                 (
                     "c_min_lag_huge",
-                    "min_lag must keep every lag inside (-2**62, 2**62), got lags -10000000000000000000 through "
+                    "filter.c: min_lag must keep every lag inside (-2**62, 2**62), got lags -10000000000000000000 "
+                    "through "
                     "-9999999999999999999",
                 ),
                 (
                     "theta_min_lag_huge",
-                    "min_lag must keep every lag inside (-2**62, 2**62), got lags 10000000000000000000 through "
+                    "filter.theta: min_lag must keep every lag inside (-2**62, 2**62), got lags 10000000000000000000 "
+                    "through "
                     "10000000000000000001",
                 ),
                 (
@@ -422,6 +429,9 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         ("filter_c_int", ("filter", "c"), 5),
         ("n_values_int", ("n_values",), 1000),
         ("c_values_float", ("filter", "c", "values"), 1.0),
+        ("theta_values_string", ("filter", "theta", "values"), "x"),
+        ("c_min_lag_half", ("filter", "c", "min_lag"), 0.5),
+        ("alpha_five", ("model", "alpha"), 5),
         ("model_list", ("model",), [1]),
         ("const_huge", ("dimension_rule",), {"beta": 0.5, "const": 1e308}),
         ("n_values_empty", ("n_values",), []),
@@ -429,6 +439,7 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         ("pmax", ("dimension_rule", "pmax"), 10),
         ("sclae", ("model", "sclae"), 2.0),
         ("minlag", ("filter", "theta", "minlag"), -3),
+        ("thta", ("filter", "thta"), {"values": [1.0]}),
         ("student_t", ("model", "family"), "student_t"),
         # json writes and reads this as the bare token Infinity.
         ("scale_inf", ("model", "scale"), float("inf")),

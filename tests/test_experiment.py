@@ -64,14 +64,7 @@ from heavyspec.experiment import (
     _one_sided_sups,
     _set_blas_threads,
 )
-from heavyspec.limit_law import (
-    bound_cdf_lower,
-    bound_cdf_upper,
-    bound_constants,
-    frechet_cdf,
-    frechet_quantile,
-    limit_order_statistics,
-)
+from heavyspec.limit_law import envelope_scales, frechet_cdf, frechet_quantile, limit_order_statistics
 from heavyspec.rv_noise import derive_key, sample_noise
 from heavyspec.spectral import spectral_norm
 
@@ -959,9 +952,9 @@ class TestEnvelopeCheck:
     def test_synthetic_draws_from_upper_cdf_pass(self):
         alpha = 1.2
         model = TailModel("pareto_symmetric", alpha=alpha)
-        b = bound_constants(self.FILTER, alpha)
+        lower, _ = envelope_scales(self.FILTER)
         rng = np.random.default_rng(20)
-        values = frechet_quantile(rng.uniform(size=800), b.lower_scale, alpha)
+        values = frechet_quantile(rng.uniform(size=800), lower, alpha)
         batch = _synthetic_batch(values, self.FILTER, model)
         report = envelope_check(batch)
         assert report["passed"]
@@ -980,9 +973,9 @@ class TestEnvelopeCheck:
         # One nonzero weight: both envelope CDFs are the exact law, and the
         # larger of the two sups is ks_check's distance.
         model = TailModel("pareto_symmetric", alpha=1.5)
-        b = bound_constants(SPIKE, 1.5)
+        scale, _ = envelope_scales(SPIKE)
         rng = np.random.default_rng(21)
-        values = frechet_quantile(rng.uniform(size=800), b.lower_scale, 1.5)
+        values = frechet_quantile(rng.uniform(size=800), scale, 1.5)
         batch = _synthetic_batch(values, SPIKE, model)
         report = envelope_check(batch)
         assert report["passed"]
@@ -994,8 +987,8 @@ class TestEnvelopeCheck:
         # Exact draws of one envelope law at 100 replicates, 400 runs: the
         # side that this end makes tight rejects at its 2.5%, within the 99%
         # binomial interval, and the other side at most that often.
-        b = bound_constants(self.FILTER, 1.2)
-        scale = b.upper_scale if end == "lower" else b.lower_scale
+        lower, upper = envelope_scales(self.FILTER)
+        scale = upper if end == "lower" else lower
         runs = 400
         plus, minus, overall = _envelope_rejections(self.FILTER, 1.2, scale, 100, runs, seed=23)
         tight, slack = (minus, plus) if end == "lower" else (plus, minus)
@@ -1040,9 +1033,9 @@ class TestEnvelopeCheck:
 class TestKsCheck:
     def test_single_spike_applicable(self):
         model = TailModel("pareto_symmetric", alpha=1.5)
-        b = bound_constants(SPIKE, 1.5)
+        scale, _ = envelope_scales(SPIKE)
         rng = np.random.default_rng(22)
-        values = frechet_quantile(rng.uniform(size=2000), b.lower_scale, 1.5)
+        values = frechet_quantile(rng.uniform(size=2000), scale, 1.5)
         batch = _synthetic_batch(values, SPIKE, model)
         report = ks_check(batch)
         assert report["applicable"]
@@ -1055,9 +1048,9 @@ class TestKsCheck:
         # KS 0.118 on 100 draws of the exact law, 0.076 on 1000 at 1.3 times
         # its scale: a fixed tolerance of 0.10 gave each the other verdict.
         model = TailModel("pareto_symmetric", alpha=1.5)
-        b = bound_constants(SPIKE, 1.5)
+        scale, _ = envelope_scales(SPIKE)
         rng = np.random.default_rng(seed)
-        values = factor * frechet_quantile(rng.uniform(size=size), b.lower_scale, 1.5)
+        values = factor * frechet_quantile(rng.uniform(size=size), scale, 1.5)
         report = ks_check(_synthetic_batch(values, SPIKE, model))
         assert report["tol"] == pytest.approx(1.3581 / math.sqrt(size), rel=1e-4)
         assert report["passed"] is passed
@@ -1140,15 +1133,16 @@ class TestOrderStatCheck:
 def _envelope_reference(batch):
     """envelope_check as a loop over the sorted norms at each n, one point at
     a time: the ECDF is i / count at the i-th and one step less below it."""
-    b = bound_constants(batch.filter, batch.model.alpha)
+    lower_scale, upper_scale = envelope_scales(batch.filter)
+    alpha = batch.model.alpha
     per_n = []
     for n in sorted(batch.n_values):
         values = sorted(batch.scaled_norms(n).tolist())
         count = len(values)
         d_plus = d_minus = -math.inf
         for i, x in enumerate(values, 1):
-            plus = i / count - float(bound_cdf_upper(x, b))
-            minus = float(bound_cdf_lower(x, b)) - (i / count - 1.0 / count)
+            plus = i / count - float(frechet_cdf(x, lower_scale, alpha))
+            minus = float(frechet_cdf(x, upper_scale, alpha)) - (i / count - 1.0 / count)
             if plus > d_plus:
                 d_plus, x_plus = plus, x
             if minus > d_minus:
@@ -1169,9 +1163,9 @@ def _envelope_reference(batch):
     return {
         "applicable": True,
         "passed": p_plus > _KS_LEVEL / 2 and p_minus > _KS_LEVEL / 2,
-        "alpha": batch.model.alpha,
-        "lower_scale": b.lower_scale,
-        "upper_scale": b.upper_scale,
+        "alpha": alpha,
+        "lower_scale": lower_scale,
+        "upper_scale": upper_scale,
         "level": _KS_LEVEL,
         "level_per_side": _KS_LEVEL / 2,
         "per_n": per_n,
@@ -1222,12 +1216,12 @@ def _tied_batch(fspec, replicates, k, seed, zero_at=None):
     ties, with k decreasing top values per record rounded likewise; the norms
     at n ``zero_at`` are all zero, which fails that n's envelope."""
     alpha = 1.3
-    b = bound_constants(fspec, alpha)
+    lower_scale, _ = envelope_scales(fspec)
     rng = np.random.default_rng(seed)
     n_values = (200, 40, 90)
     records = []
     for n in n_values:
-        norms = frechet_quantile(rng.uniform(0.01, 0.99, size=replicates), b.lower_scale, alpha)
+        norms = frechet_quantile(rng.uniform(0.01, 0.99, size=replicates), lower_scale, alpha)
         norms[::3] = np.round(norms[::3], 1)
         if n == zero_at:
             norms[:] = 0.0
@@ -1597,8 +1591,8 @@ class TestConfig:
             (("top_k",), 2.9, "top_k must be an integer, got 2.9"),
             (("seed",), "3", "seed must be an integer, got '3'"),
             (("n_values", 1), 100.5, "n_values entry must be an integer, got 100.5"),
-            (("dimension_rule", "p_max"), 40.5, "p_max must be an integer, got 40.5"),
-            (("filter", "theta", "min_lag"), False, "min_lag must be an integer, got False"),
+            (("dimension_rule", "p_max"), 40.5, "dimension_rule: p_max must be an integer, got 40.5"),
+            (("filter", "theta", "min_lag"), False, "filter.theta: min_lag must be an integer, got False"),
         ],
     )
     def test_refuses_non_boolean_flag_and_non_integral_count(self, path, value, message):
@@ -1624,14 +1618,14 @@ class TestConfig:
     @pytest.mark.parametrize(
         "path, value, message",
         [
-            (("model", "alpha"), True, "alpha must be a number, got True"),
-            (("model", "alpha"), "1.2", "alpha must be a number, got '1.2'"),
-            (("model", "q"), "0.5", "q must be a number, got '0.5'"),
-            (("model", "scale"), True, "scale must be a number, got True"),
-            (("dimension_rule", "beta"), True, "beta must be a number, got True"),
-            (("dimension_rule", "const"), "2", "const must be a number, got '2'"),
-            (("filter", "theta", "values"), [True, 0.5], "coefficient value must be a number, got True"),
-            (("filter", "c", "values"), [None], "coefficient value must be a number, got None"),
+            (("model", "alpha"), True, "model: alpha must be a number, got True"),
+            (("model", "alpha"), "1.2", "model: alpha must be a number, got '1.2'"),
+            (("model", "q"), "0.5", "model: q must be a number, got '0.5'"),
+            (("model", "scale"), True, "model: scale must be a number, got True"),
+            (("dimension_rule", "beta"), True, "dimension_rule: beta must be a number, got True"),
+            (("dimension_rule", "const"), "2", "dimension_rule: const must be a number, got '2'"),
+            (("filter", "theta", "values"), [True, 0.5], "filter.theta: coefficient value must be a number, got True"),
+            (("filter", "c", "values"), [None], "filter.c: coefficient value must be a number, got None"),
         ],
     )
     def test_refuses_non_number_real(self, path, value, message):
@@ -1678,8 +1672,9 @@ class TestConfig:
             (("filter", "c"), [1.0], "filter.c must be a JSON object, got [1.0]"),
             (("n_values",), 1000, "n_values must be a list, got 1000"),
             (("n_values",), "100", "n_values must be a list, got '100'"),
-            (("filter", "c", "values"), 1.0, "values must be a list, got 1.0"),
-            (("filter", "theta", "values"), {"0": 1.0}, "values must be a list, got {'0': 1.0}"),
+            (("filter", "c", "values"), 1.0, "filter.c: values must be a list, got 1.0"),
+            (("filter", "theta", "values"), {"0": 1.0}, "filter.theta: values must be a list, got {'0': 1.0}"),
+            (("filter", "theta", "values"), "x", "filter.theta: values must be a list, got 'x'"),
         ],
     )
     def test_refuses_value_of_wrong_shape(self, path, value, message):
@@ -1702,11 +1697,13 @@ class TestConfig:
             (("model", "sclae"), "['model.alpha', 'model.family', 'model.q', 'model.scale']"),
             (("filter", "theta", "minlag"), "['filter.theta.min_lag', 'filter.theta.values']"),
             (("filter", "c", "value"), "['filter.c.min_lag', 'filter.c.values']"),
+            (("filter", "thta"), "['filter.c', 'filter.delta', 'filter.theta']"),
         ],
     )
     def test_refuses_unknown_section_key_by_its_path(self, path, known):
         # A misspelled optional key used to be dropped: "pmax" gave an
-        # uncapped p, "sclae" scale 1 and "minlag" lag 0.
+        # uncapped p, "sclae" scale 1 and "minlag" lag 0; a misspelled
+        # filter key was read as absent beside the two windows.
         d = _minimal_config()
         node = d
         for key in path[:-1]:
@@ -1716,7 +1713,9 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig.from_dict(d)
 
-    def test_filter_keys_other_than_the_windows_are_ignored(self):
+    def test_filter_delta_is_read_and_ignored(self):
+        # perfbench's configs carry a filter.delta, the one key that is read
+        # and ignored; every other unknown filter key is refused above.
         d = _minimal_config()
         d["filter"]["delta"] = 0.9
         assert ExperimentConfig.from_dict(d).filter == ExperimentConfig.from_dict(_minimal_config()).filter

@@ -5,21 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import heavyspec.experiment as experiment
 import heavyspec.limit_law as limit_law
 import heavyspec.rv_noise as rvn
 from heavyspec._config import CoefficientSequence, FilterSpec, TailModel
 from heavyspec.experiment import TrialBatch, TrialRecord
-from heavyspec.limit_law import (
-    BoundConstants,
-    bound_cdf_lower,
-    bound_cdf_upper,
-    bound_constants,
-    frechet_cdf,
-    frechet_quantile,
-    limit_order_statistics,
-)
+from heavyspec.limit_law import envelope_scales, frechet_cdf, frechet_quantile, limit_order_statistics
 
 
 def _fs(c_vals, theta_vals):
@@ -29,63 +23,91 @@ def _fs(c_vals, theta_vals):
     )
 
 
-class TestBoundConstants:
+# A window weight: zero, or a magnitude in [1e-3, 1e3] of either sign, so
+# that no scale under- or overflows and a second nonzero weight moves
+# sum|theta| past max|theta| in floating point.
+_WEIGHT = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@st.composite
+def _filters(draw):
+    def window():
+        values = draw(st.lists(_WEIGHT, min_size=1, max_size=6).filter(any))
+        return CoefficientSequence(tuple(values), min_lag=draw(st.integers(-3, 3)))
+
+    return FilterSpec(c=window(), theta=window())
+
+
+class TestEnvelopeScales:
     def test_single_spike_equality(self):
-        b = bound_constants(_fs((1.0,), (1.0,)), 2.0)
-        assert b.lower_scale == b.upper_scale == 1.0
+        assert envelope_scales(_fs((1.0,), (1.0,))) == (1.0, 1.0)
 
     def test_two_lag_window(self):
-        b = bound_constants(_fs((1.0,), (1.0, 0.5)), 2.0)
-        assert b.lower_scale == 1.0
-        assert b.upper_scale == 1.5
+        assert envelope_scales(_fs((1.0,), (1.0, 0.5))) == (1.0, 1.5)
 
     def test_ma1_specialization(self):
         theta = 0.5
-        b = bound_constants(_fs((1.0, 2.0), (1.0, theta)), 1.5)
+        lower, upper = envelope_scales(_fs((1.0, 2.0), (1.0, theta)))
         sum_c2 = 5.0
-        assert b.lower_scale == pytest.approx(max(1.0, theta**2) * sum_c2)
-        assert b.upper_scale == pytest.approx(max(1.0, abs(theta)) * (1.0 + abs(theta)) * sum_c2)
+        assert lower == pytest.approx(max(1.0, theta**2) * sum_c2)
+        assert upper == pytest.approx(max(1.0, abs(theta)) * (1.0 + abs(theta)) * sum_c2)
         # For |theta| <= 1 this matches the first-order constant (1 + |theta|).
-        assert b.upper_scale == pytest.approx((1.0 + abs(theta)) * sum_c2)
-
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError, match="lower_scale"):
-            BoundConstants(lower_scale=2.0, upper_scale=1.0, alpha=1.0)
+        assert upper == pytest.approx((1.0 + abs(theta)) * sum_c2)
 
     def test_strict_gap_for_multi_spike(self):
-        b = bound_constants(_fs((1.0,), (1.0, 0.5)), 2.0)
-        assert b.lower_scale < b.upper_scale
+        lower, upper = envelope_scales(_fs((1.0,), (1.0, 0.5)))
+        assert lower < upper
+
+    @settings(deadline=None)
+    @given(_filters())
+    @example(_fs((1.0,), (0.0, -2.0, 0.0)))
+    @example(_fs((-0.5, 0.0, 2.0), (-1.0, 0.5)))
+    def test_scales_are_ordered_and_equal_for_one_weight_alone(self, fs):
+        # 0 < lower_scale <= upper_scale, equal exactly when theta has one
+        # nonzero weight, where ks_check gives a verdict; the envelope
+        # entry of checks.json reports these two scales.
+        lower, upper = envelope_scales(fs)
+        one_weight = sum(v != 0.0 for v in fs.theta.values) == 1
+        assert 0.0 < lower <= upper
+        assert (lower == upper) is one_weight
+        record = TrialRecord(1000, 10, 0, 0, 1.0, 1.0, 0.0, (1.0,))
+        batch = TrialBatch(TailModel("pareto_symmetric", alpha=1.2), fs, (1000,), 1, (record,))
+        report = experiment.envelope_check(batch)
+        assert (report["lower_scale"], report["upper_scale"]) == (lower, upper)
+        assert experiment.ks_check(batch)["applicable"] is one_weight
 
 
-class TestBoundCdfs:
+class TestEnvelopeCdfs:
+    # The lower envelope CDF is the Fréchet law at upper_scale, the upper
+    # envelope CDF the law at lower_scale.
     def test_single_spike_value(self):
-        b = bound_constants(_fs((1.0,), (1.0,)), 2.0)
-        assert bound_cdf_lower(1.0, b) == pytest.approx(math.exp(-1.0), rel=1e-14)
-        assert bound_cdf_upper(1.0, b) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        lower, upper = envelope_scales(_fs((1.0,), (1.0,)))
+        assert frechet_cdf(1.0, upper, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        assert frechet_cdf(1.0, lower, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_two_lag_values(self):
-        b = bound_constants(_fs((1.0,), (1.0, 0.5)), 2.0)
-        assert bound_cdf_lower(1.0, b) == pytest.approx(math.exp(-1.5), rel=1e-14)
-        assert bound_cdf_upper(1.0, b) == pytest.approx(math.exp(-1.0), rel=1e-14)
+        lower, upper = envelope_scales(_fs((1.0,), (1.0, 0.5)))
+        assert frechet_cdf(1.0, upper, 2.0) == pytest.approx(math.exp(-1.5), rel=1e-14)
+        assert frechet_cdf(1.0, lower, 2.0) == pytest.approx(math.exp(-1.0), rel=1e-14)
 
     def test_limits(self):
-        b = bound_constants(_fs((1.0, 0.3), (1.0, 0.5)), 1.5)
-        assert bound_cdf_lower(1e12, b) == pytest.approx(1.0, abs=1e-6)
-        assert bound_cdf_lower(1e-12, b) == pytest.approx(0.0, abs=1e-12)
-        assert bound_cdf_upper(0.0, b) == 0.0
+        lower, upper = envelope_scales(_fs((1.0, 0.3), (1.0, 0.5)))
+        assert frechet_cdf(1e12, upper, 1.5) == pytest.approx(1.0, abs=1e-6)
+        assert frechet_cdf(1e-12, upper, 1.5) == pytest.approx(0.0, abs=1e-12)
+        assert frechet_cdf(0.0, lower, 1.5) == 0.0
 
     def test_ordering_everywhere(self):
-        b = bound_constants(_fs((1.0, 0.3), (1.0, -0.4)), 1.2)
+        lower, upper = envelope_scales(_fs((1.0, 0.3), (1.0, -0.4)))
         x = np.logspace(-3, 3, 200)
-        lo = bound_cdf_lower(x, b)
-        hi = bound_cdf_upper(x, b)
+        lo = frechet_cdf(x, upper, 1.2)
+        hi = frechet_cdf(x, lower, 1.2)
         assert np.all(lo <= hi)
         assert np.all(np.diff(lo) > 0) and np.all(np.diff(hi) > 0)
 
     def test_single_spike_cdfs_coincide_everywhere(self):
-        b = bound_constants(_fs((1.0, 0.5), (2.0,)), 1.7)
+        lower, upper = envelope_scales(_fs((1.0, 0.5), (2.0,)))
         x = np.logspace(-2, 2, 50)
-        assert np.array_equal(bound_cdf_lower(x, b), bound_cdf_upper(x, b))
+        assert np.array_equal(frechet_cdf(x, upper, 1.7), frechet_cdf(x, lower, 1.7))
 
     def test_quantile_inverts_cdf(self):
         levels = np.linspace(0.05, 0.95, 19)
@@ -149,11 +171,11 @@ class TestClosedFormVsSampler:
     def test_upper_cdf_matches_gamma_sampler(self):
         # P(Gamma_1^(-2/alpha) * lower_scale <= x) against one million draws.
         alpha = 1.5
-        b = bound_constants(_fs((1.0, 0.5), (1.0, 0.5)), alpha)
+        lower, _ = envelope_scales(_fs((1.0, 0.5), (1.0, 0.5)))
         n = 1_000_000
-        draws = _vectorized_first_arrivals(np.arange(n)) ** (-2.0 / alpha) * b.lower_scale
+        draws = _vectorized_first_arrivals(np.arange(n)) ** (-2.0 / alpha) * lower
         for x in (0.5, 1.0, 2.0, 5.0, 20.0):
-            target = bound_cdf_upper(x, b)
+            target = frechet_cdf(x, lower, alpha)
             frac = np.mean(draws <= x)
             se = math.sqrt(target * (1 - target) / n)
             assert abs(frac - target) <= 4.0 * se, (x, frac, target)
@@ -268,12 +290,11 @@ class TestLimitOrderStatistics:
 
 
 class TestMa1Constants:
-    """The first-order row filter theta = (1, t): bound_constants gives
+    """The first-order row filter theta = (1, t): envelope_scales gives
     (max(1, t^2), max(1 + |t|, |t| + t^2))."""
 
     def _constants(self, theta):
-        b = bound_constants(_fs((1.0,), (1.0, theta)), 1.5)
-        return b.lower_scale, b.upper_scale
+        return envelope_scales(_fs((1.0,), (1.0, theta)))
 
     def test_zero(self):
         assert self._constants(0.0) == (1.0, 1.0)

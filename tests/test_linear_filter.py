@@ -52,8 +52,13 @@ class TestCoefficientSequence:
                 {"c": {"values": [1.0], "minlag": 0}, "theta": {"values": [1.0]}},
                 "unknown config keys ['c.minlag']; known: ['c.min_lag', 'c.values']",
             ),
+            (
+                {"c": {"values": [1.0]}, "theta": {"values": [1.0]}, "thta": {"values": [1.0]}},
+                "unknown config keys ['thta']; known: ['c', 'delta', 'theta']",
+            ),
+            ({"c": {"values": [1.0]}, "theta": {"values": "x"}}, "theta: values must be a list, got 'x'"),
         ],
-        ids=["missing", "unknown"],
+        ids=["missing", "unknown", "unknown_window", "refused_value"],
     )
     def test_filter_spec_from_dict_names_keys_from_itself(self, d, message):
         # Read alone, the filter is the top: no leading dot, no "filter." prefix.
