@@ -417,8 +417,9 @@ def batch_grid(
     whose noise indices would leave int64, n * p = 1, where the norming
     constant a_np (the 1 - 1/(np) quantile of |Z|) is the 0 quantile, the
     bottom of the support rather than a tail level, an a_np whose square,
-    which scales every statistic, is not a positive normal float, a Gram
-    matrix that can overflow (``_gram_bound``), and a ``top_k`` outside
+    which scales every statistic, is not a positive normal float, envelope
+    scales (``limit_law.envelope_scales``, same arithmetic) that are not, a
+    Gram matrix that can overflow (``_gram_bound``), and a ``top_k`` outside
     ``[1, p]`` at any n, as each record holds exactly ``top_k`` ranks of the
     p windowed diagonals."""
     model = template.model
@@ -429,6 +430,14 @@ def batch_grid(
         raise ValueError(f"n_values repeats {repeated}; each n must appear once")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates}")
+    theta, sum_c2 = template.filter.theta, template.filter.c.sq_sum
+    try:
+        scales = (theta.max_abs ** 2 * sum_c2, theta.max_abs * theta.abs_sum * sum_c2)
+    except OverflowError:
+        scales = (math.inf, math.inf)
+    if not (sys.float_info.min <= scales[0] and scales[1] < math.inf):
+        detail = f"max theta^2 sum c^2 = {scales[0]:g} and max|theta| sum|theta| sum c^2 = {scales[1]:g}"
+        raise ValueError(f"the filter's envelope scales {detail} are not positive normal floats")
     grid = []
     for n in n_values:
         p = rule.p_for(n)

@@ -27,7 +27,8 @@ _GAMMA_TAG = 0x47
 
 def envelope_scales(spec: FilterSpec) -> tuple[float, float]:
     """The Fréchet scales of the envelope, (lower_scale, upper_scale) =
-    (max theta_k^2 * sum c_j^2, max|theta| * sum|theta| * sum c_j^2)."""
+    (max theta_k^2 * sum c_j^2, max|theta| * sum|theta| * sum c_j^2), which
+    ``batch_grid``, by the same arithmetic, requires to be normal floats."""
     sum_c2 = spec.c.sq_sum
     return spec.theta.max_abs ** 2 * sum_c2, spec.theta.max_abs * spec.theta.abs_sum * sum_c2
 

@@ -409,6 +409,18 @@ def test_refuses_non_boolean_flag_and_non_integral_count(
                     "scale=1e-160 and alpha=1.5 give a_np^2 = 1.49147e-317 at n=40, p=6, not a positive normal float",
                 ),
                 ("scale_huge", "scale=1e+300 and alpha=1.5 give a_np^2 = inf at n=40, p=6, not a positive normal float"),
+                # Envelope scales that underflow to 0, and that overflow at a
+                # noise scale small enough for the Gram bound to hold.
+                (
+                    "theta_tiny",
+                    "the filter's envelope scales max theta^2 sum c^2 = 0 and max|theta| sum|theta| sum c^2 = 0 "
+                    "are not positive normal floats",
+                ),
+                (
+                    "theta_huge",
+                    "the filter's envelope scales max theta^2 sum c^2 = inf and max|theta| sum|theta| sum c^2 = inf "
+                    "are not positive normal floats",
+                ),
                 # config.example.json at a scale whose Gram product overflows
                 # mid-run; the fixture's config at a tail index below the floor.
                 ("example_scale_1e148", "scale=1e+148 and alpha=1.2 bound |S| by inf at n=1000, p=400: a Gram"),
@@ -451,6 +463,7 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
         ("scale_tiny", ("model", "scale"), 1e-300),
         ("scale_subnormal", ("model", "scale"), 1e-160),
         ("scale_huge", ("model", "scale"), 1e300),
+        ("theta_tiny", ("filter", "theta", "values"), [1e-170, 5e-171]),
         ("alpha_below_floor", ("model", "alpha"), 0.1),
     ):
         edited = json.loads(json.dumps(config))
@@ -469,6 +482,9 @@ def test_refusal_is_one_message_without_traceback(config_path, tmp_path, capsys,
     example = json.loads((ROOT / "config.example.json").read_text(encoding="utf-8"))
     example["model"]["scale"] = 1e148
     (tmp_path / "example_scale_1e148.json").write_text(json.dumps(example), encoding="utf-8")
+    theta_huge = {**config, "model": {**config["model"], "scale": 1e-100}}
+    theta_huge["filter"] = {**config["filter"], "theta": {"min_lag": 0, "values": [1e160]}}
+    (tmp_path / "theta_huge.json").write_text(json.dumps(theta_huge), encoding="utf-8")
     # At n * p = 1 a_np is the 0 quantile of |Z|: refused before any trial.
     np_one = {**config, "n_values": [1], "top_k": 1}
     (tmp_path / "np_one.json").write_text(json.dumps(np_one), encoding="utf-8")

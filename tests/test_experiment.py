@@ -882,6 +882,21 @@ class TestRunBatch:
         with pytest.raises(ValueError, match=re.escape("n * p must be at least 2, got n=1 and p=1")):
             run_batch(template, DimensionRule(beta=0.5), [40, 1], 1, base_seed=1, top_k=1)
 
+    @pytest.mark.parametrize(
+        "theta, scale, bound",
+        [((1e-170, 5e-171), 1.0, "0"), ((1e160,), 1e-100, "inf")],
+        ids=["underflow", "overflow"],
+    )
+    def test_rejects_envelope_scales_outside_normal_floats_before_any_trial(self, monkeypatch, theta, scale, bound):
+        # A zero envelope scale judged every batch a FAIL of the theorem, and
+        # max theta^2 past the largest float raised OverflowError in the check.
+        monkeypatch.setattr("heavyspec.experiment.run_trial", None)
+        model = TailModel("pareto_symmetric", alpha=1.5, scale=scale)
+        template = EnsembleTemplate(model=model, filter=_fs((1.0, 0.5), theta))
+        message = f"max theta^2 sum c^2 = {bound} and max|theta| sum|theta| sum c^2 = {bound} are not positive normal"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_batch(template, DimensionRule(beta=0.5, p_max=8), [40], 2, base_seed=1)
+
     def test_rejects_repeated_n(self):
         # A repeated n used to draw each of its replicates twice, with the
         # same seeds, into a batch that check then refused as duplicates.
